@@ -1,10 +1,13 @@
 """Characteristic functions of row contractions and of contractive liftings,
 and the verifiable operator identities built from them.
 
-Every characteristic function is computed by two independent routes (word
-formulas vs degree-wise expansion of the closed resolvent form) and
+Every characteristic function is the transfer function of a colligation with
+state space H_A, and one engine (`transfer_coeffs`) computes all of them by
+two routes (explicit word products vs the degree recursion) that are
 cross-checked; this is the main defense against coefficient-reversal and
-ordering bugs, which the conventions here make easy to commit.
+ordering bugs, which the conventions here make easy to commit.  The engine
+also certifies the colligation (unitary or contractive), which catches
+assembly errors that both routes would share.
 
 Degree language replaces the radial limit r -> 1 throughout: an identity
 X(r) = Y(r) for all r in [0,1) is asserted as coefficient equality per
@@ -64,10 +67,10 @@ from .numlin import (
     operator_norm,
     pinv,
     psd_root_range,
-    range_subspace,
+    svd_rank,
     unitarity_residual,
 )
-from .rowcon import RowContraction, Word, all_words, defect, reverse_word, star_defect
+from .rowcon import RowContraction, Word, all_words, defect, star_defect
 
 log = logging.getLogger(__name__)
 
@@ -75,41 +78,63 @@ CROSSCHECK_TOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
-# degree-graded column stacks (the realization route, applied to the vacuum)
+# the colligation engine: every characteristic function is a transfer function
 
-def _neumann_columns(a: RowContraction, y: np.ndarray, index: dict, n_deg: int) -> np.ndarray:
-    """sum_k X^k y where X(e_w (x) v) = sum_j e_{w j} (x) A_j* v, degrees > N dropped."""
-    out = y.copy()
-    cur = y
-    for _ in range(n_deg):
-        nxt = np.zeros_like(y)
-        moved = False
-        for w, i in index.items():
-            if len(w) >= n_deg:
-                continue
-            blk = cur[i]
-            if not blk.any():
-                continue
-            moved = True
-            for j in range(1, a.d + 1):
-                nxt[index[w + (j,)]] += a.ops[j - 1].conj().T @ blk
-        if not moved:
-            break
-        out += nxt
-        cur = nxt
-    return out
+def transfer_coeffs(D: np.ndarray, C: np.ndarray, B: np.ndarray, X: np.ndarray, n_deg: int, *,
+                    certify: str | None = None) -> tuple[dict[Word, np.ndarray], float]:
+    """Stored coefficients of the transfer function D + C (I - sum Z_j X_j)^{-1} sum Z_j B_j
+    of the colligation M = [[D, C], [B, X]], B and X stacked per letter with
+    shapes (d, s, m) and (d, s, s).
+
+    The stored word (a_1, ..., a_n) gets C X_{a_1} ... X_{a_{n-1}} B_{a_n}; the
+    empty word gets D.  Two routes compute them: a left-to-right product per
+    word, and the degree recursion T_1 = B, T_{n+1}[(k, rest)] = X_k T_n[rest]
+    in graded-lex order (index (k-1) d^n + idx(rest)).  A disagreement beyond
+    CROSSCHECK_TOL raises OracleMismatch.  Both routes read the same
+    colligation, so `certify` ("unitary" or "contractive") also checks M
+    itself, which catches an assembly error the cross-check cannot see.
+    Exact-zero coefficients are dropped.  Returns (coefficients, cross-check residual).
+    """
+    d, s, m = B.shape
+    if certify is not None:
+        col = np.block([[D, C], [B.reshape(d * s, m), X.reshape(d * s, s)]])
+        r = unitarity_residual(col) if certify == "unitary" else operator_norm(col) - 1.0
+        if r > CROSSCHECK_TOL:
+            raise ResidualTooLarge(f"colligation is not {certify} (residual {r:.3e})")
+
+    words = all_words(d, n_deg)[1:]
+    tiers, t = [], B
+    for n in range(1, n_deg + 1):
+        tiers.append(t)
+        if n < n_deg:
+            t = np.einsum("kij,rjm->krim", X, t).reshape(d * len(t), s, m)
+    by_degree = np.einsum("pi,wim->wpm", C, np.concatenate(tiers)) if tiers \
+        else np.zeros((0, D.shape[0], m), dtype=np.complex128)
+
+    by_word = np.empty_like(by_degree)
+    prefix = {(): C}
+    for i, w in enumerate(words):
+        head = prefix[w[:-1]]
+        by_word[i] = head @ B[w[-1] - 1]
+        if len(w) < n_deg:
+            prefix[w] = head @ X[w[-1] - 1]
+    diff = by_word - by_degree
+    resid = float(np.linalg.norm(diff, ord=2, axis=(-2, -1)).max()) if diff.size else 0.0
+    if resid > CROSSCHECK_TOL:
+        raise OracleMismatch(f"characteristic-function routes disagree by {resid:.3e}")
+
+    coeffs = {(): D} if D.any() else {}
+    coeffs.update((w, c) for w, c in zip(words, by_degree) if c.any())
+    return coeffs, resid
 
 
-def _word_products(a: RowContraction, n_deg: int) -> dict[Word, np.ndarray]:
-    prods: dict[Word, np.ndarray] = {(): np.eye(a.dim, dtype=np.complex128)}
-    for w in all_words(a.d, n_deg):
-        if w and w not in prods:
-            prods[w] = a.ops[w[0] - 1] @ prods[w[1:]]
-    return prods
+def _adjoints(a: RowContraction) -> np.ndarray:
+    """(A_1*, ..., A_d*) stacked, the state operators X_j of every colligation here."""
+    return np.stack([s.conj().T for s in a.ops])
 
 
 # ---------------------------------------------------------------------------
-# characteristic function of a row contraction
+# characteristic functions of a row contraction and of a contractive lifting
 
 @dataclass(frozen=True)
 class CharFn:
@@ -132,171 +157,62 @@ class CharFn:
         return {w: self.op.ambient_coeff(w) for w in sorted(self.op.coeffs, key=lambda w: (len(w), w))}
 
 
-def _resolvent_columns(a: RowContraction, n_deg: int) -> dict[Word, np.ndarray]:
-    """Coefficients of the closed resolvent form applied to e_0 (x) H^d columns."""
-    basis = fock_basis(a.d, n_deg)
-    nw, dim = len(basis), a.dim
-    d_col = defect(a).D
-    d_star = star_defect(a).D
-    y = np.zeros((nw, dim, a.d * dim), dtype=np.complex128)
-    for j in range(1, a.d + 1):
-        y[basis.index[(j,)]] = d_col[(j - 1) * dim : j * dim, :]
-    y = _neumann_columns(a, y, basis.index, n_deg)
-    y = np.einsum("ij,wjc->wic", d_star, y)
-    y[basis.index[()]] += -a.row
-    return {w: y[i] for w, i in basis.index.items() if y[i].any()}
-
-
-def row_char_fn(a: RowContraction, n_deg: int = DEFAULT_DEGREE, *,
-                crosscheck_tol: float = CROSSCHECK_TOL) -> CharFn:
+def row_char_fn(a: RowContraction, n_deg: int = DEFAULT_DEGREE) -> CharFn:
     """Characteristic function of a row contraction on the truncated Fock space.
 
-    Coefficients are computed by the word formula (empty word: -row(A)
-    restricted to the column-defect space; longer words built from
-    D_{*,A} A* products) and independently by expanding the resolvent form
-    degree by degree; a mismatch raises OracleMismatch.
+    The transfer function of the Julia-Halmos colligation of row(A):
+    D = -row(A), C = D_{*,A}, B_j = (D_A)_j, X_j = A_j*, certified unitary.
     """
     basis = fock_basis(a.d, n_deg)
-    da = defect(a)
-    dsa = star_defect(a)
+    da, dsa = defect(a), star_defect(a)
+    n = a.dim
+    amb, resid = transfer_coeffs(-a.row, dsa.D, da.D.reshape(a.d, n, a.d * n), _adjoints(a),
+                                 n_deg, certify="unitary")
     q_a, q_sa = da.space.basis, dsa.space.basis
-    prods = _word_products(a, max(n_deg - 1, 0))
-
-    word_route: dict[Word, np.ndarray] = {}
-    for w in basis.words:
-        if not w:
-            c = -a.row
-        else:
-            j, beta = w[0], w[1:]
-            c = dsa.D @ prods[beta].conj().T @ da.D[(j - 1) * a.dim : j * a.dim, :]
-        if c.any():
-            word_route[w] = c
-
-    resolvent_route = _resolvent_columns(a, n_deg)
-    resid = 0.0
-    for w in set(word_route) | set(resolvent_route):
-        z = np.zeros((a.dim, a.d * a.dim))
-        diff = word_route.get(w, z) - resolvent_route.get(w, z)
-        resid = max(resid, operator_norm(diff))
-    if resid > crosscheck_tol:
-        raise OracleMismatch(f"characteristic-function routes disagree by {resid:.3e}")
-
-    coeffs = {}
-    comp_coeffs = {}
-    for alpha in basis.words:
-        c = word_route.get(reverse_word(alpha))
-        if c is None:
-            continue
-        stored = q_sa.conj().T @ c @ q_a
-        if stored.any():
-            coeffs[alpha] = stored
-        amb = q_sa.conj().T @ c
-        if amb.any():
-            comp_coeffs[alpha] = amb
-    op = MultiAnalyticOp(basis, da.space, dsa.space, coeffs)
-    comp = MultiAnalyticOp(basis, Subspace.full(a.d * a.dim), dsa.space, comp_coeffs)
+    comp_coeffs = {w: q_sa.conj().T @ c for w, c in amb.items()}
+    coeffs = {w: c @ q_a for w, c in comp_coeffs.items()}
+    op = MultiAnalyticOp(basis, da.space, dsa.space, {w: c for w, c in coeffs.items() if c.any()})
+    comp = MultiAnalyticOp(basis, Subspace.full(a.d * n), dsa.space,
+                           {w: c for w, c in comp_coeffs.items() if c.any()})
     return CharFn(op, comp, "row-contraction", n_deg, resid)
 
 
-# ---------------------------------------------------------------------------
-# characteristic function of a contractive lifting
-
-def _lifting_word_coeffs(lift: Lifting, n_deg: int) -> dict[Word, np.ndarray]:
-    """Stored coefficients of theta o D_E on the ambient H_E^d, by the word formulas."""
-    a = lift.A
-    nc, na, d = lift.C.dim, a.dim, lift.d
-    dc, da, dsa = lift.dC, lift.dA, lift.dstarA
-    g_amb = lift.gamma_ambient
-    b_row = lift.b_row
-    q_ch = dc.space.basis.conj().T
-    da2 = da.D @ da.D
-    inv = np.argsort(lift.shuffle)
-    prods = _word_products(a, n_deg)
-    out: dict[Word, np.ndarray] = {}
-    for alpha in all_words(d, n_deg):
-        if not alpha:
-            mc = q_ch @ (dc.D - g_amb @ dsa.D @ b_row)
-            ma = q_ch @ (-g_amb @ (a.row @ da.D))
-        else:
-            w = reverse_word(alpha)
-            mc = -q_ch @ g_amb @ dsa.D @ prods[w].conj().T @ b_row
-            j, beta = w[0], w[1:]
-            ma = q_ch @ g_amb @ dsa.D @ prods[beta].conj().T @ da2[(j - 1) * na : j * na, :]
-        coeff = np.hstack([mc, ma])[:, inv]
-        if coeff.any():
-            out[alpha] = coeff
-    return out
-
-
-def _lifting_resolvent_coeffs(lift: Lifting, n_deg: int) -> dict[Word, np.ndarray]:
-    """Same object by degree-wise expansion of the closed resolvent forms."""
-    basis = fock_basis(lift.d, n_deg)
-    a = lift.A
-    nc, na, d = lift.C.dim, a.dim, lift.d
-    nw = len(basis)
-    dc, da, dsa = lift.dC, lift.dA, lift.dstarA
-    g_amb = lift.gamma_ambient
-    q_ch = dc.space.basis.conj().T
-    inv = np.argsort(lift.shuffle)
-
-    # columns from H_C^d: D_C - gamma D_*A (I - X)^{-1} D_*A gamma* D_C
-    yc = np.zeros((nw, na, d * nc), dtype=np.complex128)
-    yc[basis.index[()]] = dsa.D @ g_amb.conj().T @ dc.D
-    yc = _neumann_columns(a, yc, basis.index, n_deg)
-    # columns from H_A^d: (-gamma row(A) D_A + gamma D_*A (I - X)^{-1} R_H D_A^2) ...
-    da2 = da.D @ da.D
-    ya = np.zeros((nw, na, d * na), dtype=np.complex128)
-    for j in range(1, d + 1):
-        ya[basis.index[(j,)]] = da2[(j - 1) * na : j * na, :]
-    ya = _neumann_columns(a, ya, basis.index, n_deg)
-
-    out: dict[Word, np.ndarray] = {}
-    for w, i in basis.index.items():
-        mc = -(g_amb @ (dsa.D @ yc[i]))
-        ma = g_amb @ (dsa.D @ ya[i])
-        if not w:
-            mc = mc + dc.D
-            ma = ma - g_amb @ (a.row @ da.D)
-        coeff = q_ch @ np.hstack([mc, ma])[:, inv]
-        if coeff.any():
-            out[reverse_word(w)] = coeff
-    return out
-
-
 def lifting_char_fn(lift: Lifting, n_deg: int = DEFAULT_DEGREE, *,
-                    crosscheck_tol: float = CROSSCHECK_TOL,
                     kernel_tol: float = 1e-8) -> CharFn:
     """Characteristic function of a contractive lifting, domain the column-defect
     space of E, codomain the column-defect space of C.
 
-    The symbol composed with D_E is computed column by column from the two
-    displayed coefficient formulas (H_C part and H_A part), cross-checked
-    against the closed resolvent forms, then divided by D_E on its range.
+    The symbol composed with D_E is the transfer function of the contractive
+    colligation with X_j = A_j*, C = Q_C* gamma D_{*,A},
+    D = Q_C* [D_C - gamma D_{*,A} row(B), -gamma row(A) D_A] and
+    B_j = [-A_j* row(B), (D_A^2)_j], columns reordered from H_C^d + H_A^d to
+    H_E^d; it is then divided by D_E on its range.
     """
     basis = fock_basis(lift.d, n_deg)
-    word_route = _lifting_word_coeffs(lift, n_deg)
-    resolvent_route = _lifting_resolvent_coeffs(lift, n_deg)
-    k_c = lift.dC.rank
-    cols = lift.d * lift.E.dim
-    resid = 0.0
-    for w in set(word_route) | set(resolvent_route):
-        z = np.zeros((k_c, cols))
-        resid = max(resid, operator_norm(word_route.get(w, z) - resolvent_route.get(w, z)))
-    if resid > crosscheck_tol:
-        raise OracleMismatch(f"lifting characteristic-function routes disagree by {resid:.3e}")
+    a, d = lift.A, lift.d
+    dc, da, dsa = lift.dC, lift.dA, lift.dstarA
+    q_ch = dc.space.basis.conj().T
+    g = q_ch @ lift.gamma_ambient
+    inv = np.argsort(lift.shuffle)
+    x = _adjoints(a)
+    vac = np.hstack([q_ch @ dc.D - g @ dsa.D @ lift.b_row, -g @ a.row @ da.D])[:, inv]
+    b = np.concatenate([-x @ lift.b_row, (da.D @ da.D).reshape(d, a.dim, d * a.dim)],
+                       axis=2)[:, :, inv]
+    comp_coeffs, resid = transfer_coeffs(vac, g @ dsa.D, b, x, n_deg, certify="contractive")
 
+    cols = d * lift.E.dim
     q_e = lift.dE.space.basis
     p_ker = np.eye(cols) - q_e @ q_e.conj().T
-    k_res = max((operator_norm(c @ p_ker) for c in word_route.values()), default=0.0)
+    k_res = max((operator_norm(c @ p_ker) for c in comp_coeffs.values()), default=0.0)
     if k_res > kernel_tol:
         raise ResidualTooLarge(
             f"symbol-times-defect does not vanish on ker D_E (residual {k_res:.3e})")
 
     de_pinv_q = pinv(lift.dE.D) @ q_e
-    coeffs = {a: c @ de_pinv_q for a, c in word_route.items()}
-    coeffs = {a: c for a, c in coeffs.items() if c.any()}
+    coeffs = {w: c @ de_pinv_q for w, c in comp_coeffs.items()}
+    coeffs = {w: c for w, c in coeffs.items() if c.any()}
     op = MultiAnalyticOp(basis, lift.dE.space, lift.dC.space, coeffs)
-    comp = MultiAnalyticOp(basis, Subspace.full(cols), lift.dC.space, word_route)
+    comp = MultiAnalyticOp(basis, Subspace.full(cols), lift.dC.space, comp_coeffs)
     return CharFn(op, comp, "lifting", n_deg, resid, k_res)
 
 
@@ -306,27 +222,18 @@ def lifting_char_fn(lift: Lifting, n_deg: int = DEFAULT_DEGREE, *,
 def resolvent_identity_residual(a: RowContraction, n_deg: int = DEFAULT_DEGREE) -> float:
     """Degree-wise residual of
         D_*A (I - R A*)^{-1} D_*A  =  I  +  M_A A*
-    on the star-defect space, with both sides expanded to degree N.
+    on the star-defect space, with both sides expanded to degree N.  The
+    left side is the transfer function with D = D_*A^2, C = D_*A,
+    B_j = A_j* D_*A, X_j = A_j*.
     """
     basis = fock_basis(a.d, n_deg)
-    full = Subspace.full(a.dim)
-    x = MultiAnalyticOp(
-        basis, full, full,
-        {(j,): a.ops[j - 1].conj().T for j in range(1, a.d + 1)})
-    neumann = identity_op(basis, full)
-    power = identity_op(basis, full)
-    for _ in range(n_deg):
-        power = product(x, power)
-        if not power.coeffs:
-            break
-        neumann = add(neumann, power)
     dsa = star_defect(a)
-    lhs_full = product(const_op(basis, full, full, dsa.D),
-                       product(neumann, const_op(basis, full, full, dsa.D)))
+    x = _adjoints(a)
+    lhs_full, _ = transfer_coeffs(dsa.D @ dsa.D, dsa.D, x @ dsa.D, x, n_deg)
     q = dsa.space.basis
     lhs = MultiAnalyticOp(
         basis, dsa.space, dsa.space,
-        {w: q.conj().T @ c @ q for w, c in lhs_full.coeffs.items()})
+        {w: q.conj().T @ c @ q for w, c in lhs_full.items()})
 
     chf = row_char_fn(a, n_deg)
     da = defect(a)
@@ -361,6 +268,11 @@ def _as_coords(m: MultiAnalyticOp) -> MultiAnalyticOp:
     return MultiAnalyticOp(m.basis, Subspace.full(m.dom.dim), Subspace.full(m.cod.dim), m.coeffs)
 
 
+def _coord_const(basis, dom_k: int, cod_k: int, mat) -> MultiAnalyticOp:
+    """Constant multi-analytic operator between abstract coordinate spaces."""
+    return const_op(basis, Subspace.full(dom_k), Subspace.full(cod_k), mat)
+
+
 def _assemble(it: IteratedLifting, n_deg: int, tol: float):
     """The factored right-hand side for the two-step lifting, plus diagnostics."""
     basis = fock_basis(it.first.d, n_deg)
@@ -392,25 +304,22 @@ def _assemble(it: IteratedLifting, n_deg: int, tol: float):
     m_a = row_char_fn(it.first.A, n_deg)
     m_ap = row_char_fn(it.second.A, n_deg)
 
-    def cf(dom_k: int, cod_k: int, mat) -> MultiAnalyticOp:
-        return const_op(basis, Subspace.full(dom_k), Subspace.full(cod_k), mat)
-
     n_amb = it.first.d * cl.E.dim
     m7 = block_diag(q_star_ghat, np.eye(k_ahat)) @ sig_ep.op.matrix \
         @ cl.dE.space.basis.conj().T @ cl.dE.D
-    f7 = cf(n_amb, k_c + k_ahat, m7)
+    f7 = _coord_const(basis, n_amb, k_c + k_ahat, m7)
     m6 = block_diag(np.eye(k_c),
                     block_diag(q_star_delta, np.eye(k_ap)) @ sig_ah.op.matrix)
-    f6 = cf(k_c + k_ahat, k_c + k_a + k_ap, m6)
+    f6 = _coord_const(basis, k_c + k_ahat, k_c + k_a + k_ap, m6)
     f5 = block_diag_op(basis, identity_op(basis, Subspace.full(k_c)),
                        identity_op(basis, Subspace.full(k_a)), _as_coords(m_ap.op))
-    f4 = cf(k_c + k_a + k_sap, k_c + k_a + k_sap, block_diag(np.eye(k_c), jh.J))
+    f4 = _coord_const(basis, k_c + k_a + k_sap, k_c + k_a + k_sap, block_diag(np.eye(k_c), jh.J))
     f3 = block_diag_op(basis, identity_op(basis, Subspace.full(k_c)),
                        _as_coords(m_a.op), identity_op(basis, Subspace.full(k_sap)))
     m2 = block_diag(np.eye(k_c),
                     sig_star_ah.op.matrix.conj().T @ block_diag(np.eye(k_sa), q_delta.conj().T))
-    f2 = cf(k_c + k_sa + k_sap, k_c + k_star_ahat, m2)
-    f1 = cf(k_c + k_star_ahat, k_c, np.hstack([dstar_ghat, g_hat]))
+    f2 = _coord_const(basis, k_c + k_sa + k_sap, k_c + k_star_ahat, m2)
+    f1 = _coord_const(basis, k_c + k_star_ahat, k_c, np.hstack([dstar_ghat, g_hat]))
 
     chain = product(f5, product(f6, f7))
     chain = product(f3, product(f4, chain))
@@ -531,7 +440,7 @@ def minimal_part(first: Lifting, second: Lifting, *, tol: float = 1e-8,
     q_t = krylov_span(list(ep.ops), seed, rank_tol)
     t = q_t.shape[1]
     space = Subspace(n, q_t)
-    complement = range_subspace(np.eye(n) - q_t @ q_t.conj().T, rank_tol)
+    _, complement = psd_root_range(np.eye(n) - q_t @ q_t.conj().T, rank_tol)
     q_p = complement.basis
 
     inv_res = max(operator_norm(q_p.conj().T @ ep.ops[i] @ q_t) for i in range(d))
@@ -680,13 +589,8 @@ def synthesize_lifting(c: RowContraction, a: RowContraction, a2: RowContraction,
     sv_top = operator_norm(vac)
     pure_margin = 1.0 - sv_top
 
-    def num_rank(m: np.ndarray) -> int:
-        if m.size == 0:
-            return 0
-        s = np.linalg.svd(m, compute_uv=False)
-        return int(np.sum(s > rank_tol * max(s[0], 1e-300)))
-
-    pure = pure_margin > eps_pc and num_rank(p_blk) == f_dim and num_rank(s_blk.conj().T) == f_star
+    pure = (pure_margin > eps_pc and svd_rank(p_blk, rank_tol)[0] == f_dim
+            and svd_rank(s_blk.conj().T, rank_tol)[0] == f_star)
     if require_pure and not pure:
         raise NotPurelyContractive(
             f"vacuum margin {pure_margin:.3e} or rank deficiency of the corner blocks")
@@ -716,15 +620,12 @@ def synthesize_lifting(c: RowContraction, a: RowContraction, a2: RowContraction,
     basis = fock_basis(c.d, n_deg)
     dstar_lam, _ = psd_root_range(np.eye(k_c) - lam @ lam.conj().T)
 
-    def cf(dom_k: int, cod_k: int, mat) -> MultiAnalyticOp:
-        return const_op(basis, Subspace.full(dom_k), Subspace.full(cod_k), mat)
-
     g3 = block_diag_op(basis, identity_op(basis, Subspace.full(k_c)),
                        identity_op(basis, Subspace.full(f_dim)), _as_coords(m_ap.op))
-    g2 = cf(k_c + f_dim + k_sa2, k_c + k_a + f_star, block_diag(np.eye(k_c), u))
+    g2 = _coord_const(basis, k_c + f_dim + k_sa2, k_c + k_a + f_star, block_diag(np.eye(k_c), u))
     g1 = block_diag_op(basis, identity_op(basis, Subspace.full(k_c)),
                        _as_coords(m_a.op), identity_op(basis, Subspace.full(f_star)))
-    front = cf(k_c + k_sa + f_star, k_c, np.hstack([dstar_lam, lam]))
+    front = _coord_const(basis, k_c + k_sa + f_star, k_c, np.hstack([dstar_lam, lam]))
     target_symbol = product(front, product(g1, product(g2, g3)))
 
     m_cep = lifting_char_fn(eprime, n_deg)
@@ -739,7 +640,8 @@ def synthesize_lifting(c: RowContraction, a: RowContraction, a2: RowContraction,
                        sig_ep.op.matrix.conj().T @ block_diag(q_star_ghat.conj().T,
                                                               np.eye(ahat_lift.dE.rank)))
     inner = sig_ah.op.matrix.conj().T @ block_diag(u1, np.eye(k_a2))
-    last = cf(k_c + f_dim + k_a2, k_c + ahat_lift.dE.rank, block_diag(np.eye(k_c), inner))
+    last = _coord_const(basis, k_c + f_dim + k_a2, k_c + ahat_lift.dE.rank,
+                        block_diag(np.eye(k_c), inner))
     realized = product(_as_coords(m_cep.op), _as_coords(product(sig_inv, last)))
 
     residual = coeff_diff(target_symbol, realized, n_deg)

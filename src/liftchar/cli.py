@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import json
+import math
 import os
 import sys
 import time
@@ -63,10 +64,12 @@ def mat_to_json(m: np.ndarray) -> list:
 def mat_from_json(data, what: str) -> np.ndarray:
     try:
         arr = np.asarray(data, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{what}: malformed matrix ({exc})") from None
     if arr.ndim != 3 or arr.shape[2] != 2:
         raise ParseError(f"{what}: expected rows of [re, im] pairs, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ParseError(f"{what}: entries must be finite")
     return arr[:, :, 0] + 1j * arr[:, :, 1]
 
 
@@ -78,9 +81,12 @@ def tuple_from_json(data, d: int, what: str) -> tuple[np.ndarray, ...]:
 
 def write_atomic(path: str, text: str) -> None:
     tmp = f"{path}.tmp-{os.getpid()}"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc.strerror}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +143,18 @@ def _build_level(c: RowContraction, a: RowContraction, raw: dict, b_key: str, g_
     return make_lifting(c, a, gamma), 0.0
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _float_or_inf(x) -> float:
+    """float(x), with a JSON integer too large for a float read as inf."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf
+
+
 def parse_scenario(path: str) -> Scenario:
     """Read and validate a scenario file; derived quantities get residuals recorded."""
     try:
@@ -154,10 +172,14 @@ def parse_scenario(path: str) -> Scenario:
         if key not in raw:
             raise ParseError(f"{path}: missing field {key!r}")
     d = raw["d"]
-    if not isinstance(d, int) or not 1 <= d <= 9:
+    if not _is_int(d) or not 1 <= d <= 9:
         raise ParseError(f"{path}: d must be an integer in 1..9")
     degree = raw.get("degree", 6)
-    tol = float(raw.get("tolerance", 1e-8))
+    if not _is_int(degree) or degree < 0:
+        raise ParseError(f"{path}: degree must be an integer >= 0")
+    tol = raw.get("tolerance", 1e-8)
+    if not (_is_int(tol) or isinstance(tol, float)) or not 0 < _float_or_inf(tol) < math.inf:
+        raise ParseError(f"{path}: tolerance must be a finite number > 0")
     scen_id = raw.get("id", os.path.splitext(os.path.basename(path))[0])
 
     c = _row_contraction(raw["C"], d, "C")
@@ -347,7 +369,11 @@ def _suite_one(seed: int, base: int, d_max: int, dim_max: int, degree: int, tol:
 
 def cmd_random_suite(args) -> int:
     t0 = time.monotonic()
-    threads = max(1, int(os.environ.get("LIFTCHAR_THREADS", "1")))
+    raw_threads = os.environ.get("LIFTCHAR_THREADS", "1")
+    try:
+        threads = max(1, int(raw_threads))
+    except ValueError:
+        raise ValidationError(f"LIFTCHAR_THREADS must be an integer, got {raw_threads!r}") from None
     seeds = list(range(args.seeds))
     work = lambda s: _suite_one(s, args.seed_base, args.d_max, args.dim_max,
                                 args.degree, args.tol)
@@ -499,6 +525,28 @@ def cmd_worked_examples(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+def _int_at_least(least: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be >= {least}, got {value}")
+        return value
+    return parse
+
+
+def _positive_tol(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid number {text!r}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="liftchar",
                                 description="verify characteristic-function identities "
@@ -507,25 +555,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run verifiers on a scenario file")
     v.add_argument("scenario")
-    v.add_argument("--degree", type=int, default=None)
-    v.add_argument("--tol", type=float, default=None)
+    v.add_argument("--degree", type=_int_at_least(0), default=None)
+    v.add_argument("--tol", type=_positive_tol, default=None)
     v.add_argument("--check", choices=CHECK_NAMES, default="all")
     v.add_argument("--out", default=None, help="also write a JSON report here")
     v.set_defaults(func=cmd_verify)
 
     r = sub.add_parser("random-suite", help="randomized verification sweep")
-    r.add_argument("--seeds", type=int, default=10)
-    r.add_argument("--seed-base", type=int, default=0)
-    r.add_argument("--d-max", type=int, default=2)
-    r.add_argument("--dim-max", type=int, default=2)
-    r.add_argument("--degree", type=int, default=5)
-    r.add_argument("--tol", type=float, default=1e-8)
+    r.add_argument("--seeds", type=_int_at_least(1), default=10)
+    r.add_argument("--seed-base", type=_int_at_least(0), default=0)
+    r.add_argument("--d-max", type=_int_at_least(1), default=2)
+    r.add_argument("--dim-max", type=_int_at_least(1), default=2)
+    r.add_argument("--degree", type=_int_at_least(0), default=5)
+    r.add_argument("--tol", type=_positive_tol, default=1e-8)
     r.add_argument("--out", default=None)
     r.set_defaults(func=cmd_random_suite)
 
     c = sub.add_parser("charfn", help="dump characteristic-function coefficients")
     c.add_argument("scenario")
-    c.add_argument("--degree", type=int, default=None)
+    c.add_argument("--degree", type=_int_at_least(0), default=None)
     c.add_argument("--out", default=None)
     c.set_defaults(func=cmd_charfn)
 

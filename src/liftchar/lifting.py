@@ -94,16 +94,20 @@ class Lifting:
         return idx[:nc], idx[nc:]
 
 
-def _assemble_e(c: RowContraction, a: RowContraction, b_row: np.ndarray) -> RowContraction:
-    nc, na, d = c.dim, a.dim, c.d
+def _assemble_lifting(c: RowContraction, a: RowContraction, b_row: np.ndarray,
+                      gamma: SubOperator) -> Lifting:
+    """E_i = [[C_i, 0], [B_i, A_i]] with row(B) split into its d blocks; building
+    E validates it as a row contraction (the "if" direction of the factorization)."""
+    nc, na = c.dim, a.dim
+    b = tuple(b_row[:, i * nc : (i + 1) * nc] for i in range(c.d))
     mats = []
-    for i in range(d):
+    for ci, bi, ai in zip(c.ops, b, a.ops):
         e = np.zeros((nc + na, nc + na), dtype=np.complex128)
-        e[:nc, :nc] = c.ops[i]
-        e[nc:, :nc] = b_row[:, i * nc : (i + 1) * nc]
-        e[nc:, nc:] = a.ops[i]
+        e[:nc, :nc] = ci
+        e[nc:, :nc] = bi
+        e[nc:, nc:] = ai
         mats.append(e)
-    return RowContraction(tuple(mats))
+    return Lifting(c, a, b, gamma, RowContraction(tuple(mats)))
 
 
 def make_lifting(c: RowContraction, a: RowContraction, gamma: SubOperator,
@@ -120,10 +124,7 @@ def make_lifting(c: RowContraction, a: RowContraction, gamma: SubOperator,
     if gamma.norm > 1.0 + tol:
         raise NotContraction(f"coupling has norm {gamma.norm:.6f} > 1")
     b_row = dsa.D @ gamma.as_ambient().conj().T @ dc.D
-    e = _assemble_e(c, a, b_row)  # row-contraction validation is the "if" direction
-    nc = c.dim
-    b = tuple(b_row[:, i * nc : (i + 1) * nc] for i in range(c.d))
-    return Lifting(c, a, b, gamma, e)
+    return _assemble_lifting(c, a, b_row, gamma)
 
 
 def extract_gamma(c: RowContraction, a: RowContraction, b) -> tuple[SubOperator, float]:
@@ -149,11 +150,7 @@ def lifting_from_blocks(c: RowContraction, a: RowContraction, b,
             f"B does not factor as D_C gamma D_*A (residual {residual:.3e})")
     if gamma.norm > 1.0 + 1e-8:
         raise NotContraction(f"extracted coupling has norm {gamma.norm:.6f} > 1")
-    b_row = np.hstack([as_complex(m) for m in b])
-    e = _assemble_e(c, a, b_row)
-    nc = c.dim
-    bb = tuple(b_row[:, i * nc : (i + 1) * nc] for i in range(c.d))
-    return Lifting(c, a, bb, gamma, e)
+    return _assemble_lifting(c, a, np.hstack([as_complex(m) for m in b]), gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -260,13 +257,10 @@ class IteratedLifting:
     @cached_property
     def as_c_lifting(self) -> Lifting:
         """E' viewed as a lifting of C by A-hat."""
-        nc = self.first.C.dim
-        b_row = np.hstack(self.b_hat)
-        e = _assemble_e(self.first.C, self.a_hat, b_row)
-        if operator_norm(np.hstack(e.ops) - np.hstack(self.second.E.ops)) > 1e-12:
+        lift = _assemble_lifting(self.first.C, self.a_hat, np.hstack(self.b_hat), self.gamma_hat)
+        if operator_norm(np.hstack(lift.E.ops) - np.hstack(self.second.E.ops)) > 1e-12:
             raise Mismatch("reassembled E' disagrees with the given one")
-        bb = tuple(b_row[:, i * nc : (i + 1) * nc] for i in range(self.first.d))
-        return Lifting(self.first.C, self.a_hat, bb, self.gamma_hat, self.second.E)
+        return lift
 
 
 def iterate_liftings(first: Lifting, second: Lifting, tol: float = LIFT_TOL) -> IteratedLifting:
@@ -275,23 +269,16 @@ def iterate_liftings(first: Lifting, second: Lifting, tol: float = LIFT_TOL) -> 
         raise Mismatch("second lifting must lift the first one's E")
     if operator_norm(np.hstack(second.C.ops) - np.hstack(first.E.ops)) > 1e-10:
         raise Mismatch("second.C differs from first.E")
-    d = first.d
-    nc, na, nap = first.C.dim, first.A.dim, second.A.dim
+    d, nc = first.d, first.C.dim
     b1p = tuple(second.B[i][:, :nc] for i in range(d))
     b2p = tuple(second.B[i][:, nc:] for i in range(d))
-    a_hat_ops = []
-    for i in range(d):
-        m = np.zeros((na + nap, na + nap), dtype=np.complex128)
-        m[:na, :na] = first.A.ops[i]
-        m[na:, :na] = b2p[i]
-        m[na:, na:] = second.A.ops[i]
-        a_hat_ops.append(m)
-    a_hat = RowContraction(tuple(a_hat_ops))
     b_hat = tuple(np.vstack([first.B[i], b1p[i]]) for i in range(d))
 
     delta, r_delta = extract_gamma(first.A, second.A, b2p)
     if r_delta > tol * max(1.0, operator_norm(np.hstack(b2p))):
         raise ResidualTooLarge(f"delta extraction residual {r_delta:.3e}")
+    # A-hat = [[A, 0], [B2', A']] is E of the lifting of A by A' with coupling delta
+    a_hat = _assemble_lifting(first.A, second.A, np.hstack(b2p), delta).E
     gamma_hat, r_hat = extract_gamma(first.C, a_hat, b_hat)
     if r_hat > tol * max(1.0, operator_norm(np.hstack(b_hat))):
         raise ResidualTooLarge(f"gamma-hat extraction residual {r_hat:.3e}")

@@ -31,31 +31,6 @@ def operator_norm(m: np.ndarray) -> float:
     return float(np.linalg.norm(m, 2))
 
 
-def hermitian_sqrt(m, tol: float = RANK_TOL) -> np.ndarray:
-    """Positive square root of a Hermitian PSD matrix.
-
-    Eigenvalues in [-tol*||m||, 0) are clamped to 0; below that it is an
-    error, because defect operators are PSD by construction and a genuine
-    violation signals bad input.
-    """
-    m = as_complex(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise NotSquare(f"expected square matrix, got shape {m.shape}")
-    if m.shape[0] == 0:
-        return m.copy()
-    # scale floored at 1: everything here is built from contractions, and a
-    # purely relative test misfires on near-zero defect operators
-    scale = max(operator_norm(m), 1.0)
-    if operator_norm(m - m.conj().T) > tol * scale:
-        raise NotHermitian("matrix is not Hermitian within tolerance")
-    w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
-    if w[0] < -tol * scale:
-        raise NotPSD(f"negative eigenvalue {w[0]:.3e} below -tol*norm")
-    w = np.clip(w, 0.0, None)
-    r = (v * np.sqrt(w)) @ v.conj().T
-    return (r + r.conj().T) / 2.0
-
-
 def pinv(m, rank_tol: float = RANK_TOL) -> np.ndarray:
     """Moore-Penrose pseudo-inverse, singular values below rank_tol*s_max -> 0."""
     m = as_complex(m)
@@ -143,40 +118,17 @@ class Subspace:
         )
 
 
-def range_subspace(m, rank_tol: float = RANK_TOL) -> Subspace:
-    """Span of eigenvectors of a Hermitian PSD matrix with eigenvalue > rank_tol*max.
-
-    Eigenvectors are ordered by descending eigenvalue with the first
-    nonzero coordinate of each made real positive, so the basis is
-    reproducible for identical inputs.
-    """
-    m = as_complex(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise NotSquare(f"expected square matrix, got shape {m.shape}")
-    n = m.shape[0]
-    if n == 0:
-        return Subspace.zero(0)
-    if operator_norm(m - m.conj().T) > RANK_TOL * max(operator_norm(m), 1.0):
-        raise NotHermitian("matrix is not Hermitian within tolerance")
-    w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
-    w = w[::-1]
-    v = v[:, ::-1]
-    lam_max = max(float(w[0]), 0.0) if w.size else 0.0
-    # absolute floor: a top eigenvalue at rank-tolerance level is noise, not rank
-    if lam_max <= rank_tol:
-        return Subspace.zero(n)
-    keep = w > rank_tol * lam_max
-    return Subspace(n, _fix_phases(v[:, keep]))
-
-
 def psd_root_range(gram, rank_tol: float = RANK_TOL) -> tuple[np.ndarray, Subspace]:
     """Clamped positive root of a Hermitian PSD Gram matrix plus its range.
 
-    One eigendecomposition serves both: eigenvalues at or below
+    The one PSD eigendecomposition of the library: eigenvalues at or below
     rank_tol * max eigenvalue are set to exactly zero before taking square
     roots, so the root, its range basis, and pseudo-inverses stay mutually
     consistent.  (Rank decisions on the root itself would see noise
-    amplified to sqrt(eps).)
+    amplified to sqrt(eps).)  Eigenvalues below -rank_tol * scale raise
+    NotPSD.  The range basis is ordered by descending eigenvalue with the
+    first nonzero coordinate of each vector real positive, so it is
+    reproducible for identical inputs.
     """
     gram = as_complex(gram)
     if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
@@ -184,6 +136,8 @@ def psd_root_range(gram, rank_tol: float = RANK_TOL) -> tuple[np.ndarray, Subspa
     n = gram.shape[0]
     if n == 0:
         return gram.copy(), Subspace.zero(0)
+    # scale floored at 1: everything here is built from contractions, and a
+    # purely relative test misfires on near-zero defect operators
     scale = max(operator_norm(gram), 1.0)
     if operator_norm(gram - gram.conj().T) > rank_tol * scale:
         raise NotHermitian("matrix is not Hermitian within tolerance")
@@ -208,16 +162,20 @@ def contraction_defects(m) -> tuple[np.ndarray, Subspace, np.ndarray, Subspace]:
     return d, d_space, ds, ds_space
 
 
+def svd_rank(m, rank_tol: float = RANK_TOL) -> tuple[int, np.ndarray]:
+    """Numerical rank of m (singular values above rank_tol * s_max) and the
+    right singular vectors as the rows of an n x n unitary."""
+    m = as_complex(m)
+    if m.size == 0:
+        return 0, np.eye(m.shape[1], dtype=np.complex128)
+    _, s, vh = np.linalg.svd(m)
+    return int(np.sum(s > rank_tol * max(s[0], 1e-300))), vh
+
+
 def null_subspace(m, rank_tol: float = RANK_TOL) -> Subspace:
     """Null space of an arbitrary matrix via SVD, same phase convention."""
-    m = as_complex(m)
-    n = m.shape[1]
-    if m.shape[0] == 0 or n == 0:
-        return Subspace.full(n)
-    _, s, vh = np.linalg.svd(m)
-    s_max = s[0] if s.size else 0.0
-    rank = int(np.sum(s > rank_tol * max(s_max, 1e-300)))
-    return Subspace(n, _fix_phases(vh[rank:].conj().T))
+    rank, vh = svd_rank(m, rank_tol)
+    return Subspace(vh.shape[0], _fix_phases(vh[rank:].conj().T))
 
 
 @dataclass(frozen=True)
@@ -246,17 +204,6 @@ class SubOperator:
 
     def adjoint(self) -> "SubOperator":
         return SubOperator(self.codomain, self.domain, self.matrix.conj().T)
-
-
-def subspace_coords(inner: Subspace, outer: Subspace, tol: float = 1e-9) -> np.ndarray:
-    """Coordinates of `inner`'s basis inside `outer` (requires inner <= outer)."""
-    if inner.ambient_dim != outer.ambient_dim:
-        raise DimMismatch("subspaces live in different ambient spaces")
-    c = outer.coords(inner.basis)
-    resid = operator_norm(inner.basis - outer.basis @ c)
-    if resid > tol:
-        raise DimMismatch(f"subspace not contained in the outer one (residual {resid:.3e})")
-    return c
 
 
 def block_shuffle(dims: list[int], d: int) -> np.ndarray:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from liftchar import charfact
 from liftchar.charfact import (
     assemble_factorization,
     lifting_char_fn,
@@ -11,7 +12,12 @@ from liftchar.charfact import (
     verify_factorization,
     verify_minimal_product,
 )
-from liftchar.errors import NotContraction, NotPurelyContractive
+from liftchar.errors import (
+    NotContraction,
+    NotPurelyContractive,
+    OracleMismatch,
+    ResidualTooLarge,
+)
 from liftchar.gen import (
     random_iterated_lifting,
     random_lifting,
@@ -21,7 +27,7 @@ from liftchar.gen import (
 from liftchar.lifting import iterate_liftings, lifting_from_blocks, make_lifting
 from liftchar.ncfock import coeff_diff, intertwining_residual, realized_norm
 from liftchar.numlin import SubOperator, operator_norm
-from liftchar.rowcon import RowContraction, defect, star_defect
+from liftchar.rowcon import RowContraction, all_words, defect, star_defect
 
 S2 = 1 / np.sqrt(2)
 S3 = 1 / np.sqrt(3)
@@ -139,6 +145,32 @@ class TestLiftingCharFn:
             assert fn.crosscheck_residual < 1e-12
             assert fn.kernel_residual < 1e-12
             assert realized_norm(fn.op) <= 1 + 5e-10
+
+
+class TestColligationEngine:
+    def test_reversed_word_route_is_caught(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        it = random_iterated_lifting(rng, 2, (1, 2, 1))
+        a = it.first.A
+        assert operator_norm(a.ops[0] @ a.ops[1] - a.ops[1] @ a.ops[0]) > 1e-3
+        # the word route walks the words reversed; the degree recursion does not
+        monkeypatch.setattr(charfact, "all_words",
+                            lambda d, n: tuple(w[::-1] for w in all_words(d, n)))
+        with pytest.raises(OracleMismatch):
+            row_char_fn(a, 3)
+        with pytest.raises(OracleMismatch):
+            lifting_char_fn(it.first, 3)
+
+    def test_scaled_colligation_fails_certificate(self, monkeypatch):
+        # both routes see the same faulty C, so only the certificate can object
+        engine = charfact.transfer_coeffs
+        monkeypatch.setattr(charfact, "transfer_coeffs",
+                            lambda D, C, B, X, n, **kw: engine(D, 1.01 * C, B, X, n, **kw))
+        it = random_iterated_lifting(np.random.default_rng(12), 2, (1, 2, 1))
+        with pytest.raises(ResidualTooLarge, match="not unitary"):
+            row_char_fn(it.first.A, 3)
+        with pytest.raises(ResidualTooLarge, match="not contractive"):
+            lifting_char_fn(it.first, 3)
 
 
 class TestResolventIdentity:

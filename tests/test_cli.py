@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -172,8 +173,6 @@ def test_console_entry_point_runs():
 
 
 def test_thread_cap_keeps_reports_identical(tmp_path):
-    import os
-
     outs = []
     for threads in ("1", "3"):
         out_file = tmp_path / f"suite-{threads}.json"
@@ -185,3 +184,32 @@ def test_thread_cap_keeps_reports_identical(tmp_path):
         assert proc.returncode == 0, proc.stdout + proc.stderr
         outs.append(out_file.read_bytes())
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("argv, scenario, env", [
+    pytest.param(["verify", "{scen}"], {"degree": "3"}, {}, id="degree-string"),
+    pytest.param(["verify", "{scen}"], {"degree": 2.5}, {}, id="degree-float"),
+    pytest.param(["verify", "{scen}"], {"tolerance": "abc"}, {}, id="tolerance-string"),
+    pytest.param(["verify", "{scen}"], {"tolerance": float("nan")}, {}, id="tolerance-nan"),
+    pytest.param(["verify", "{scen}"], {"tolerance": 10**400}, {}, id="tolerance-huge-int"),
+    pytest.param(["verify", "{scen}"], {"C": [[[[float("nan"), 0.0]]]]}, {}, id="matrix-nan"),
+    pytest.param(["verify", "{scen}"], {"C": [[[[10**400, 0.0]]]]}, {}, id="matrix-huge-int"),
+    pytest.param(["verify", "{scen}", "--degree", "-1"], {}, {}, id="verify-degree-negative"),
+    pytest.param(["verify", "{scen}", "--out", "{tmp}/missing/dir/x.json"], {}, {},
+                 id="out-missing-dir"),
+    pytest.param(["random-suite", "--seeds", "0"], None, {}, id="seeds-zero"),
+    pytest.param(["random-suite", "--d-max", "0"], None, {}, id="d-max-zero"),
+    pytest.param(["random-suite", "--dim-max", "0"], None, {}, id="dim-max-zero"),
+    pytest.param(["random-suite", "--degree", "-1"], None, {}, id="suite-degree-negative"),
+    pytest.param(["random-suite", "--seed-base", "-1"], None, {}, id="seed-base-negative"),
+    pytest.param(["random-suite", "--seeds", "1", "--degree", "1"], None,
+                 {"LIFTCHAR_THREADS": "x"}, id="threads-not-integer"),
+])
+def test_invalid_input_exits_two(tmp_path, argv, scenario, env):
+    path = write_scenario(tmp_path, **scenario) if scenario is not None else ""
+    argv = [a.replace("{scen}", path).replace("{tmp}", str(tmp_path)) for a in argv]
+    proc = subprocess.run([sys.executable, "-m", "liftchar", *argv],
+                          capture_output=True, text=True, env=dict(os.environ, **env))
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert any("error:" in line for line in proc.stderr.splitlines())
+    assert "Traceback" not in proc.stderr

@@ -8,10 +8,9 @@ from liftchar.numlin import (
     Subspace,
     SubOperator,
     block_shuffle,
-    hermitian_sqrt,
     operator_norm,
     pinv,
-    range_subspace,
+    psd_root_range,
     unitarity_residual,
 )
 
@@ -22,38 +21,40 @@ def random_psd(rng, n):
 
 
 class TestHermitianSqrt:
+    """The clamped positive root returned by psd_root_range."""
+
     def test_scalar(self):
-        np.testing.assert_allclose(hermitian_sqrt(np.array([[0.36]])), [[0.6]], atol=1e-14)
+        np.testing.assert_allclose(psd_root_range(np.array([[0.36]]))[0], [[0.6]], atol=1e-14)
 
     def test_identity(self):
-        np.testing.assert_allclose(hermitian_sqrt(np.eye(3)), np.eye(3), atol=1e-14)
+        np.testing.assert_allclose(psd_root_range(np.eye(3))[0], np.eye(3), atol=1e-14)
 
     def test_worked_example_defect(self):
         # I - E'* E' for the three-dimensional one-step lifting with all
         # couplings 1/2 has the exact root diag(1/2, 1, 1)
         ep = 0.5 * np.array([[1, 0, 0], [1, 0, 0], [1, 0, 0]], dtype=complex)
         m = np.eye(3) - ep.conj().T @ ep
-        np.testing.assert_allclose(hermitian_sqrt(m), np.diag([0.5, 1, 1]), atol=1e-12)
+        np.testing.assert_allclose(psd_root_range(m)[0], np.diag([0.5, 1, 1]), atol=1e-12)
 
     def test_square_root_property(self):
         rng = np.random.default_rng(0)
         for _ in range(1000):
             n = int(rng.integers(1, 7))
             m = random_psd(rng, n)
-            r = hermitian_sqrt(m)
+            r = psd_root_range(m)[0]
             assert operator_norm(r @ r - m) <= 1e-10 * max(operator_norm(m), 1.0)
             assert operator_norm(r - r.conj().T) < 1e-13
 
     def test_not_hermitian(self):
         with pytest.raises(NotHermitian):
-            hermitian_sqrt(np.array([[1.0, 1.0], [0.0, 1.0]]))
+            psd_root_range(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
     def test_not_psd(self):
         with pytest.raises(NotPSD):
-            hermitian_sqrt(np.diag([1.0, -0.5]))
+            psd_root_range(np.diag([1.0, -0.5]))
 
     def test_small_negative_clamped(self):
-        r = hermitian_sqrt(np.diag([1.0, -1e-13]))
+        r = psd_root_range(np.diag([1.0, -1e-13]))[0]
         np.testing.assert_allclose(r, np.diag([1.0, 0.0]), atol=1e-6)
 
 
@@ -86,33 +87,34 @@ class TestPinv:
 
 
 class TestRangeSubspace:
+    """The range basis returned by psd_root_range."""
+
     def test_coordinate_projection(self):
-        s = range_subspace(np.diag([1.0, 0.0]))
+        s = psd_root_range(np.diag([1.0, 0.0]))[1]
         assert s.dim == 1
         np.testing.assert_allclose(np.abs(s.basis[:, 0]), [1, 0], atol=1e-14)
 
     def test_rank_two_defect(self):
         # diag(0, 1, 1) from the worked minimal-part example
-        s = range_subspace(np.diag([0.0, 1.0, 1.0]))
+        s = psd_root_range(np.diag([0.0, 1.0, 1.0]))[1]
         assert s.dim == 2
         assert s.contains_residual(np.array([[0.0, 0], [1, 0], [0, 1]])) < 1e-12
 
     def test_rank_one_star_defect_of_coupling(self):
         g = np.array([[1 / np.sqrt(3), 1 / np.sqrt(3)]])
         m = np.eye(1) - g @ g.conj().T
-        s = range_subspace(m)
+        d, s = psd_root_range(m)
         assert s.dim == 1
-        d = hermitian_sqrt(m)
         np.testing.assert_allclose(d, [[1 / np.sqrt(3)]], atol=1e-12)
 
     def test_zero(self):
-        assert range_subspace(np.zeros((3, 3))).dim == 0
+        assert psd_root_range(np.zeros((3, 3)))[1].dim == 0
 
     def test_basis_in_column_space(self):
         rng = np.random.default_rng(2)
         for _ in range(50):
             m = random_psd(rng, int(rng.integers(1, 6)))
-            s = range_subspace(m)
+            s = psd_root_range(m)[1]
             proj = m @ pinv(m)
             assert operator_norm(s.basis - proj @ s.basis) < 1e-10
 
@@ -120,7 +122,7 @@ class TestRangeSubspace:
         # first nonzero coordinate of each basis vector is real positive
         rng = np.random.default_rng(3)
         m = random_psd(rng, 4)
-        s = range_subspace(m)
+        s = psd_root_range(m)[1]
         for j in range(s.dim):
             col = s.basis[:, j]
             piv = col[np.flatnonzero(np.abs(col) > 1e-12)[0]]
