@@ -7,13 +7,18 @@ map word -> matrix (absent words are zero).  The pairing convention is
 
 i.e. the stored coefficient at word a is the coefficient of the basis
 vector indexed by the reversed word.  All consumers must go through
-realize/extract to avoid double-reversal bugs.
+realize/extract_coeffs to avoid double-reversal bugs.
+
+`realize` is matrix-free: it packs the coefficients per degree and applies
+the operator and its adjoint to vectors, so the norm and intertwining checks
+cost O(N d^N k^2) per product and never form the (d^N k)^2 Fock matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -22,6 +27,8 @@ from .numlin import Subspace, as_complex, operator_norm
 from .rowcon import Word, all_words, reverse_word
 
 DEFAULT_DEGREE = 6
+LANCZOS_TOL = 1e-13  # relative a-posteriori bound at which realized_norm stops
+PROBE_COLS = 2       # columns of the intertwining probe block
 
 
 @dataclass(frozen=True)
@@ -32,6 +39,7 @@ class FockBasis:
     N: int
     words: tuple[Word, ...] = field(init=False)
     index: dict[Word, int] = field(init=False)
+    offsets: tuple[int, ...] = field(init=False)  # first index of each degree, then len
 
     def __post_init__(self):
         if self.d < 1:
@@ -41,6 +49,8 @@ class FockBasis:
         words = all_words(self.d, self.N)
         object.__setattr__(self, "words", words)
         object.__setattr__(self, "index", {w: i for i, w in enumerate(words)})
+        object.__setattr__(self, "offsets",
+                           tuple(accumulate((self.d**n for n in range(self.N + 1)), initial=0)))
 
     def __len__(self) -> int:
         return len(self.words)
@@ -158,39 +168,98 @@ def block_diag_op(basis: FockBasis, *ops: MultiAnalyticOp) -> MultiAnalyticOp:
     return MultiAnalyticOp(basis, dom, cod, coeffs)
 
 
-def realize(m: MultiAnalyticOp) -> np.ndarray:
-    """Matrix on Gamma_N (x) dom -> Gamma_N (x) cod in the graded word order.
+def _graded_coeffs(m: MultiAnalyticOp) -> dict[int, np.ndarray]:
+    """Stored coefficients packed per degree p into (d^p, k_cod, k_dom) tensors.
 
-    Action rule: e_b (x) x  ->  sum_a e_{b + reverse(a)} (x) theta_(a) x,
-    with words longer than N dropped.
+    Row idx(reverse(a)) of the degree-|a| tensor holds the coefficient of a,
+    idx being the lexicographic rank within the degree (the basis index minus
+    the degree's offset); degrees without a stored word are left out.
     """
     basis = m.basis
-    kd, kc = m.dom.dim, m.cod.dim
-    nw = len(basis)
-    out = np.zeros((nw * kc, nw * kd), dtype=np.complex128)
+    out: dict[int, np.ndarray] = {}
     for a, mat in m.coeffs.items():
-        ra = reverse_word(a)
-        la = len(a)
-        for b, j in basis.index.items():
-            if len(b) + la > basis.N:
-                continue
-            i = basis.index[b + ra]
-            out[i * kc : (i + 1) * kc, j * kd : (j + 1) * kd] += mat
+        p = len(a)
+        t = out.get(p)
+        if t is None:
+            t = out[p] = np.zeros((basis.d**p, m.cod.dim, m.dom.dim), dtype=np.complex128)
+        t[basis.index[reverse_word(a)] - basis.offsets[p]] = mat
     return out
 
 
-def extract_coeffs(basis: FockBasis, realized: np.ndarray, k_dom: int, k_cod: int) -> dict[Word, np.ndarray]:
+@dataclass(frozen=True)
+class Realization:
+    """Matrix-free realization Gamma_N (x) dom -> Gamma_N (x) cod of a multi-analytic operator.
+
+    Vectors are word-major in the graded word order (index g(w) * k + j);
+    matvec/rmatvec take a vector or a block of columns.  That order is
+    bijective base-d numeration, g(w) = sum_i w_i d^(|w| - i), so with
+    |c| = p the word b + c sits at g(b) d^p + g(c).  The degree-p
+    coefficients therefore map the first offsets[N - p + 1] input words onto
+    the output words from offsets[p] on, one einsum per coefficient degree:
+    cost grows with N d^N k_dom k_cod, and no (d^N k)^2 matrix is formed.
+    """
+
+    basis: FockBasis
+    k_dom: int
+    k_cod: int
+    blocks: dict[int, np.ndarray]
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        n = len(self.basis)
+        return n * self.k_cod, n * self.k_dom
+
+    def matvec(self, x) -> np.ndarray:
+        """R x."""
+        return self._apply(x, adjoint=False)
+
+    def rmatvec(self, y) -> np.ndarray:
+        """R* y."""
+        return self._apply(y, adjoint=True)
+
+    def _apply(self, v, adjoint: bool) -> np.ndarray:
+        off, d, top = self.basis.offsets, self.basis.d, self.basis.N
+        n = off[-1]
+        k_in, k_out = (self.k_cod, self.k_dom) if adjoint else (self.k_dom, self.k_cod)
+        v = np.asarray(v)
+        block = v[:, None] if v.ndim == 1 else v
+        if block.ndim != 2 or block.shape[0] != n * k_in:
+            raise DimMismatch(f"expected {n * k_in} rows, got shape {v.shape}")
+        cols = block.shape[1]
+        out = np.zeros((n * k_out, cols), dtype=np.complex128)
+        for p, t in self.blocks.items():
+            nb = off[top + 1 - p]  # words b with |b| + p <= N
+            if adjoint:
+                y = block[off[p] * k_in:].reshape(nb, d**p, k_in, cols)
+                out[:nb * k_out] += np.einsum("cji,bcjm->bim", t.conj(), y).reshape(
+                    nb * k_out, cols)
+            else:
+                x = block[:nb * k_in].reshape(nb, k_in, cols)
+                out[off[p] * k_out:] += np.einsum("cij,bjm->bcim", t, x).reshape(
+                    nb * d**p * k_out, cols)
+        return out[:, 0] if v.ndim == 1 else out
+
+
+def realize(m: MultiAnalyticOp) -> Realization:
+    """Matrix-free realization of m on Gamma_N (x) dom -> Gamma_N (x) cod.
+
+    Action rule: e_b (x) x  ->  sum_a e_{b + reverse(a)} (x) theta_(a) x,
+    with words longer than N dropped; `shape` is that of the dense matrix in
+    the graded word order, which is never formed.
+    """
+    return Realization(m.basis, m.dom.dim, m.cod.dim, _graded_coeffs(m))
+
+
+def extract_coeffs(r: Realization) -> dict[Word, np.ndarray]:
     """Invert realize by reading the vacuum column block against e_{reverse(a)}."""
-    nw = len(basis)
-    if realized.shape != (nw * k_cod, nw * k_dom):
-        raise DimMismatch("realized matrix has unexpected shape")
+    basis, k_dom, k_cod = r.basis, r.k_dom, r.k_cod
+    col = r.matvec(np.eye(r.shape[1], k_dom, dtype=np.complex128))
     out: dict[Word, np.ndarray] = {}
-    col = realized[:, 0:k_dom]
     for a in basis.words:
         i = basis.index[reverse_word(a)]
         block = col[i * k_cod : (i + 1) * k_cod, :]
         if operator_norm(block) > 0.0:
-            out[a] = block.copy()
+            out[a] = block
     return out
 
 
@@ -210,23 +279,76 @@ def coeff_diff(m1: MultiAnalyticOp, m2: MultiAnalyticOp, up_to: int | None = Non
     return max((operator_norm(m1.coeff(w) - m2.coeff(w)) for w in words), default=0.0)
 
 
+def _probe(n: int, cols: int) -> np.ndarray:
+    """Fixed, generic unit columns with entries exp(2 pi i frac(j g)) (1 + j mod 3).
+
+    g is the golden-ratio conjugate, so the Weyl phases never repeat.  No
+    random state is involved, and reports stay deterministic.
+    """
+    j = np.arange(n * cols)
+    x = np.exp(2j * np.pi * np.modf(j * ((np.sqrt(5.0) - 1.0) / 2.0))[0]) * (1 + j % 3)
+    x = x.reshape(n, cols)
+    return x / np.linalg.norm(x, axis=0)
+
+
 def realized_norm(m: MultiAnalyticOp) -> float:
-    """Spectral norm of the truncated realization."""
+    """Spectral norm of the truncated realization, by Lanczos on R*R.
+
+    Full reorthogonalization; stops when the a-posteriori residual bound
+    beta_k |s_k| of the largest Ritz value is <= LANCZOS_TOL * max(theta, 1)
+    or the Krylov space is exhausted.  In exact arithmetic a Ritz value never
+    exceeds the top eigenvalue, so the estimate converges from below.
+    """
     r = realize(m)
-    if r.size == 0:
+    n = r.shape[1]
+    if r.shape[0] == 0 or n == 0:
         return 0.0
-    gram = r.conj().T @ r
-    w = np.linalg.eigvalsh((gram + gram.conj().T) / 2.0)
-    return float(np.sqrt(max(w[-1], 0.0))) if w.size else 0.0
+    q = _probe(n, 1)[:, 0]
+    krylov = [q]
+    alphas: list[float] = []
+    betas: list[float] = []
+    while True:
+        w = r.rmatvec(r.matvec(q))
+        alphas.append(float(np.vdot(q, w).real))
+        vs = np.array(krylov)
+        for _ in range(2):
+            w = w - vs.T @ (vs.conj() @ w)
+        beta = float(np.linalg.norm(w))
+        tri = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+        evals, evecs = np.linalg.eigh(tri)
+        theta = evals[-1]
+        if beta * abs(evecs[-1, -1]) <= LANCZOS_TOL * max(theta, 1.0) or len(alphas) == n:
+            return float(np.sqrt(max(theta, 0.0)))
+        betas.append(beta)
+        q = w / beta
+        krylov.append(q)
+
+
+def _left_creation(basis: FockBasis, i: int, v: np.ndarray, k: int) -> np.ndarray:
+    """(L_i (x) I_k) v: prepend letter i; the degree-N part drops out."""
+    out = np.zeros_like(v)
+    off, d = basis.offsets, basis.d
+    for q in range(basis.N):
+        start = (off[q + 1] + (i - 1) * d**q) * k
+        out[start:start + d**q * k] = v[off[q] * k:off[q + 1] * k]
+    return out
 
 
 def intertwining_residual(m: MultiAnalyticOp) -> float:
-    """Deviation from commuting with ampliated left creations (0 by construction)."""
+    """Max entry of R (L_i (x) I) X - (L_i (x) I) R X over the letters i.
+
+    X is a fixed probe block.  Both sides go through the same matvec whose
+    norm realized_norm certifies, so a realization that misplaces the
+    coefficient word (prepends instead of appends it) fails.
+    """
     r = realize(m)
+    basis = m.basis
+    x = _probe(r.shape[1], PROBE_COLS)
+    rx = r.matvec(x)
     res = 0.0
-    for i in range(1, m.basis.d + 1):
-        li = creation(m.basis, "left", i)
-        lhs = r @ np.kron(li, np.eye(m.dom.dim))
-        rhs = np.kron(li, np.eye(m.cod.dim)) @ r
-        res = max(res, float(np.max(np.abs(lhs - rhs))) if lhs.size else 0.0)
+    for i in range(1, basis.d + 1):
+        lhs = r.matvec(_left_creation(basis, i, x, r.k_dom))
+        diff = lhs - _left_creation(basis, i, rx, r.k_cod)
+        if diff.size:
+            res = max(res, float(np.max(np.abs(diff))))
     return res

@@ -1,19 +1,30 @@
+import dataclasses
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from liftchar import ncfock
+from liftchar.charfact import lifting_char_fn, row_char_fn
 from liftchar.cli import (
+    INTERTWINE_TOL,
+    NORM_SLACK,
+    _charfn_checks,
     _packaged_scenario,
     main,
     mat_from_json,
     mat_to_json,
     parse_scenario,
+    run_battery,
 )
 from liftchar.errors import ParseError, ValidationError
+from liftchar.gen import random_iterated_lifting, random_row_contraction
+from liftchar.ncfock import MultiAnalyticOp
+from liftchar.rowcon import reverse_word
 
 
 def write_scenario(tmp_path, name="scen.json", **overrides):
@@ -197,6 +208,11 @@ def test_thread_cap_keeps_reports_identical(tmp_path):
     pytest.param(["verify", "{scen}", "--degree", "-1"], {}, {}, id="verify-degree-negative"),
     pytest.param(["verify", "{scen}", "--out", "{tmp}/missing/dir/x.json"], {}, {},
                  id="out-missing-dir"),
+    pytest.param(["verify", "{scen}", "--out", "{tmp}"], {}, {}, id="out-is-directory"),
+    pytest.param(["random-suite", "--seeds", "1", "--degree", "1", "--out",
+                  "{tmp}/missing/x.json"], None, {}, id="suite-out-missing-dir"),
+    pytest.param(["charfn", "{scen}", "--out", "{tmp}/missing/x.json"], {}, {},
+                 id="charfn-out-missing-dir"),
     pytest.param(["random-suite", "--seeds", "0"], None, {}, id="seeds-zero"),
     pytest.param(["random-suite", "--d-max", "0"], None, {}, id="d-max-zero"),
     pytest.param(["random-suite", "--dim-max", "0"], None, {}, id="dim-max-zero"),
@@ -213,3 +229,70 @@ def test_invalid_input_exits_two(tmp_path, argv, scenario, env):
     assert proc.returncode == 2, proc.stdout + proc.stderr
     assert any("error:" in line for line in proc.stderr.splitlines())
     assert "Traceback" not in proc.stderr
+    if "--out" in argv:  # refused before any work: no report text, no leftover file
+        assert proc.stdout == ""
+        assert "error: cannot write" in proc.stderr
+        assert not list(tmp_path.rglob("*.tmp-*"))
+
+
+def test_worked_examples_do_not_import_numpy_random():
+    code = ("import runpy, sys\n"
+            "sys.argv = ['liftchar', 'worked-examples']\n"
+            "try:\n"
+            "    runpy.run_module('liftchar', run_name='__main__')\n"
+            "except SystemExit as exc:\n"
+            "    assert exc.code == 0, exc.code\n"
+            "print('numpy.random' in sys.modules, file=sys.stderr)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.strip().splitlines()[-1] == "False"
+
+
+class TestCharfnChecksCanFail:
+    def test_inflated_symbol_fails_norm(self):
+        scen = parse_scenario(_packaged_scenario("example2.json"))
+        fn = lifting_char_fn(scen.second, scen.degree)
+        checks = {c.name: c for c in _charfn_checks("M", fn)}
+        assert checks["charfn-norm[M]"].passed
+        op = fn.op
+        inflated = MultiAnalyticOp(op.basis, op.dom, op.cod,
+                                   {w: (1 + 1e-8) * c for w, c in op.coeffs.items()})
+        checks = {c.name: c for c in _charfn_checks("M", dataclasses.replace(fn, op=inflated))}
+        assert checks["charfn-norm[M]"].residual > NORM_SLACK
+        assert not checks["charfn-norm[M]"].passed
+
+    def test_prepending_realization_fails_intertwine(self, monkeypatch):
+        fn = row_char_fn(random_row_contraction(np.random.default_rng(11), 2, 2), 3)
+        op = fn.op
+        basis, kd, kc = op.basis, op.dom.dim, op.cod.dim
+        n = len(basis)
+        wrong = np.zeros((n * kc, n * kd), dtype=complex)
+        for a, mat in op.coeffs.items():  # e_b (x) x -> e_{reverse(a) + b} (x) theta_(a) x
+            for b, j in basis.index.items():
+                if len(a) + len(b) <= basis.N:
+                    i = basis.index[reverse_word(a) + b]
+                    wrong[i * kc:(i + 1) * kc, j * kd:(j + 1) * kd] += mat
+
+        class Prepending:
+            shape, k_dom, k_cod = wrong.shape, kd, kc
+            matvec = staticmethod(lambda x: wrong @ x)
+            rmatvec = staticmethod(lambda y: wrong.conj().T @ y)
+
+        assert {c.name: c for c in _charfn_checks("M", fn)}["charfn-intertwine[M]"].passed
+        monkeypatch.setattr(ncfock, "realize", lambda m: Prepending())
+        check = {c.name: c for c in _charfn_checks("M", fn)}["charfn-intertwine[M]"]
+        assert check.residual > INTERTWINE_TOL
+        assert not check.passed
+
+
+def test_sigmas_memory_stays_small():
+    # d=3, dims (2,2,2), N=6: a dense realization would need about 6.2 GB
+    it = random_iterated_lifting(np.random.default_rng([7, 0]), 3, (2, 2, 2))
+    tracemalloc.start()
+    try:
+        checks = run_battery(it.first, it, 6, 1e-8, "sigmas")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(c.passed for c in checks)
+    assert peak < 200e6, f"traced peak {peak / 1e6:.0f} MB"

@@ -18,6 +18,7 @@ from liftchar.ncfock import (
     realized_norm,
 )
 from liftchar.numlin import Subspace
+from liftchar.rowcon import reverse_word
 
 
 def maop(d, n, dom_k, cod_k, coeffs):
@@ -32,6 +33,28 @@ def random_maop(rng, d, n, dom_k, cod_k, density=0.6):
         if rng.random() < density:
             coeffs[w] = rng.standard_normal((cod_k, dom_k)) + 1j * rng.standard_normal((cod_k, dom_k))
     return MultiAnalyticOp(basis, Subspace.full(dom_k), Subspace.full(cod_k), coeffs)
+
+
+def dense_oracle(m):
+    """Independent dense realization: e_b (x) x -> sum_a e_{b + reverse(a)} (x) theta_(a) x."""
+    basis = m.basis
+    kd, kc = m.dom.dim, m.cod.dim
+    nw = len(basis)
+    out = np.zeros((nw * kc, nw * kd), dtype=np.complex128)
+    for a, mat in m.coeffs.items():
+        ra = reverse_word(a)
+        la = len(a)
+        for b, j in basis.index.items():
+            if len(b) + la > basis.N:
+                continue
+            i = basis.index[b + ra]
+            out[i * kc : (i + 1) * kc, j * kd : (j + 1) * kd] += mat
+    return out
+
+
+def dense(r):
+    """The matrix of a matrix-free realization, column by column."""
+    return r.matvec(np.eye(r.shape[1]))
 
 
 class TestCreation:
@@ -72,18 +95,18 @@ class TestCreation:
 class TestRealize:
     def test_identity(self):
         m = maop(2, 2, 3, 3, {(): np.eye(3)})
-        np.testing.assert_array_equal(realize(m), np.eye(7 * 3))
+        np.testing.assert_array_equal(dense(realize(m)), np.eye(7 * 3))
 
     def test_shift_symbol(self):
         m = maop(1, 2, 1, 1, {(1,): [[1.0]]})
-        np.testing.assert_array_equal(realize(m), creation(fock_basis(1, 2), "right", 1))
+        np.testing.assert_array_equal(dense(realize(m)), creation(fock_basis(1, 2), "right", 1))
 
     def test_vacuum_column_reproduces_symbol(self):
         # one-step lifting symbol table: 1/sqrt(3) at the vacuum, 1/sqrt(3)
         # at letter 1 from each of the two extra directions
         s3 = 1 / np.sqrt(3)
         m = maop(1, 2, 3, 1, {(): [[s3, 0, 0]], (1,): [[0, s3, s3]]})
-        r = realize(m)
+        r = dense(realize(m))
         b = fock_basis(1, 2)
         for col, (word, value) in enumerate([((), s3), ((1,), s3), ((1,), s3)]):
             vec = r[:, col]  # e_0 (x) basis vector `col`
@@ -92,7 +115,7 @@ class TestRealize:
     def test_extraction_inverts_realize(self):
         rng = np.random.default_rng(0)
         m = random_maop(rng, 2, 3, 2, 3)
-        got = extract_coeffs(m.basis, realize(m), 2, 3)
+        got = extract_coeffs(realize(m))
         for w in m.coeffs:
             np.testing.assert_array_equal(got[w], m.coeff(w))
 
@@ -131,9 +154,40 @@ class TestProduct:
         rng = np.random.default_rng(2)
         m1 = random_maop(rng, 2, 3, 3, 2)
         m2 = random_maop(rng, 2, 3, 2, 3)
-        lhs = realize(product(m1, m2))
-        rhs = realize(m1) @ realize(m2)
+        lhs = dense(realize(product(m1, m2)))
+        rhs = dense(realize(m1)) @ dense(realize(m2))
         assert np.max(np.abs(lhs - rhs)) < 1e-12
+
+
+SHAPES = [(1, 1), (2, 3), (3, 2), (0, 2), (2, 0)]
+
+
+class TestMatrixFree:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("n", [0, 1, 3, 4])
+    @pytest.mark.parametrize("k_dom, k_cod", SHAPES)
+    def test_matches_dense_oracle(self, d, n, k_dom, k_cod):
+        rng = np.random.default_rng([d, n, k_dom, k_cod])
+        m = random_maop(rng, d, n, k_dom, k_cod)
+        oracle = dense_oracle(m)
+        r = realize(m)
+        assert r.shape == oracle.shape
+        np.testing.assert_array_equal(r.matvec(np.eye(r.shape[1])), oracle)
+        np.testing.assert_array_equal(r.rmatvec(np.eye(r.shape[0])), oracle.conj().T)
+        x = rng.standard_normal(r.shape[1])
+        np.testing.assert_array_equal(r.matvec(x), r.matvec(x[:, None])[:, 0])
+
+    @pytest.mark.parametrize("d, n, k_dom, k_cod", [(1, 4, 2, 3), (2, 3, 3, 2), (2, 4, 1, 1),
+                                                    (3, 3, 2, 2), (3, 2, 1, 3)])
+    def test_norm_matches_dense(self, d, n, k_dom, k_cod):
+        rng = np.random.default_rng([10, d, n, k_dom, k_cod])
+        m = random_maop(rng, d, n, k_dom, k_cod)
+        want = np.linalg.norm(dense_oracle(m), 2)
+        assert abs(realized_norm(m) - want) <= 1e-12 * want
+
+    def test_empty_sides(self):
+        assert realized_norm(maop(2, 2, 0, 2, {})) == 0.0
+        assert intertwining_residual(maop(2, 2, 2, 0, {})) == 0.0
 
 
 def test_multi_analyticity_is_exact():
