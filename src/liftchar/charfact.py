@@ -53,8 +53,10 @@ from .ncfock import (
     block_diag_op,
     coeff_diff,
     const_op,
+    degree_diffs,
     fock_basis,
     identity_op,
+    pair_products,
     product,
 )
 from .numlin import (
@@ -64,13 +66,14 @@ from .numlin import (
     block_diag,
     block_shuffle,
     contraction_defects,
+    max_operator_norm,
     operator_norm,
     pinv,
     psd_root_range,
     svd_rank,
     unitarity_residual,
 )
-from .rowcon import RowContraction, Word, all_words, defect, star_defect
+from .rowcon import RowContraction, Word, defect, star_defect
 
 log = logging.getLogger(__name__)
 
@@ -81,19 +84,22 @@ CROSSCHECK_TOL = 1e-10
 # the colligation engine: every characteristic function is a transfer function
 
 def transfer_coeffs(D: np.ndarray, C: np.ndarray, B: np.ndarray, X: np.ndarray, n_deg: int, *,
-                    certify: str | None = None) -> tuple[dict[Word, np.ndarray], float]:
-    """Stored coefficients of the transfer function D + C (I - sum Z_j X_j)^{-1} sum Z_j B_j
+                    certify: str | None = None) -> tuple[tuple[np.ndarray, ...], float]:
+    """Degree tensors of the transfer function D + C (I - sum Z_j X_j)^{-1} sum Z_j B_j
     of the colligation M = [[D, C], [B, X]], B and X stacked per letter with
     shapes (d, s, m) and (d, s, s).
 
-    The stored word (a_1, ..., a_n) gets C X_{a_1} ... X_{a_{n-1}} B_{a_n}; the
-    empty word gets D.  Two routes compute them: a left-to-right product per
-    word, and the degree recursion T_1 = B, T_{n+1}[(k, rest)] = X_k T_n[rest]
-    in graded-lex order (index (k-1) d^n + idx(rest)).  A disagreement beyond
-    CROSSCHECK_TOL raises OracleMismatch.  Both routes read the same
+    Degree n holds, at row idx(a), the stored coefficient of the word
+    a = (a_1, ..., a_n): C X_{a_1} ... X_{a_{n-1}} B_{a_n}; degree 0 is D.  Two
+    routes compute them, growing the words from opposite ends.  The word
+    route appends letters: prefixes P_0 = C, P_{n+1}[(w, k)] = P_n[w] X_k at
+    rank idx(w) d + k - 1, and degree n + 1 is P_n[w] B_k at the same rank.
+    The degree recursion prepends: T_1 = B, T_{n+1}[(k, rest)] = X_k T_n[rest]
+    at rank (k-1) d^n + idx(rest), and degree n is C T_n.  A disagreement
+    beyond CROSSCHECK_TOL raises OracleMismatch.  Both routes read the same
     colligation, so `certify` ("unitary" or "contractive") also checks M
     itself, which catches an assembly error the cross-check cannot see.
-    Exact-zero coefficients are dropped.  Returns (coefficients, cross-check residual).
+    Returns (degree tensors 0..n_deg, cross-check residual).
     """
     d, s, m = B.shape
     if certify is not None:
@@ -101,31 +107,27 @@ def transfer_coeffs(D: np.ndarray, C: np.ndarray, B: np.ndarray, X: np.ndarray, 
         r = unitarity_residual(col) if certify == "unitary" else operator_norm(col) - 1.0
         if r > CROSSCHECK_TOL:
             raise ResidualTooLarge(f"colligation is not {certify} (residual {r:.3e})")
+    if n_deg == 0:
+        return (D[None],), 0.0
 
-    words = all_words(d, n_deg)[1:]
     tiers, t = [], B
     for n in range(1, n_deg + 1):
         tiers.append(t)
         if n < n_deg:
             t = np.einsum("kij,rjm->krim", X, t).reshape(d * len(t), s, m)
-    by_degree = np.einsum("pi,wim->wpm", C, np.concatenate(tiers)) if tiers \
-        else np.zeros((0, D.shape[0], m), dtype=np.complex128)
+    by_degree = np.einsum("pi,wim->wpm", C, np.concatenate(tiers))
 
-    by_word = np.empty_like(by_degree)
-    prefix = {(): C}
-    for i, w in enumerate(words):
-        head = prefix[w[:-1]]
-        by_word[i] = head @ B[w[-1] - 1]
-        if len(w) < n_deg:
-            prefix[w] = head @ X[w[-1] - 1]
-    diff = by_word - by_degree
-    resid = float(np.linalg.norm(diff, ord=2, axis=(-2, -1)).max()) if diff.size else 0.0
+    by_word, prefix, start = np.empty_like(by_degree), C[None], 0
+    for n in range(1, n_deg + 1):
+        by_word[start:start + d**n] = pair_products(prefix, B).reshape(d**n, *by_word.shape[1:])
+        start += d**n
+        if n < n_deg:
+            prefix = pair_products(prefix, X).reshape(d**n, *C.shape)
+    by_word -= by_degree
+    resid = max_operator_norm(by_word)
     if resid > CROSSCHECK_TOL:
         raise OracleMismatch(f"characteristic-function routes disagree by {resid:.3e}")
-
-    coeffs = {(): D} if D.any() else {}
-    coeffs.update((w, c) for w, c in zip(words, by_degree) if c.any())
-    return coeffs, resid
+    return (D[None], *np.split(by_degree, np.cumsum([d**n for n in range(1, n_deg)]))), resid
 
 
 def _adjoints(a: RowContraction) -> np.ndarray:
@@ -154,7 +156,7 @@ class CharFn:
 
     def ambient_symbol(self) -> dict[Word, np.ndarray]:
         """Coefficients as ambient-space matrices (zero off the defect spaces)."""
-        return {w: self.op.ambient_coeff(w) for w in sorted(self.op.coeffs, key=lambda w: (len(w), w))}
+        return {w: self.op.ambient_coeff(w) for w in self.op.coeffs}
 
 
 def row_char_fn(a: RowContraction, n_deg: int = DEFAULT_DEGREE) -> CharFn:
@@ -169,11 +171,9 @@ def row_char_fn(a: RowContraction, n_deg: int = DEFAULT_DEGREE) -> CharFn:
     amb, resid = transfer_coeffs(-a.row, dsa.D, da.D.reshape(a.d, n, a.d * n), _adjoints(a),
                                  n_deg, certify="unitary")
     q_a, q_sa = da.space.basis, dsa.space.basis
-    comp_coeffs = {w: q_sa.conj().T @ c for w, c in amb.items()}
-    coeffs = {w: c @ q_a for w, c in comp_coeffs.items()}
-    op = MultiAnalyticOp(basis, da.space, dsa.space, {w: c for w, c in coeffs.items() if c.any()})
-    comp = MultiAnalyticOp(basis, Subspace.full(a.d * n), dsa.space,
-                           {w: c for w, c in comp_coeffs.items() if c.any()})
+    comp_coeffs = tuple(q_sa.conj().T @ t for t in amb)
+    op = MultiAnalyticOp(basis, da.space, dsa.space, tuple(t @ q_a for t in comp_coeffs))
+    comp = MultiAnalyticOp(basis, Subspace.full(a.d * n), dsa.space, comp_coeffs)
     return CharFn(op, comp, "row-contraction", n_deg, resid)
 
 
@@ -203,15 +203,14 @@ def lifting_char_fn(lift: Lifting, n_deg: int = DEFAULT_DEGREE, *,
     cols = d * lift.E.dim
     q_e = lift.dE.space.basis
     p_ker = np.eye(cols) - q_e @ q_e.conj().T
-    k_res = max((operator_norm(c @ p_ker) for c in comp_coeffs.values()), default=0.0)
+    k_res = max(max_operator_norm(t @ p_ker) for t in comp_coeffs)
     if k_res > kernel_tol:
         raise ResidualTooLarge(
             f"symbol-times-defect does not vanish on ker D_E (residual {k_res:.3e})")
 
     de_pinv_q = pinv(lift.dE.D) @ q_e
-    coeffs = {w: c @ de_pinv_q for w, c in comp_coeffs.items()}
-    coeffs = {w: c for w, c in coeffs.items() if c.any()}
-    op = MultiAnalyticOp(basis, lift.dE.space, lift.dC.space, coeffs)
+    op = MultiAnalyticOp(basis, lift.dE.space, lift.dC.space,
+                         tuple(t @ de_pinv_q for t in comp_coeffs))
     comp = MultiAnalyticOp(basis, Subspace.full(cols), lift.dC.space, comp_coeffs)
     return CharFn(op, comp, "lifting", n_deg, resid, k_res)
 
@@ -231,9 +230,8 @@ def resolvent_identity_residual(a: RowContraction, n_deg: int = DEFAULT_DEGREE) 
     x = _adjoints(a)
     lhs_full, _ = transfer_coeffs(dsa.D @ dsa.D, dsa.D, x @ dsa.D, x, n_deg)
     q = dsa.space.basis
-    lhs = MultiAnalyticOp(
-        basis, dsa.space, dsa.space,
-        {w: q.conj().T @ c @ q for w, c in lhs_full.items()})
+    lhs = MultiAnalyticOp(basis, dsa.space, dsa.space,
+                          tuple(q.conj().T @ t @ q for t in lhs_full))
 
     chf = row_char_fn(a, n_deg)
     da = defect(a)
@@ -265,7 +263,7 @@ class FactorizationReport:
 
 def _as_coords(m: MultiAnalyticOp) -> MultiAnalyticOp:
     """Relabel dom/cod as abstract coordinate spaces (for chain assembly)."""
-    return MultiAnalyticOp(m.basis, Subspace.full(m.dom.dim), Subspace.full(m.cod.dim), m.coeffs)
+    return MultiAnalyticOp(m.basis, Subspace.full(m.dom.dim), Subspace.full(m.cod.dim), m.graded)
 
 
 def _coord_const(basis, dom_k: int, cod_k: int, mat) -> MultiAnalyticOp:
@@ -326,7 +324,7 @@ def _assemble(it: IteratedLifting, n_deg: int, tol: float):
     # the inverse of sigma'_Ahat is only defined on D_*A + D_delta; measure how
     # far the composite's third block leaves D_delta before projecting
     proj = np.eye(k_sap) - q_delta @ q_delta.conj().T
-    leak = max((operator_norm(proj @ c[k_c + k_sa :, :]) for c in chain.coeffs.values()),
+    leak = max((max_operator_norm(proj @ t[:, k_c + k_sa :, :]) for t in chain.graded),
                default=0.0)
     if leak > tol:
         raise SubspaceLeak(f"composite leaves the sigma'-range by {leak:.3e}")
@@ -384,10 +382,9 @@ def verify_factorization(it: IteratedLifting, n_deg: int = DEFAULT_DEGREE,
     residual = coeff_diff(lhs, rhs, n_deg)
     idx_c, idx_ah = cl.column_split()
     res_c = res_ah = 0.0
-    for w in set(lhs.coeffs) | set(rhs.coeffs):
-        diff = lhs.coeff(w) - rhs.coeff(w)
-        res_c = max(res_c, operator_norm(diff[:, idx_c]))
-        res_ah = max(res_ah, operator_norm(diff[:, idx_ah]))
+    for diff in degree_diffs(lhs, rhs):
+        res_c = max(res_c, max_operator_norm(diff[:, :, idx_c]))
+        res_ah = max(res_ah, max_operator_norm(diff[:, :, idx_ah]))
     checks = dict(info["checks"])
     checks["charfn_crosscheck"] = chf.crosscheck_residual
     checks["charfn_kernel"] = chf.kernel_residual

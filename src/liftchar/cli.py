@@ -446,13 +446,12 @@ def cmd_random_suite(args) -> int:
 
 
 def _charfn_dump(name: str, fn: CharFn, d: int) -> dict:
-    words = sorted(fn.op.coeffs, key=lambda w: (len(w), w))
     return {
         "name": name,
         "dom_basis": mat_to_json(fn.op.dom.basis),
         "cod_basis": mat_to_json(fn.op.cod.basis),
-        "coefficients": [{"word": word_to_str(w, d), "matrix": mat_to_json(fn.op.coeff(w))}
-                         for w in words],
+        "coefficients": [{"word": word_to_str(w, d), "matrix": mat_to_json(m)}
+                         for w, m in fn.op.coeffs.items()],
     }
 
 

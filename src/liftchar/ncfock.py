@@ -1,7 +1,13 @@
 """Truncated full Fock space over C^d and multi-analytic operators.
 
-A multi-analytic operator is stored by its Fourier coefficients: a sparse
-map word -> matrix (absent words are zero).  The pairing convention is
+A multi-analytic operator is stored by its Fourier coefficients, graded by
+degree: one dense (d^n, k_cod, k_dom) tensor per degree n, whose row idx(a)
+holds the coefficient of the word a of length n, idx being the
+lexicographic rank within the degree.  Degrees past the stored tensors are
+zero.  Word concatenation is an index product, idx(a + b) = idx(a) d^|b| +
+idx(b), so composing two operators takes one GEMM per pair of degrees and
+every per-word comparison is one batched norm per degree.  The pairing
+convention is
 
     theta x = sum_a  e_{reverse(a)} (x) theta_(a) x,
 
@@ -9,21 +15,24 @@ i.e. the stored coefficient at word a is the coefficient of the basis
 vector indexed by the reversed word.  All consumers must go through
 realize/extract_coeffs to avoid double-reversal bugs.
 
-`realize` is matrix-free: it packs the coefficients per degree and applies
-the operator and its adjoint to vectors, so the norm and intertwining checks
-cost O(N d^N k^2) per product and never form the (d^N k)^2 Fock matrix.
+`realize` is matrix-free: it reorders each degree tensor by the reversed
+words and applies the operator and its adjoint to vectors, so the norm and
+intertwining checks cost O(N d^N k^2) per product and never form the
+(d^N k)^2 Fock matrix.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate
+from types import MappingProxyType
 
 import numpy as np
 
 from .errors import DimMismatch, IndexOutOfRange
-from .numlin import Subspace, as_complex, operator_norm
+from .numlin import Subspace, as_complex, direct_sum, max_operator_norm, operator_norm
 from .rowcon import Word, all_words, reverse_word
 
 DEFAULT_DEGREE = 6
@@ -88,29 +97,68 @@ def creation(basis: FockBasis, side: str, i: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MultiAnalyticOp:
-    """Gamma_N (x) dom -> Gamma_N (x) cod, given by sparse Fourier coefficients."""
+    """Gamma_N (x) dom -> Gamma_N (x) cod, given by its graded Fourier coefficients.
+
+    graded[n] has shape (d^n, cod.dim, dom.dim), and its row idx(a) is the
+    coefficient of the word a of length n.  Degrees n >= len(graded) are
+    zero, so a constant stores degree 0 only.  The tensors are read-only.
+    `coeffs` views the same data as word -> matrix, and `from_words` builds
+    an operator from such a map.
+    """
 
     basis: FockBasis
     dom: Subspace
     cod: Subspace
-    coeffs: dict[Word, np.ndarray]
+    graded: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        clean: dict[Word, np.ndarray] = {}
-        shape = (self.cod.dim, self.dom.dim)
-        for w, m in self.coeffs.items():
-            m = as_complex(m)
-            if len(w) > self.basis.N:
-                raise DimMismatch(f"coefficient word {w} exceeds degree {self.basis.N}")
+        d, top = self.basis.d, self.basis.N
+        if len(self.graded) > top + 1:
+            raise DimMismatch(f"{len(self.graded)} coefficient degrees exceed degree {top}")
+        clean = []
+        for n, t in enumerate(self.graded):
+            t = as_complex(t).view()
+            shape = (d**n, self.cod.dim, self.dom.dim)
+            if t.shape != shape:
+                raise DimMismatch(f"degree-{n} coefficients have shape {t.shape}, expected {shape}")
+            t.flags.writeable = False
+            clean.append(t)
+        object.__setattr__(self, "graded", tuple(clean))
+
+    @classmethod
+    def from_words(cls, basis: FockBasis, dom: Subspace, cod: Subspace,
+                   coeffs: Mapping[Word, np.ndarray]) -> MultiAnalyticOp:
+        """The operator with the given coefficient per word; absent words are zero."""
+        top = max((len(w) for w in coeffs), default=-1)
+        if top > basis.N:
+            raise DimMismatch(f"coefficient word of length {top} exceeds degree {basis.N}")
+        shape = (cod.dim, dom.dim)
+        graded = [np.zeros((basis.d**n, *shape), dtype=np.complex128) for n in range(top + 1)]
+        for w, m in coeffs.items():
+            w, m = tuple(w), as_complex(m)
+            if w not in basis.index:
+                raise IndexOutOfRange(f"coefficient word {w} has a letter outside 1..{basis.d}")
             if m.shape != shape:
                 raise DimMismatch(f"coefficient shape {m.shape}, expected {shape}")
-            clean[tuple(w)] = m
-        object.__setattr__(self, "coeffs", clean)
+            graded[len(w)][basis.index[w] - basis.offsets[len(w)]] = m
+        return cls(basis, dom, cod, tuple(graded))
+
+    @cached_property
+    def coeffs(self) -> Mapping[Word, np.ndarray]:
+        """Read-only map word -> coefficient over the words whose coefficient is
+        not exactly zero, in graded order."""
+        words, off = self.basis.words, self.basis.offsets
+        out: dict[Word, np.ndarray] = {}
+        for n, t in enumerate(self.graded):
+            for i in np.flatnonzero(t.reshape(len(t), -1).any(axis=1)):
+                out[words[off[n] + i]] = t[i]
+        return MappingProxyType(out)
 
     def coeff(self, w: Word) -> np.ndarray:
-        got = self.coeffs.get(tuple(w))
-        if got is not None:
-            return got
+        w = tuple(w)
+        i = self.basis.index.get(w)
+        if i is not None and len(w) < len(self.graded):
+            return self.graded[len(w)][i - self.basis.offsets[len(w)]]
         return np.zeros((self.cod.dim, self.dom.dim), dtype=np.complex128)
 
     def ambient_coeff(self, w: Word) -> np.ndarray:
@@ -119,71 +167,89 @@ class MultiAnalyticOp:
 
 
 def identity_op(basis: FockBasis, space: Subspace) -> MultiAnalyticOp:
-    return MultiAnalyticOp(basis, space, space, {(): np.eye(space.dim, dtype=np.complex128)})
+    return const_op(basis, space, space, np.eye(space.dim))
 
 
 def const_op(basis: FockBasis, dom: Subspace, cod: Subspace, matrix) -> MultiAnalyticOp:
     """Ampliation I_Gamma (x) X as a multi-analytic operator."""
-    return MultiAnalyticOp(basis, dom, cod, {(): as_complex(matrix)})
+    return MultiAnalyticOp(basis, dom, cod, (as_complex(matrix)[None],))
 
 
 def add(m1: MultiAnalyticOp, m2: MultiAnalyticOp) -> MultiAnalyticOp:
     if m1.basis != m2.basis or m1.dom.dim != m2.dom.dim or m1.cod.dim != m2.cod.dim:
         raise DimMismatch("incompatible operands")
-    words = set(m1.coeffs) | set(m2.coeffs)
-    return MultiAnalyticOp(m1.basis, m1.dom, m1.cod, {w: m1.coeff(w) + m2.coeff(w) for w in words})
+    long, short = sorted((m1.graded, m2.graded), key=len, reverse=True)
+    graded = tuple(t + short[n] if n < len(short) else t for n, t in enumerate(long))
+    return MultiAnalyticOp(m1.basis, m1.dom, m1.cod, graded)
+
+
+def pair_products(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
+    """All products t1[a] @ t2[b] of two matrix stacks, shape (len(t1), len(t2), i, k).
+
+    For degree tensors, flattening the two leading axes puts the product at
+    row idx(a) d^|b| + idx(b), the rank of the word a + b.  One GEMM.
+    """
+    (na, i, j), (nb, _, k) = t1.shape, t2.shape
+    flat = t1.reshape(na * i, j) @ t2.transpose(1, 0, 2).reshape(j, nb * k)
+    return flat.reshape(na, i, nb, k).transpose(0, 2, 1, 3)
 
 
 def product(m1: MultiAnalyticOp, m2: MultiAnalyticOp) -> MultiAnalyticOp:
-    """Composition m1 after m2; exact for all words of length <= N."""
+    """Composition m1 after m2; exact for all words of length <= N.
+
+    The coefficient of w sums theta1_(a) theta2_(b) over the splittings
+    w = a + b, so degree n collects one `pair_products` per (p, q), p + q = n.
+    """
     if m1.basis != m2.basis:
         raise DimMismatch("operands live on different Fock truncations")
     if not m1.dom.same_basis(m2.cod):
         raise DimMismatch("m1.dom must match m2.cod (same ambient space and basis)")
-    n = m1.basis.N
-    out: dict[Word, np.ndarray] = {}
-    for a, pa in m1.coeffs.items():
-        for b, qb in m2.coeffs.items():
-            if len(a) + len(b) > n:
-                continue
-            w = a + b
-            acc = out.get(w)
-            term = pa @ qb
-            out[w] = term if acc is None else acc + term
-    return MultiAnalyticOp(m1.basis, m2.dom, m1.cod, out)
+    top = m1.basis.N
+    g1, g2 = m1.graded, m2.graded
+    i, k = m1.cod.dim, m2.dom.dim
+    n_out = min(len(g1) + len(g2) - 1, top + 1) if g1 and g2 else 0
+    out: list[np.ndarray | None] = [None] * n_out
+    for p, t1 in enumerate(g1):
+        for q, t2 in enumerate(g2[:top + 1 - p]):
+            term = pair_products(t1, t2)
+            if out[p + q] is None:  # no copy when the GEMM result needs no transpose
+                out[p + q] = np.ascontiguousarray(term).reshape(len(t1) * len(t2), i, k)
+            else:
+                acc = out[p + q].reshape(term.shape)  # a view: out entries are C-contiguous
+                acc += term
+    return MultiAnalyticOp(m1.basis, m2.dom, m1.cod, tuple(out))
 
 
 def block_diag_op(basis: FockBasis, *ops: MultiAnalyticOp) -> MultiAnalyticOp:
     """Direct sum of multi-analytic operators (block diagonal per word)."""
-    from .numlin import block_diag, direct_sum
-
-    words = set()
     for op in ops:
         if op.basis != basis:
             raise DimMismatch("operands live on different Fock truncations")
-        words |= set(op.coeffs)
     dom = direct_sum(*(op.dom for op in ops))
     cod = direct_sum(*(op.cod for op in ops))
-    coeffs = {w: block_diag(*(op.coeff(w) for op in ops)) for w in words}
-    return MultiAnalyticOp(basis, dom, cod, coeffs)
+    graded = []
+    for n in range(max((len(op.graded) for op in ops), default=0)):
+        t = np.zeros((basis.d**n, cod.dim, dom.dim), dtype=np.complex128)
+        r = c = 0
+        for op in ops:
+            if n < len(op.graded):
+                t[:, r:r + op.cod.dim, c:c + op.dom.dim] = op.graded[n]
+            r += op.cod.dim
+            c += op.dom.dim
+        graded.append(t)
+    return MultiAnalyticOp(basis, dom, cod, tuple(graded))
 
 
-def _graded_coeffs(m: MultiAnalyticOp) -> dict[int, np.ndarray]:
-    """Stored coefficients packed per degree p into (d^p, k_cod, k_dom) tensors.
-
-    Row idx(reverse(a)) of the degree-|a| tensor holds the coefficient of a,
-    idx being the lexicographic rank within the degree (the basis index minus
-    the degree's offset); degrees without a stored word are left out.
-    """
-    basis = m.basis
-    out: dict[int, np.ndarray] = {}
-    for a, mat in m.coeffs.items():
-        p = len(a)
-        t = out.get(p)
-        if t is None:
-            t = out[p] = np.zeros((basis.d**p, m.cod.dim, m.dom.dim), dtype=np.complex128)
-        t[basis.index[reverse_word(a)] - basis.offsets[p]] = mat
-    return out
+@lru_cache(maxsize=None)
+def _reversal(d: int, n: int) -> np.ndarray:
+    """Row idx(reverse(w)) -> idx(w) within degree n: the base-d digits reversed."""
+    rest = np.arange(d**n)
+    rev = np.zeros_like(rest)
+    for _ in range(n):
+        rev = rev * d + rest % d
+        rest //= d
+    rev.flags.writeable = False  # shared by every caller through the cache
+    return rev
 
 
 @dataclass(frozen=True)
@@ -202,7 +268,7 @@ class Realization:
     basis: FockBasis
     k_dom: int
     k_cod: int
-    blocks: dict[int, np.ndarray]
+    blocks: tuple[np.ndarray, ...]  # degree p: row idx(reverse(a)) holds theta_(a)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -227,7 +293,7 @@ class Realization:
             raise DimMismatch(f"expected {n * k_in} rows, got shape {v.shape}")
         cols = block.shape[1]
         out = np.zeros((n * k_out, cols), dtype=np.complex128)
-        for p, t in self.blocks.items():
+        for p, t in enumerate(self.blocks):
             nb = off[top + 1 - p]  # words b with |b| + p <= N
             if adjoint:
                 y = block[off[p] * k_in:].reshape(nb, d**p, k_in, cols)
@@ -247,7 +313,9 @@ def realize(m: MultiAnalyticOp) -> Realization:
     with words longer than N dropped; `shape` is that of the dense matrix in
     the graded word order, which is never formed.
     """
-    return Realization(m.basis, m.dom.dim, m.cod.dim, _graded_coeffs(m))
+    d = m.basis.d
+    blocks = tuple(t[_reversal(d, p)] for p, t in enumerate(m.graded))
+    return Realization(m.basis, m.dom.dim, m.cod.dim, blocks)
 
 
 def extract_coeffs(r: Realization) -> dict[Word, np.ndarray]:
@@ -263,20 +331,28 @@ def extract_coeffs(r: Realization) -> dict[Word, np.ndarray]:
     return out
 
 
-def ampliate(basis: FockBasis, x) -> np.ndarray:
-    """Kronecker of the truncated Fock identity with a matrix, word-major order."""
-    x = as_complex(x)
-    return np.kron(np.eye(len(basis)), x)
+def degree_diffs(m1: MultiAnalyticOp, m2: MultiAnalyticOp,
+                 up_to: int | None = None) -> Iterator[np.ndarray]:
+    """Coefficient differences m1 - m2, one stack per degree <= up_to that
+    either operand stores (default: the larger truncation degree), made one
+    degree at a time."""
+    if m1.basis.d != m2.basis.d or m1.dom.dim != m2.dom.dim or m1.cod.dim != m2.cod.dim:
+        raise DimMismatch("coefficient shapes differ")
+    if up_to is None:
+        up_to = max(m1.basis.N, m2.basis.N)
+    g1, g2 = m1.graded[:max(up_to + 1, 0)], m2.graded[:max(up_to + 1, 0)]
+    for n in range(max(len(g1), len(g2))):
+        if n >= len(g2):
+            yield g1[n]
+        elif n >= len(g1):
+            yield -g2[n]
+        else:
+            yield g1[n] - g2[n]
 
 
 def coeff_diff(m1: MultiAnalyticOp, m2: MultiAnalyticOp, up_to: int | None = None) -> float:
     """Max operator-norm deviation of coefficients over words of length <= up_to."""
-    if m1.dom.dim != m2.dom.dim or m1.cod.dim != m2.cod.dim:
-        raise DimMismatch("coefficient shapes differ")
-    if up_to is None:
-        up_to = max(m1.basis.N, m2.basis.N)
-    words = {w for w in set(m1.coeffs) | set(m2.coeffs) if len(w) <= up_to}
-    return max((operator_norm(m1.coeff(w) - m2.coeff(w)) for w in words), default=0.0)
+    return max((max_operator_norm(t) for t in degree_diffs(m1, m2, up_to)), default=0.0)
 
 
 def _probe(n: int, cols: int) -> np.ndarray:

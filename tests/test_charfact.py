@@ -25,9 +25,9 @@ from liftchar.gen import (
     random_synthesis_data,
 )
 from liftchar.lifting import iterate_liftings, lifting_from_blocks, make_lifting
-from liftchar.ncfock import coeff_diff, intertwining_residual, realized_norm
+from liftchar.ncfock import coeff_diff, intertwining_residual, pair_products, realized_norm
 from liftchar.numlin import SubOperator, operator_norm
-from liftchar.rowcon import RowContraction, all_words, defect, star_defect
+from liftchar.rowcon import RowContraction, defect, star_defect
 
 S2 = 1 / np.sqrt(2)
 S3 = 1 / np.sqrt(3)
@@ -153,9 +153,10 @@ class TestColligationEngine:
         it = random_iterated_lifting(rng, 2, (1, 2, 1))
         a = it.first.A
         assert operator_norm(a.ops[0] @ a.ops[1] - a.ops[1] @ a.ops[0]) > 1e-3
-        # the word route walks the words reversed; the degree recursion does not
-        monkeypatch.setattr(charfact, "all_words",
-                            lambda d, n: tuple(w[::-1] for w in all_words(d, n)))
+        # the word route prepends each letter, at rank (k-1) d^n + idx(w), instead of
+        # appending it; the degree recursion is left alone
+        monkeypatch.setattr(charfact, "pair_products",
+                            lambda t1, t2: pair_products(t1, t2).swapaxes(0, 1))
         with pytest.raises(OracleMismatch):
             row_char_fn(a, 3)
         with pytest.raises(OracleMismatch):

@@ -255,8 +255,8 @@ class TestCharfnChecksCanFail:
         checks = {c.name: c for c in _charfn_checks("M", fn)}
         assert checks["charfn-norm[M]"].passed
         op = fn.op
-        inflated = MultiAnalyticOp(op.basis, op.dom, op.cod,
-                                   {w: (1 + 1e-8) * c for w, c in op.coeffs.items()})
+        inflated = MultiAnalyticOp.from_words(op.basis, op.dom, op.cod,
+                                              {w: (1 + 1e-8) * c for w, c in op.coeffs.items()})
         checks = {c.name: c for c in _charfn_checks("M", dataclasses.replace(fn, op=inflated))}
         assert checks["charfn-norm[M]"].residual > NORM_SLACK
         assert not checks["charfn-norm[M]"].passed

@@ -6,8 +6,10 @@ from hypothesis import strategies as st
 from liftchar.errors import DimMismatch, IndexOutOfRange
 from liftchar.ncfock import (
     MultiAnalyticOp,
-    ampliate,
+    add,
+    block_diag_op,
     coeff_diff,
+    const_op,
     creation,
     extract_coeffs,
     fock_basis,
@@ -17,22 +19,45 @@ from liftchar.ncfock import (
     realize,
     realized_norm,
 )
-from liftchar.numlin import Subspace
+from liftchar.numlin import Subspace, block_diag, max_operator_norm, operator_norm
 from liftchar.rowcon import reverse_word
 
 
 def maop(d, n, dom_k, cod_k, coeffs):
-    return MultiAnalyticOp(fock_basis(d, n), Subspace.full(dom_k), Subspace.full(cod_k),
-                           {w: np.asarray(m, dtype=complex) for w, m in coeffs.items()})
+    return MultiAnalyticOp.from_words(fock_basis(d, n), Subspace.full(dom_k), Subspace.full(cod_k),
+                                      {w: np.asarray(m, dtype=complex) for w, m in coeffs.items()})
 
 
-def random_maop(rng, d, n, dom_k, cod_k, density=0.6):
+def random_maop(rng, d, n, dom_k, cod_k, density=0.6, top=None):
+    """Random coefficients on about `density` of the words of length <= top (default n)."""
     basis = fock_basis(d, n)
     coeffs = {}
     for w in basis.words:
-        if rng.random() < density:
+        if len(w) <= (n if top is None else top) and rng.random() < density:
             coeffs[w] = rng.standard_normal((cod_k, dom_k)) + 1j * rng.standard_normal((cod_k, dom_k))
-    return MultiAnalyticOp(basis, Subspace.full(dom_k), Subspace.full(cod_k), coeffs)
+    return MultiAnalyticOp.from_words(basis, Subspace.full(dom_k), Subspace.full(cod_k), coeffs)
+
+
+def product_oracle(m1, m2):
+    """Word-pair loop over the stored coefficients: theta1_(a) theta2_(b) adds to a + b."""
+    out = {}
+    for a, pa in m1.coeffs.items():
+        for b, qb in m2.coeffs.items():
+            if len(a) + len(b) > m1.basis.N:
+                continue
+            w = a + b
+            acc = out.get(w)
+            term = pa @ qb
+            out[w] = term if acc is None else acc + term
+    return out
+
+
+def coeff_diff_oracle(m1, m2, up_to=None):
+    """Per-word maximum of the operator-norm deviation."""
+    if up_to is None:
+        up_to = max(m1.basis.N, m2.basis.N)
+    words = {w for w in set(m1.coeffs) | set(m2.coeffs) if len(w) <= up_to}
+    return max((operator_norm(m1.coeff(w) - m2.coeff(w)) for w in words), default=0.0)
 
 
 def dense_oracle(m):
@@ -196,26 +221,6 @@ def test_multi_analyticity_is_exact():
     assert intertwining_residual(m) == 0.0
 
 
-class TestAmpliate:
-    def test_identity(self):
-        np.testing.assert_array_equal(ampliate(fock_basis(2, 1), np.eye(2)), np.eye(6))
-
-    def test_block_structure(self):
-        x = np.array([[1, 2], [3, 4]], dtype=complex)
-        out = ampliate(fock_basis(1, 1), x)
-        assert out.shape == (4, 4)
-        np.testing.assert_array_equal(out[:2, :2], x)
-        np.testing.assert_array_equal(out[2:, 2:], x)
-        np.testing.assert_array_equal(out[:2, 2:], 0 * x)
-
-    def test_multiplicative(self):
-        rng = np.random.default_rng(4)
-        b = fock_basis(2, 2)
-        x = rng.standard_normal((3, 3))
-        np.testing.assert_allclose(ampliate(b, x) @ ampliate(b, x), ampliate(b, x @ x),
-                                   atol=1e-12)
-
-
 class TestCoeffDiff:
     def test_self(self):
         m = maop(1, 2, 1, 1, {(): [[1.0]]})
@@ -237,3 +242,120 @@ def test_realized_norm_contraction():
     u = np.linalg.qr(np.random.default_rng(5).standard_normal((3, 3)))[0]
     m = maop(2, 2, 3, 3, {(): u})
     assert abs(realized_norm(m) - 1) < 1e-12
+
+
+# (k_dom, k_mid, k_cod): m1 maps k_mid -> k_cod, m2 maps k_dom -> k_mid
+SPLITS = [(2, 3, 1), (1, 2, 3), (0, 2, 2), (2, 0, 3), (3, 2, 0)]
+
+
+class TestGradedStorage:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("n", [0, 1, 3, 4])
+    @pytest.mark.parametrize("k_dom, k_mid, k_cod", SPLITS)
+    def test_product_matches_pair_loop(self, d, n, k_dom, k_mid, k_cod):
+        rng = np.random.default_rng([20, d, n, k_dom, k_mid, k_cod])
+        short = max(n - 2, 0)  # an operand whose top degree is below N
+        cases = [(random_maop(rng, d, n, k_mid, k_cod), random_maop(rng, d, n, k_dom, k_mid)),
+                 (random_maop(rng, d, n, k_mid, k_cod, top=short),
+                  random_maop(rng, d, n, k_dom, k_mid)),
+                 (random_maop(rng, d, n, k_mid, k_cod),
+                  random_maop(rng, d, n, k_dom, k_mid, top=short))]
+        zero = np.zeros((k_cod, k_dom))
+        # entries stay below about 20 and each is a sum of at most 5 * 3 products, so
+        # a changed summation order moves them by far less than 1e-12
+        for m1, m2 in cases:
+            got = product(m1, m2)
+            want = product_oracle(m1, m2)
+            assert (got.dom.dim, got.cod.dim) == (k_dom, k_cod)
+            assert len(got.graded) <= n + 1
+            for w in m1.basis.words:
+                np.testing.assert_allclose(got.coeff(w), want.get(w, zero), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("n", [0, 1, 3, 4])
+    @pytest.mark.parametrize("k_dom, k_cod", SHAPES)
+    def test_coeff_diff_matches_per_word(self, d, n, k_dom, k_cod):
+        rng = np.random.default_rng([21, d, n, k_dom, k_cod])
+        m1 = random_maop(rng, d, n, k_dom, k_cod)
+        m2 = random_maop(rng, d, n, k_dom, k_cod, top=max(n - 1, 0))
+        for up_to in (None, 0, n - 1, n):
+            for a, b in ((m1, m2), (m2, m1), (m1, m1)):
+                want = coeff_diff_oracle(a, b, up_to)
+                assert abs(coeff_diff(a, b, up_to) - want) <= 1e-13 * want
+
+    def test_add_and_block_diag_per_word(self):
+        rng = np.random.default_rng(22)
+        m1 = random_maop(rng, 2, 3, 2, 1)
+        m2 = random_maop(rng, 2, 3, 2, 1, top=1)
+        m3 = random_maop(rng, 2, 3, 0, 2, top=2)
+        total = add(m1, m2)
+        diag = block_diag_op(m1.basis, m2, m3, m1)
+        for w in m1.basis.words:
+            np.testing.assert_array_equal(total.coeff(w), m1.coeff(w) + m2.coeff(w))
+            np.testing.assert_array_equal(
+                diag.coeff(w), block_diag(m2.coeff(w), m3.coeff(w), m1.coeff(w)))
+
+    def test_constants_store_degree_zero_only(self):
+        basis = fock_basis(3, 4)
+        assert len(identity_op(basis, Subspace.full(2)).graded) == 1
+        assert len(const_op(basis, Subspace.full(2), Subspace.full(1), [[1, 2]]).graded) == 1
+
+    def test_coeffs_view_contract(self):
+        basis = fock_basis(2, 3)
+        given = {(2, 1): [[1.0, 2.0]], (): [[0.0, 1j]], (1, 1, 2): [[3.0, 0.0]], (2,): [[0.0, 0.0]]}
+        m = MultiAnalyticOp.from_words(basis, Subspace.full(2), Subspace.full(1), given)
+        assert list(m.coeffs) == [(), (2, 1), (1, 1, 2)]
+        for w, c in m.coeffs.items():
+            np.testing.assert_array_equal(c, given[w])
+            np.testing.assert_array_equal(m.graded[len(w)][basis.index[w] - basis.offsets[len(w)]], c)
+        with pytest.raises(TypeError):
+            m.coeffs[(1,)] = np.zeros((1, 2))
+        with pytest.raises(ValueError):
+            m.coeffs[()][0, 0] = 5.0
+        again = MultiAnalyticOp.from_words(basis, m.dom, m.cod, m.coeffs)
+        assert list(again.coeffs) == list(m.coeffs)
+        for a, b in zip(again.graded, m.graded):
+            np.testing.assert_array_equal(a, b)
+
+    def test_coeffs_view_round_trips_random(self):
+        rng = np.random.default_rng(23)
+        m = random_maop(rng, 3, 3, 2, 2, density=0.3)
+        want = [w for w in m.basis.words if m.coeff(w).any()]
+        assert list(m.coeffs) == want
+        again = MultiAnalyticOp.from_words(m.basis, m.dom, m.cod, m.coeffs)
+        assert coeff_diff(again, m) == 0.0
+
+    def test_from_words_rejects_bad_input(self):
+        basis, one = fock_basis(2, 2), Subspace.full(1)
+        with pytest.raises(DimMismatch):
+            MultiAnalyticOp.from_words(basis, one, one, {(1, 1, 1): [[1.0]]})
+        with pytest.raises(IndexOutOfRange):
+            MultiAnalyticOp.from_words(basis, one, one, {(3,): [[1.0]]})
+        with pytest.raises(DimMismatch):
+            MultiAnalyticOp.from_words(basis, one, one, {(1,): [[1.0, 2.0]]})
+        with pytest.raises(DimMismatch):
+            MultiAnalyticOp(basis, one, one, (np.ones((1, 1, 1)), np.ones((1, 1, 1))))
+
+
+class TestMaxOperatorNorm:
+    @pytest.mark.parametrize("shape", [(364, 6, 18), (50, 5, 3), (7, 1, 4), (9, 4, 1), (1, 3, 3)])
+    def test_random(self, shape):
+        rng = np.random.default_rng(list(shape))
+        stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        want = max(np.linalg.norm(m, 2) for m in stack)
+        assert abs(max_operator_norm(stack) - want) <= 1e-13 * want
+
+    def test_rank_deficient(self):
+        rng = np.random.default_rng(24)
+        u = rng.standard_normal((40, 5, 1)) + 1j * rng.standard_normal((40, 5, 1))
+        v = rng.standard_normal((40, 1, 7))
+        stack = u @ v * np.logspace(-8, 2, 40)[:, None, None]
+        want = max(np.linalg.norm(m, 2) for m in stack)
+        assert abs(max_operator_norm(stack) - want) <= 1e-13 * want
+        assert abs(max_operator_norm(stack[:5]) - np.linalg.norm(stack[4], 2)) \
+            <= 1e-13 * np.linalg.norm(stack[4], 2)
+
+    def test_zero_and_empty(self):
+        assert max_operator_norm(np.zeros((6, 3, 2))) == 0.0
+        for shape in [(0, 3, 3), (4, 0, 3), (4, 3, 0)]:
+            assert max_operator_norm(np.zeros(shape)) == 0.0
