@@ -67,6 +67,7 @@ from .numlin import (
     block_shuffle,
     contraction_defects,
     max_operator_norm,
+    memo,
     operator_norm,
     pinv,
     psd_root_range,
@@ -164,17 +165,20 @@ def row_char_fn(a: RowContraction, n_deg: int = DEFAULT_DEGREE) -> CharFn:
 
     The transfer function of the Julia-Halmos colligation of row(A):
     D = -row(A), C = D_{*,A}, B_j = (D_A)_j, X_j = A_j*, certified unitary.
+    Computed once per row contraction and degree.
     """
-    basis = fock_basis(a.d, n_deg)
-    da, dsa = defect(a), star_defect(a)
-    n = a.dim
-    amb, resid = transfer_coeffs(-a.row, dsa.D, da.D.reshape(a.d, n, a.d * n), _adjoints(a),
-                                 n_deg, certify="unitary")
-    q_a, q_sa = da.space.basis, dsa.space.basis
-    comp_coeffs = tuple(q_sa.conj().T @ t for t in amb)
-    op = MultiAnalyticOp(basis, da.space, dsa.space, tuple(t @ q_a for t in comp_coeffs))
-    comp = MultiAnalyticOp(basis, Subspace.full(a.d * n), dsa.space, comp_coeffs)
-    return CharFn(op, comp, "row-contraction", n_deg, resid)
+    def compute():
+        basis = fock_basis(a.d, n_deg)
+        da, dsa = defect(a), star_defect(a)
+        n = a.dim
+        amb, resid = transfer_coeffs(-a.row, dsa.D, da.D.reshape(a.d, n, a.d * n),
+                                     _adjoints(a), n_deg, certify="unitary")
+        q_a, q_sa = da.space.basis, dsa.space.basis
+        comp_coeffs = tuple(q_sa.conj().T @ t for t in amb)
+        op = MultiAnalyticOp(basis, da.space, dsa.space, tuple(t @ q_a for t in comp_coeffs))
+        comp = MultiAnalyticOp(basis, Subspace.full(a.d * n), dsa.space, comp_coeffs)
+        return CharFn(op, comp, "row-contraction", n_deg, resid)
+    return memo(a, ("row_char_fn", n_deg), compute)
 
 
 def lifting_char_fn(lift: Lifting, n_deg: int = DEFAULT_DEGREE, *,
@@ -186,33 +190,38 @@ def lifting_char_fn(lift: Lifting, n_deg: int = DEFAULT_DEGREE, *,
     colligation with X_j = A_j*, C = Q_C* gamma D_{*,A},
     D = Q_C* [D_C - gamma D_{*,A} row(B), -gamma row(A) D_A] and
     B_j = [-A_j* row(B), (D_A^2)_j], columns reordered from H_C^d + H_A^d to
-    H_E^d; it is then divided by D_E on its range.
+    H_E^d; it is then divided by D_E on its range.  It must vanish on
+    ker D_E: the largest ||T_w K|| over the coefficients, K an orthonormal
+    basis of that kernel, is the kernel residual (exactly 0 when D_E is
+    injective).  Computed once per lifting, degree and kernel_tol.
     """
-    basis = fock_basis(lift.d, n_deg)
-    a, d = lift.A, lift.d
-    dc, da, dsa = lift.dC, lift.dA, lift.dstarA
-    q_ch = dc.space.basis.conj().T
-    g = q_ch @ lift.gamma_ambient
-    inv = np.argsort(lift.shuffle)
-    x = _adjoints(a)
-    vac = np.hstack([q_ch @ dc.D - g @ dsa.D @ lift.b_row, -g @ a.row @ da.D])[:, inv]
-    b = np.concatenate([-x @ lift.b_row, (da.D @ da.D).reshape(d, a.dim, d * a.dim)],
-                       axis=2)[:, :, inv]
-    comp_coeffs, resid = transfer_coeffs(vac, g @ dsa.D, b, x, n_deg, certify="contractive")
+    def compute():
+        basis = fock_basis(lift.d, n_deg)
+        a, d = lift.A, lift.d
+        dc, da, dsa = lift.dC, lift.dA, lift.dstarA
+        q_ch = dc.space.basis.conj().T
+        g = q_ch @ lift.gamma_ambient
+        inv = np.argsort(lift.shuffle)
+        x = _adjoints(a)
+        vac = np.hstack([q_ch @ dc.D - g @ dsa.D @ lift.b_row, -g @ a.row @ da.D])[:, inv]
+        b = np.concatenate([-x @ lift.b_row, (da.D @ da.D).reshape(d, a.dim, d * a.dim)],
+                           axis=2)[:, :, inv]
+        comp_coeffs, resid = transfer_coeffs(vac, g @ dsa.D, b, x, n_deg, certify="contractive")
 
-    cols = d * lift.E.dim
-    q_e = lift.dE.space.basis
-    p_ker = np.eye(cols) - q_e @ q_e.conj().T
-    k_res = max(max_operator_norm(t @ p_ker) for t in comp_coeffs)
-    if k_res > kernel_tol:
-        raise ResidualTooLarge(
-            f"symbol-times-defect does not vanish on ker D_E (residual {k_res:.3e})")
+        cols = d * lift.E.dim
+        q_e = lift.dE.space.basis
+        _, ker = psd_root_range(np.eye(cols) - q_e @ q_e.conj().T)
+        k_res = max(max_operator_norm(t @ ker.basis) for t in comp_coeffs)
+        if k_res > kernel_tol:
+            raise ResidualTooLarge(
+                f"symbol-times-defect does not vanish on ker D_E (residual {k_res:.3e})")
 
-    de_pinv_q = pinv(lift.dE.D) @ q_e
-    op = MultiAnalyticOp(basis, lift.dE.space, lift.dC.space,
-                         tuple(t @ de_pinv_q for t in comp_coeffs))
-    comp = MultiAnalyticOp(basis, Subspace.full(cols), lift.dC.space, comp_coeffs)
-    return CharFn(op, comp, "lifting", n_deg, resid, k_res)
+        de_pinv_q = pinv(lift.dE.D) @ q_e
+        op = MultiAnalyticOp(basis, lift.dE.space, lift.dC.space,
+                             tuple(t @ de_pinv_q for t in comp_coeffs))
+        comp = MultiAnalyticOp(basis, Subspace.full(cols), lift.dC.space, comp_coeffs)
+        return CharFn(op, comp, "lifting", n_deg, resid, k_res)
+    return memo(lift, ("lifting_char_fn", n_deg, kernel_tol), compute)
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +284,7 @@ def _assemble(it: IteratedLifting, n_deg: int, tol: float):
     """The factored right-hand side for the two-step lifting, plus diagnostics."""
     basis = fock_basis(it.first.d, n_deg)
     cl = it.as_c_lifting
-    lift_ahat = Lifting(it.first.A, it.second.A, it.b2p, it.delta, it.a_hat)
+    lift_ahat = it.ahat_lifting
 
     sig_ep = defect_unitary(cl, tol)
     sig_ah = defect_unitary(lift_ahat, tol)

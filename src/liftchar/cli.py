@@ -58,7 +58,7 @@ CHECK_NAMES = ("all", "factorization", "minimal", "resolvent", "sigmas")
 
 def mat_to_json(m: np.ndarray) -> list:
     m = np.atleast_2d(as_complex(m))
-    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
+    return np.stack([m.real, m.imag], -1).tolist()
 
 
 def mat_from_json(data, what: str) -> np.ndarray:

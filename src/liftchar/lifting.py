@@ -22,9 +22,11 @@ from .numlin import (
     as_complex,
     block_shuffle,
     direct_sum,
+    memo,
     operator_norm,
     pinv,
     polar_unitary,
+    readonly,
     unitarity_residual,
 )
 from .rowcon import DefectData, RowContraction, all_words, defect, star_defect
@@ -36,7 +38,11 @@ LIFT_TOL = 1e-10
 
 @dataclass(frozen=True)
 class Lifting:
-    """A contractive lifting E = [[C, 0], [B, A]] with its coupling contraction."""
+    """A contractive lifting E = [[C, 0], [B, A]] with its coupling contraction.
+
+    The defects of C, A and E are those of the row contractions, computed
+    once per row contraction; B is stored read-only.
+    """
 
     C: RowContraction
     A: RowContraction
@@ -44,31 +50,34 @@ class Lifting:
     gamma: SubOperator  # star-defect space of A -> column-defect space of C
     E: RowContraction
 
+    def __post_init__(self):
+        object.__setattr__(self, "B", tuple(readonly(b) for b in self.B))
+
     @property
     def d(self) -> int:
         return self.C.d
 
-    @cached_property
+    @property
     def dC(self) -> DefectData:
         return defect(self.C)
 
-    @cached_property
+    @property
     def dA(self) -> DefectData:
         return defect(self.A)
 
-    @cached_property
+    @property
     def dstarA(self) -> DefectData:
         return star_defect(self.A)
 
-    @cached_property
+    @property
     def dstarC(self) -> DefectData:
         return star_defect(self.C)
 
-    @cached_property
+    @property
     def dE(self) -> DefectData:
         return defect(self.E)
 
-    @cached_property
+    @property
     def dstarE(self) -> DefectData:
         return star_defect(self.E)
 
@@ -199,21 +208,24 @@ def defect_unitary(lift: Lifting, tol: float = 1e-8) -> SigmaUnitary:
 
     Its defining relation, with delta the lifting's coupling:
         sigma D_E = [[D_{*,delta} D_C, 0], [-row(A)* delta* D_C, D_A]]
-    after the canonical reordering of H_E^d into H_C^d + H_A^d.
+    after the canonical reordering of H_E^d into H_C^d + H_A^d.  Computed
+    once per lifting and tol.
     """
-    dl = lift.gamma.matrix
-    k_c = lift.dC.rank
-    dstar_delta, sd_range = numlin.psd_root_range(np.eye(k_c) - dl @ dl.conj().T)
-    q_c = lift.dC.space.basis
-    t11 = q_c @ dstar_delta @ q_c.conj().T @ lift.dC.D
-    t21 = -lift.A.row.conj().T @ lift.gamma_ambient.conj().T @ lift.dC.D
-    top = np.hstack([t11, np.zeros((t11.shape[0], lift.d * lift.A.dim))])
-    bot = np.hstack([t21, lift.dA.D])
-    target = np.vstack([top, bot])[:, np.argsort(lift.shuffle)]
-    # column permutation: target consumes H_E^d in its native interleaved order
-    star_delta_space = Subspace(lift.d * lift.C.dim, q_c @ sd_range.basis)
-    cod = direct_sum(star_delta_space, lift.dA.space)
-    return _certified_sigma(target, lift.dE.D, lift.dE.space, cod, tol)
+    def compute():
+        dl = lift.gamma.matrix
+        k_c = lift.dC.rank
+        dstar_delta, sd_range = numlin.psd_root_range(np.eye(k_c) - dl @ dl.conj().T)
+        q_c = lift.dC.space.basis
+        t11 = q_c @ dstar_delta @ q_c.conj().T @ lift.dC.D
+        t21 = -lift.A.row.conj().T @ lift.gamma_ambient.conj().T @ lift.dC.D
+        top = np.hstack([t11, np.zeros((t11.shape[0], lift.d * lift.A.dim))])
+        bot = np.hstack([t21, lift.dA.D])
+        target = np.vstack([top, bot])[:, np.argsort(lift.shuffle)]
+        # column permutation: target consumes H_E^d in its native interleaved order
+        star_delta_space = Subspace(lift.d * lift.C.dim, q_c @ sd_range.basis)
+        cod = direct_sum(star_delta_space, lift.dA.space)
+        return _certified_sigma(target, lift.dE.D, lift.dE.space, cod, tol)
+    return memo(lift, ("defect_unitary", tol), compute)
 
 
 def star_defect_unitary(lift: Lifting, tol: float = 1e-8) -> SigmaUnitary:
@@ -221,21 +233,24 @@ def star_defect_unitary(lift: Lifting, tol: float = 1e-8) -> SigmaUnitary:
 
     Defining relation:
         sigma' D_{*,E} = [[D_{*,C}, -row(C) delta D_{*,A}], [0, D_delta D_{*,A}]]
-    on H_E = H_C + H_A (no reordering needed).
+    on H_E = H_C + H_A (no reordering needed).  Computed once per lifting
+    and tol.
     """
-    dl = lift.gamma.matrix
-    k_sa = lift.dstarA.rank
-    d_delta, dd_range = numlin.psd_root_range(np.eye(k_sa) - dl.conj().T @ dl)
-    q_sa = lift.dstarA.space.basis
-    t12 = -lift.C.row @ lift.gamma_ambient @ lift.dstarA.D
-    t22 = q_sa @ d_delta @ q_sa.conj().T @ lift.dstarA.D
-    target = np.vstack([
-        np.hstack([lift.dstarC.D, t12]),
-        np.hstack([np.zeros((lift.A.dim, lift.C.dim)), t22]),
-    ])
-    delta_space = Subspace(lift.A.dim, q_sa @ dd_range.basis)
-    cod = direct_sum(lift.dstarC.space, delta_space)
-    return _certified_sigma(target, lift.dstarE.D, lift.dstarE.space, cod, tol)
+    def compute():
+        dl = lift.gamma.matrix
+        k_sa = lift.dstarA.rank
+        d_delta, dd_range = numlin.psd_root_range(np.eye(k_sa) - dl.conj().T @ dl)
+        q_sa = lift.dstarA.space.basis
+        t12 = -lift.C.row @ lift.gamma_ambient @ lift.dstarA.D
+        t22 = q_sa @ d_delta @ q_sa.conj().T @ lift.dstarA.D
+        target = np.vstack([
+            np.hstack([lift.dstarC.D, t12]),
+            np.hstack([np.zeros((lift.A.dim, lift.C.dim)), t22]),
+        ])
+        delta_space = Subspace(lift.A.dim, q_sa @ dd_range.basis)
+        cod = direct_sum(lift.dstarC.space, delta_space)
+        return _certified_sigma(target, lift.dstarE.D, lift.dstarE.space, cod, tol)
+    return memo(lift, ("star_defect_unitary", tol), compute)
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +268,11 @@ class IteratedLifting:
     gamma_hat: SubOperator   # star-defect of A-hat -> column-defect of C
     b1p: tuple[np.ndarray, ...]
     b2p: tuple[np.ndarray, ...]
+
+    @cached_property
+    def ahat_lifting(self) -> Lifting:
+        """A-hat as the lifting of A by A' with coupling delta."""
+        return Lifting(self.first.A, self.second.A, self.b2p, self.delta, self.a_hat)
 
     @cached_property
     def as_c_lifting(self) -> Lifting:

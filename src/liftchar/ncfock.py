@@ -32,7 +32,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import DimMismatch, IndexOutOfRange
-from .numlin import Subspace, as_complex, direct_sum, max_operator_norm, operator_norm
+from .numlin import Subspace, as_complex, direct_sum, max_operator_norm, operator_norm, readonly
 from .rowcon import Word, all_words, reverse_word
 
 DEFAULT_DEGREE = 6
@@ -117,11 +117,10 @@ class MultiAnalyticOp:
             raise DimMismatch(f"{len(self.graded)} coefficient degrees exceed degree {top}")
         clean = []
         for n, t in enumerate(self.graded):
-            t = as_complex(t).view()
+            t = readonly(t)
             shape = (d**n, self.cod.dim, self.dom.dim)
             if t.shape != shape:
                 raise DimMismatch(f"degree-{n} coefficients have shape {t.shape}, expected {shape}")
-            t.flags.writeable = False
             clean.append(t)
         object.__setattr__(self, "graded", tuple(clean))
 

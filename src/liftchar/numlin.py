@@ -23,12 +23,35 @@ def as_complex(m) -> np.ndarray:
     return np.asarray(m, dtype=np.complex128)
 
 
+def readonly(m) -> np.ndarray:
+    """A read-only complex view of m; the caller's own array stays writable."""
+    v = as_complex(m).view()
+    v.flags.writeable = False
+    return v
+
+
+def memo(owner, key, compute):
+    """compute(), once per owner and key.
+
+    The value is kept in the owner's instance __dict__, as
+    functools.cached_property does, so it lives exactly as long as the
+    owner.  Owners are frozen objects whose arrays are read-only, and the
+    key holds every argument that changes the result, so a stored value
+    cannot go stale.
+    """
+    cache = owner.__dict__.setdefault("_memo", {})
+    try:
+        return cache[key]
+    except KeyError:
+        return cache.setdefault(key, compute())
+
+
 def operator_norm(m: np.ndarray) -> float:
-    """Spectral norm; 0.0 for matrices with an empty axis."""
+    """Spectral norm (the top singular value); 0.0 for matrices with an empty axis."""
     m = np.asarray(m)
     if m.size == 0:
         return 0.0
-    return float(np.linalg.norm(m, 2))
+    return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
 def max_operator_norm(stack) -> float:
@@ -98,7 +121,7 @@ class Subspace:
             raise DimMismatch("more basis vectors than ambient dimension")
         if b.shape[1] and isometry_residual(b) > ORTH_TOL:
             raise DimMismatch("basis columns are not orthonormal within 1e-12")
-        object.__setattr__(self, "basis", b)
+        object.__setattr__(self, "basis", readonly(b))
 
     @property
     def dim(self) -> int:
@@ -202,7 +225,7 @@ class SubOperator:
     matrix: np.ndarray  # k_cod x k_dom
 
     def __post_init__(self):
-        m = as_complex(self.matrix)
+        m = readonly(self.matrix)
         if m.shape != (self.codomain.dim, self.domain.dim):
             raise DimMismatch(
                 f"matrix shape {m.shape} vs (cod {self.codomain.dim}, dom {self.domain.dim})"

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import numlin
 from .errors import DimMismatch, IndexOutOfRange, NotPSD
-from .numlin import Subspace, as_complex, operator_norm
+from .numlin import Subspace, as_complex, memo, operator_norm, readonly
 
 log = logging.getLogger(__name__)
 
@@ -58,12 +58,17 @@ def str_to_word(s: str, d: int) -> Word:
 
 @dataclass(frozen=True)
 class RowContraction:
-    """A d-tuple of square matrices S_i on the same space with sum S_i S_i* <= I."""
+    """A d-tuple of square matrices S_i on the same space with sum S_i S_i* <= I.
+
+    The matrices are stored read-only, so quantities derived from them
+    (defects, characteristic functions) are computed once and kept on the
+    instance.
+    """
 
     ops: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        ops = tuple(as_complex(s) for s in self.ops)
+        ops = tuple(readonly(s) for s in self.ops)
         if not ops:
             raise DimMismatch("need at least one operator")
         n = ops[0].shape[0]
@@ -110,6 +115,9 @@ class DefectData:
     space: Subspace
     kind: str  # "column" (on H^d) or "star" (on H)
 
+    def __post_init__(self):
+        object.__setattr__(self, "D", readonly(self.D))
+
     @property
     def rank(self) -> int:
         return self.space.dim
@@ -120,20 +128,25 @@ def defect(s: RowContraction, rank_tol: float = numlin.RANK_TOL) -> DefectData:
 
     Root and range come from one clamped eigendecomposition of the Gram
     matrix, so rank decisions are made where roundoff sits at eps rather
-    than sqrt(eps).
+    than sqrt(eps).  Computed once per row contraction and rank_tol.
     """
-    row = s.row
-    m = np.eye(s.d * s.dim) - row.conj().T @ row
-    d_op, space = numlin.psd_root_range(m, rank_tol)
-    return DefectData(d_op, space, "column")
+    def compute():
+        row = s.row
+        m = np.eye(s.d * s.dim) - row.conj().T @ row
+        return DefectData(*numlin.psd_root_range(m, rank_tol), "column")
+    return memo(s, ("defect", rank_tol), compute)
 
 
 def star_defect(s: RowContraction, rank_tol: float = numlin.RANK_TOL) -> DefectData:
-    """Star defect: PSD root of I - sum S_i S_i* on H, and its range."""
-    row = s.row
-    m = np.eye(s.dim) - row @ row.conj().T
-    d_op, space = numlin.psd_root_range(m, rank_tol)
-    return DefectData(d_op, space, "star")
+    """Star defect: PSD root of I - sum S_i S_i* on H, and its range.
+
+    Computed once per row contraction and rank_tol.
+    """
+    def compute():
+        row = s.row
+        m = np.eye(s.dim) - row @ row.conj().T
+        return DefectData(*numlin.psd_root_range(m, rank_tol), "star")
+    return memo(s, ("star_defect", rank_tol), compute)
 
 
 def column_embed(d: int, j: int, h: np.ndarray) -> np.ndarray:

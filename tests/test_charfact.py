@@ -24,9 +24,16 @@ from liftchar.gen import (
     random_row_contraction,
     random_synthesis_data,
 )
-from liftchar.lifting import iterate_liftings, lifting_from_blocks, make_lifting
+from liftchar.cli import _packaged_scenario, parse_scenario, run_battery
+from liftchar.lifting import (
+    defect_unitary,
+    iterate_liftings,
+    lifting_from_blocks,
+    make_lifting,
+    star_defect_unitary,
+)
 from liftchar.ncfock import coeff_diff, intertwining_residual, pair_products, realized_norm
-from liftchar.numlin import SubOperator, operator_norm
+from liftchar.numlin import SubOperator, max_operator_norm, null_subspace, operator_norm
 from liftchar.rowcon import RowContraction, defect, star_defect
 
 S2 = 1 / np.sqrt(2)
@@ -148,15 +155,16 @@ class TestLiftingCharFn:
 
 
 class TestColligationEngine:
+    # each test builds its instance after patching, so no symbol cached on it
+    # before the patch can answer in place of the faulty engine
     def test_reversed_word_route_is_caught(self, monkeypatch):
-        rng = np.random.default_rng(12)
-        it = random_iterated_lifting(rng, 2, (1, 2, 1))
-        a = it.first.A
-        assert operator_norm(a.ops[0] @ a.ops[1] - a.ops[1] @ a.ops[0]) > 1e-3
         # the word route prepends each letter, at rank (k-1) d^n + idx(w), instead of
         # appending it; the degree recursion is left alone
         monkeypatch.setattr(charfact, "pair_products",
                             lambda t1, t2: pair_products(t1, t2).swapaxes(0, 1))
+        it = random_iterated_lifting(np.random.default_rng(12), 2, (1, 2, 1))
+        a = it.first.A
+        assert operator_norm(a.ops[0] @ a.ops[1] - a.ops[1] @ a.ops[0]) > 1e-3
         with pytest.raises(OracleMismatch):
             row_char_fn(a, 3)
         with pytest.raises(OracleMismatch):
@@ -172,6 +180,121 @@ class TestColligationEngine:
             row_char_fn(it.first.A, 3)
         with pytest.raises(ResidualTooLarge, match="not contractive"):
             lifting_char_fn(it.first, 3)
+
+
+def _kernel_residual_by_projector(lift, fn):
+    """The kernel check as it was computed before: ||T_w (I - Q_E Q_E*)|| over all words."""
+    q_e = lift.dE.space.basis
+    p_ker = np.eye(q_e.shape[0]) - q_e @ q_e.conj().T
+    return max(max_operator_norm(t @ p_ker) for t in fn.comp.graded)
+
+
+def _worked_example_liftings():
+    out = []
+    for it in (example1_iterated(), example2_iterated()):
+        mp = minimal_part(it.first, it.second)
+        out += [it.first, it.second, it.as_c_lifting, mp.tilde_lifting]
+    return out
+
+
+class TestKernelCheck:
+    def test_kernel_basis_agrees_with_projector(self):
+        # the worked examples include rank-deficient column defects (example2's E')
+        lifts = _worked_example_liftings()
+        assert any(lift.dE.rank < lift.d * lift.E.dim for lift in lifts)
+        for lift in lifts:
+            fn = lifting_char_fn(lift, 3)
+            old = _kernel_residual_by_projector(lift, fn)
+            assert fn.kernel_residual <= 1e-15 and old <= 1e-15
+            assert abs(fn.kernel_residual - old) <= 1e-15
+
+    def test_full_rank_defect_reads_exactly_zero(self):
+        lift = random_iterated_lifting(np.random.default_rng(12), 2, (1, 2, 1)).first
+        assert lift.dE.rank == lift.d * lift.E.dim
+        assert lifting_char_fn(lift, 3).kernel_residual == 0.0
+
+    def test_component_on_kernel_is_caught(self, monkeypatch):
+        # example2's E' has a one-dimensional ker D_E
+        ker = null_subspace(example2_iterated().second.dE.space.basis.conj().T).basis
+        assert ker.shape[1] == 1
+        engine = charfact.transfer_coeffs
+
+        def leaking(D, C, B, X, n, **kw):
+            coeffs, resid = engine(D, C, B, X, n, **kw)
+            # add a vacuum component x -> 1e-6 <x, k> (1, ..., 1) along ker D_E
+            t0 = coeffs[0] + 1e-6 * np.outer(np.ones(coeffs[0].shape[1]), ker[:, 0].conj())
+            return (t0, *coeffs[1:]), resid
+
+        monkeypatch.setattr(charfact, "transfer_coeffs", leaking)
+        with pytest.raises(ResidualTooLarge, match="ker D_E"):
+            lifting_char_fn(example2_iterated().second, 3)
+        lift = example2_iterated().second  # fresh: nothing cached on it
+        fn = lifting_char_fn(lift, 3, kernel_tol=1.0)
+        old = _kernel_residual_by_projector(lift, fn)
+        assert 0.5e-6 < fn.kernel_residual == pytest.approx(old, rel=1e-12)
+
+
+class TestMemo:
+    def test_battery_computes_each_symbol_once(self, monkeypatch):
+        # seven characteristic functions and three resolvent left sides are distinct;
+        # without sharing, the four check groups made 17 engine calls
+        calls = []
+        engine = charfact.transfer_coeffs
+
+        def counting(*args, **kw):
+            calls.append(kw.get("certify"))
+            return engine(*args, **kw)
+
+        monkeypatch.setattr(charfact, "transfer_coeffs", counting)
+        it = random_iterated_lifting(np.random.default_rng(12), 2, (1, 2, 1))
+        checks = run_battery(it.first, it, 4, 1e-8, "all")
+        assert all(c.passed for c in checks)
+        assert len(calls) == 10
+        assert calls.count("unitary") == 3       # M_A, M_A', M_Ahat
+        assert calls.count("contractive") == 4   # M_CE, M_EE', M_CE', M_CEtilde
+        assert calls.count(None) == 3            # resolvent left sides
+
+    def test_repeat_returns_the_stored_object(self):
+        it = random_iterated_lifting(np.random.default_rng(12), 2, (1, 2, 1))
+        a, lift = it.first.A, it.first
+        assert row_char_fn(a, 3) is row_char_fn(a, 3)
+        assert row_char_fn(a, 4) is not row_char_fn(a, 3)
+        assert row_char_fn(a, 4).N == 4
+        fn = lifting_char_fn(lift, 3)
+        assert lifting_char_fn(lift, 3) is fn
+        assert lifting_char_fn(lift, 3, kernel_tol=1e-8) is fn
+        assert lifting_char_fn(lift, 2) is not fn
+        assert lifting_char_fn(lift, 3, kernel_tol=1e-9) is not fn
+        assert defect_unitary(lift) is defect_unitary(lift, 1e-8)
+        assert defect_unitary(lift, 1e-9) is not defect_unitary(lift)
+        assert star_defect_unitary(lift) is star_defect_unitary(lift, 1e-8)
+        assert star_defect_unitary(lift, 1e-9) is not star_defect_unitary(lift)
+        # the lifting's defects are those of its row contractions
+        assert lift.dA is defect(a) and lift.dstarA is star_defect(a)
+        assert it.ahat_lifting is it.ahat_lifting
+        assert it.ahat_lifting.E is it.a_hat
+
+    def test_equal_objects_do_not_share(self):
+        # the store belongs to the instance, not to equal values
+        make = lambda: random_iterated_lifting(np.random.default_rng(12), 2, (1, 2, 1))
+        assert row_char_fn(make().first.A, 3) is not row_char_fn(make().first.A, 3)
+
+    @pytest.mark.parametrize("source", ["example2", "generated"])
+    def test_one_battery_equals_cold_group_runs(self, source):
+        def fresh():
+            if source == "example2":
+                scen = parse_scenario(_packaged_scenario("example2.json"))
+                return scen.first, scen.iterated, scen.degree, scen.tolerance
+            it = random_iterated_lifting(np.random.default_rng(12), 2, (1, 2, 1))
+            return it.first, it, 4, 1e-8
+
+        lines = lambda checks: [(c.name, c.residual, c.tol) for c in checks]
+        together = lines(run_battery(*fresh(), "all"))
+        apart = []
+        for group in ("sigmas", "resolvent", "factorization", "minimal"):
+            apart += lines(run_battery(*fresh(), group))
+        assert sorted(together) == sorted(apart)
+        assert len(together) == len(apart) > 30
 
 
 class TestResolventIdentity:

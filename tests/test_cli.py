@@ -50,6 +50,23 @@ def test_mat_json_round_trip():
     np.testing.assert_allclose(mat_from_json(mat_to_json(m), "m"), m)
 
 
+@pytest.mark.parametrize("m", [
+    np.random.default_rng(0).standard_normal((6, 12))
+    + 1j * np.random.default_rng(1).standard_normal((6, 12)),
+    np.array([[-0.0, 0.0 - 0.0j], [complex(-0.0, -0.0), 1e-300j]]),
+    np.array([[1e-300j, -1e300 + 5e-324j]]),
+    np.zeros((0, 3), dtype=complex),
+    np.zeros((3, 0), dtype=complex),
+    np.array([1.5, -2.0]),
+    np.array(0.25j),
+], ids=["random", "signed-zeros", "tiny-huge", "0x3", "3x0", "vector", "scalar"])
+def test_mat_json_matches_elementwise_version(m):
+    # the per-element comprehension mat_to_json used to be
+    ref = [[[float(z.real), float(z.imag)] for z in row]
+           for row in np.atleast_2d(np.asarray(m, dtype=complex))]
+    assert json.dumps(mat_to_json(m), indent=2) == json.dumps(ref, indent=2)
+
+
 class TestParseScenario:
     def test_packaged_example1(self):
         scen = parse_scenario(_packaged_scenario("example1.json"))

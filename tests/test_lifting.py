@@ -265,3 +265,18 @@ class TestResolvingMinimal:
             lift = random_lifting(rng, c, a)
             assert is_cnc(a)[0]
             assert is_minimal_lifting(lift) == is_resolving(lift.gamma, a)
+
+
+def test_coupling_arrays_are_read_only():
+    b = np.array([[0.5]], dtype=complex)
+    lift = lifting_from_blocks(rc([[0.5]]), rc([[0.0]]), [b])
+    for arr in (lift.B[0], lift.gamma.matrix, lift.E.ops[0]):
+        with pytest.raises(ValueError):
+            arr[0, 0] = 1.0
+    b[0, 0] = 0.0  # the caller's array stays writable
+    g = np.zeros((1, 1), dtype=complex)
+    op = SubOperator(Subspace.full(1), Subspace.full(1), g)
+    with pytest.raises(ValueError):
+        op.matrix[0, 0] = 1.0
+    g[0, 0] = 0.5
+    assert op.matrix[0, 0] == 0.5

@@ -146,6 +146,16 @@ class TestUnitarityResidual:
             unitarity_residual(np.zeros((2, 3)))
 
 
+def test_operator_norm_is_top_singular_value():
+    rng = np.random.default_rng(5)
+    for shape in ((4, 4), (8, 8), (3, 7), (7, 3), (1, 1)):
+        m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        assert operator_norm(m) == np.linalg.norm(m, 2)
+    assert operator_norm(np.eye(3)) == 1.0
+    for shape in ((0, 3), (3, 0), (0, 0)):
+        assert operator_norm(np.zeros(shape)) == 0.0
+
+
 def test_subspace_validation():
     with pytest.raises(Exception):
         Subspace(2, np.array([[1.0], [1.0]]))  # not orthonormal

@@ -76,6 +76,32 @@ class TestDefects:
         np.testing.assert_allclose(dd.D @ dd.D, np.eye(2) - row @ row.conj().T, atol=1e-10)
 
 
+class TestStoredOnce:
+    def test_ops_are_read_only_views(self):
+        m = np.array([[0.5, 0.0], [0.0, 0.25]], dtype=complex)
+        s = RowContraction((m,))
+        with pytest.raises(ValueError):
+            s.ops[0][0, 0] = 0.9
+        m[1, 1] = 0.1  # the caller's array stays writable
+        assert s.ops[0][1, 1] == 0.1
+        dd = defect(s)
+        with pytest.raises(ValueError):
+            dd.D[0, 0] = 2.0
+        with pytest.raises(ValueError):
+            dd.space.basis[0, 0] = 2.0
+
+    def test_defects_are_kept_per_rank_tol(self):
+        s = random_rc(np.random.default_rng(3), 2, 2)
+        assert defect(s) is defect(s)
+        assert defect(s, 1e-10) is defect(s)
+        assert defect(s, 1e-8) is not defect(s)
+        assert star_defect(s) is star_defect(s)
+        assert star_defect(s, 1e-8) is not star_defect(s)
+        assert defect(s).kind == "column" and star_defect(s).kind == "star"
+        # another instance with the same entries keeps its own store
+        assert defect(RowContraction(s.ops)) is not defect(s)
+
+
 def test_column_embed():
     np.testing.assert_array_equal(column_embed(2, 1, [1, 0]), [1, 0, 0, 0])
     np.testing.assert_array_equal(column_embed(2, 2, [0, 1]), [0, 0, 0, 1])
