@@ -8,7 +8,6 @@ from .charfact import (
     FactorizationReport,
     MinimalPart,
     SynthesisReport,
-    assemble_factorization,
     lifting_char_fn,
     minimal_part,
     resolvent_identity_residual,
@@ -24,7 +23,6 @@ from .lifting import (
     defect_unitary,
     extract_gamma,
     is_minimal_lifting,
-    is_resolving,
     iterate_liftings,
     julia_halmos,
     lifting_from_blocks,
@@ -35,7 +33,6 @@ from .ncfock import (
     FockBasis,
     MultiAnalyticOp,
     coeff_diff,
-    creation,
     fock_basis,
     product,
     realize,
@@ -50,10 +47,7 @@ from .numlin import (
 from .rowcon import (
     DefectData,
     RowContraction,
-    column_embed,
     defect,
-    is_cnc,
-    minimal_isometric_dilation,
     star_defect,
 )
 
@@ -71,23 +65,17 @@ __all__ = [
     "SubOperator",
     "Subspace",
     "SynthesisReport",
-    "assemble_factorization",
     "coeff_diff",
-    "column_embed",
-    "creation",
     "defect",
     "defect_unitary",
     "extract_gamma",
     "fock_basis",
-    "is_cnc",
     "is_minimal_lifting",
-    "is_resolving",
     "iterate_liftings",
     "julia_halmos",
     "lifting_char_fn",
     "lifting_from_blocks",
     "make_lifting",
-    "minimal_isometric_dilation",
     "minimal_part",
     "operator_norm",
     "pinv",

@@ -37,8 +37,10 @@ from .lifting import (
     Lifting,
     IteratedLifting,
     SigmaUnitary,
+    SPAN_TOL,
     _certified_sigma,
     defect_unitary,
+    extract_gamma,
     is_minimal_lifting,
     julia_halmos,
     krylov_span,
@@ -65,7 +67,6 @@ from .numlin import (
     as_complex,
     block_diag,
     block_shuffle,
-    contraction_defects,
     max_operator_norm,
     memo,
     operator_norm,
@@ -79,6 +80,8 @@ from .rowcon import RowContraction, Word, defect, star_defect
 log = logging.getLogger(__name__)
 
 CROSSCHECK_TOL = 1e-10
+KERNEL_TOL = 1e-8  # bound on a lifting symbol's component along ker D_E
+PURE_MARGIN = 1e-8  # least 1 - ||vacuum coefficient|| of a purely contractive synthesis
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +153,6 @@ class CharFn:
 
     op: MultiAnalyticOp
     comp: MultiAnalyticOp
-    source: str
     N: int
     crosscheck_residual: float
     kernel_residual: float = 0.0
@@ -177,12 +179,11 @@ def row_char_fn(a: RowContraction, n_deg: int = DEFAULT_DEGREE) -> CharFn:
         comp_coeffs = tuple(q_sa.conj().T @ t for t in amb)
         op = MultiAnalyticOp(basis, da.space, dsa.space, tuple(t @ q_a for t in comp_coeffs))
         comp = MultiAnalyticOp(basis, Subspace.full(a.d * n), dsa.space, comp_coeffs)
-        return CharFn(op, comp, "row-contraction", n_deg, resid)
+        return CharFn(op, comp, n_deg, resid)
     return memo(a, ("row_char_fn", n_deg), compute)
 
 
-def lifting_char_fn(lift: Lifting, n_deg: int = DEFAULT_DEGREE, *,
-                    kernel_tol: float = 1e-8) -> CharFn:
+def lifting_char_fn(lift: Lifting, n_deg: int = DEFAULT_DEGREE) -> CharFn:
     """Characteristic function of a contractive lifting, domain the column-defect
     space of E, codomain the column-defect space of C.
 
@@ -193,7 +194,8 @@ def lifting_char_fn(lift: Lifting, n_deg: int = DEFAULT_DEGREE, *,
     H_E^d; it is then divided by D_E on its range.  It must vanish on
     ker D_E: the largest ||T_w K|| over the coefficients, K an orthonormal
     basis of that kernel, is the kernel residual (exactly 0 when D_E is
-    injective).  Computed once per lifting, degree and kernel_tol.
+    injective) and must not exceed KERNEL_TOL.  Computed once per lifting
+    and degree.
     """
     def compute():
         basis = fock_basis(lift.d, n_deg)
@@ -212,7 +214,7 @@ def lifting_char_fn(lift: Lifting, n_deg: int = DEFAULT_DEGREE, *,
         q_e = lift.dE.space.basis
         _, ker = psd_root_range(np.eye(cols) - q_e @ q_e.conj().T)
         k_res = max(max_operator_norm(t @ ker.basis) for t in comp_coeffs)
-        if k_res > kernel_tol:
+        if k_res > KERNEL_TOL:
             raise ResidualTooLarge(
                 f"symbol-times-defect does not vanish on ker D_E (residual {k_res:.3e})")
 
@@ -220,8 +222,8 @@ def lifting_char_fn(lift: Lifting, n_deg: int = DEFAULT_DEGREE, *,
         op = MultiAnalyticOp(basis, lift.dE.space, lift.dC.space,
                              tuple(t @ de_pinv_q for t in comp_coeffs))
         comp = MultiAnalyticOp(basis, Subspace.full(cols), lift.dC.space, comp_coeffs)
-        return CharFn(op, comp, "lifting", n_deg, resid, k_res)
-    return memo(lift, ("lifting_char_fn", n_deg, kernel_tol), compute)
+        return CharFn(op, comp, n_deg, resid, k_res)
+    return memo(lift, ("lifting_char_fn", n_deg), compute)
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +249,7 @@ def resolvent_identity_residual(a: RowContraction, n_deg: int = DEFAULT_DEGREE) 
     a_star = const_op(basis, dsa.space, da.space,
                       da.space.coords(a.row.conj().T @ q))
     rhs = add(identity_op(basis, dsa.space), product(chf.op, a_star))
-    return coeff_diff(lhs, rhs, n_deg)
+    return coeff_diff(lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -300,11 +302,11 @@ def _assemble(it: IteratedLifting, n_deg: int, tol: float):
     k_sap = lift_ahat.dstarA.rank
 
     g_hat = it.gamma_hat.matrix
-    dstar_ghat, sg_range = psd_root_range(np.eye(k_c) - g_hat @ g_hat.conj().T)
+    _, _, dstar_ghat, sg_range = it.gamma_hat.defects
     q_star_ghat = sg_range.basis
 
     dl = it.delta.matrix
-    _, d_range, _, ds_range = contraction_defects(dl)
+    _, d_range, _, ds_range = it.delta.defects
     q_star_delta = ds_range.basis
     q_delta = d_range.basis
 
@@ -373,13 +375,6 @@ def _assemble(it: IteratedLifting, n_deg: int, tol: float):
     return rhs, info
 
 
-def assemble_factorization(it: IteratedLifting, n_deg: int = DEFAULT_DEGREE,
-                           tol: float = 1e-8) -> MultiAnalyticOp:
-    """The factored form of (symbol of E' over C) o D_E' as one multi-analytic operator."""
-    rhs, _ = _assemble(it, n_deg, tol)
-    return rhs
-
-
 def verify_factorization(it: IteratedLifting, n_deg: int = DEFAULT_DEGREE,
                          tol: float = 1e-8) -> FactorizationReport:
     """Compare the directly computed symbol of the two-step lifting against its
@@ -388,7 +383,7 @@ def verify_factorization(it: IteratedLifting, n_deg: int = DEFAULT_DEGREE,
     chf = lifting_char_fn(cl, n_deg)
     lhs = _as_coords(chf.comp)
     rhs, info = _assemble(it, n_deg, tol)
-    residual = coeff_diff(lhs, rhs, n_deg)
+    residual = coeff_diff(lhs, rhs)
     idx_c, idx_ah = cl.column_split()
     res_c = res_ah = 0.0
     for diff in degree_diffs(lhs, rhs):
@@ -431,8 +426,7 @@ class MinimalPart:
     minimal: bool
 
 
-def minimal_part(first: Lifting, second: Lifting, *, tol: float = 1e-8,
-                 rank_tol: float = 1e-9) -> MinimalPart:
+def minimal_part(first: Lifting, second: Lifting, *, tol: float = 1e-8) -> MinimalPart:
     """Split H_E' into the E'-orbit of H_C and its complement, extract the
     corner coupling and the defect-space unitary of the splitting."""
     if not is_minimal_lifting(first):
@@ -443,10 +437,10 @@ def minimal_part(first: Lifting, second: Lifting, *, tol: float = 1e-8,
     n, nc, d = ep.dim, first.C.dim, first.d
     seed = np.zeros((n, nc), dtype=np.complex128)
     seed[:nc, :] = np.eye(nc)
-    q_t = krylov_span(list(ep.ops), seed, rank_tol)
+    q_t = krylov_span(list(ep.ops), seed)
     t = q_t.shape[1]
     space = Subspace(n, q_t)
-    _, complement = psd_root_range(np.eye(n) - q_t @ q_t.conj().T, rank_tol)
+    _, complement = psd_root_range(np.eye(n) - q_t @ q_t.conj().T, SPAN_TOL)
     q_p = complement.basis
 
     inv_res = max(operator_norm(q_p.conj().T @ ep.ops[i] @ q_t) for i in range(d))
@@ -457,18 +451,15 @@ def minimal_part(first: Lifting, second: Lifting, *, tol: float = 1e-8,
     a_tilde = RowContraction(tuple(q_p.conj().T @ ep.ops[i] @ q_p for i in range(d)))
     x_row = np.hstack([q_t.conj().T @ ep.ops[i] @ q_p for i in range(d)])
 
-    dse = star_defect(e_tilde)
-    dat = defect(a_tilde)
-    g_amb = pinv(dse.D) @ x_row @ pinv(dat.D)
-    gamma = SubOperator(dat.space, dse.space,
-                        dse.space.coords(g_amb @ dat.space.basis))
-    g_res = operator_norm(x_row - dse.D @ gamma.as_ambient() @ dat.D)
+    # the corner factors as x_row = D_{*,Etilde} gamma D_Atilde: the adjoint of
+    # the coupling of a lifting of Atilde by Etilde with blocks x_row
+    coupling, g_res = extract_gamma(a_tilde, e_tilde, x_row)
+    gamma = coupling.adjoint()
     if g_res > tol * max(1.0, operator_norm(x_row)):
         raise ResidualTooLarge(f"corner coupling residual {g_res:.3e}")
 
-    det = defect(e_tilde)
-    k_at = dat.rank
-    d_gamma, dg_range = psd_root_range(np.eye(k_at) - gamma.matrix.conj().T @ gamma.matrix)
+    det, dat = defect(e_tilde), defect(a_tilde)
+    d_gamma, dg_range, _, _ = gamma.defects
     q_at = dat.space.basis
     top = np.hstack([det.D, -e_tilde.row.conj().T @ gamma.as_ambient() @ dat.D])
     bot = np.hstack([np.zeros((d * (n - t), d * t)), q_at @ d_gamma @ q_at.conj().T @ dat.D])
@@ -510,7 +501,7 @@ def verify_minimal_product(first: Lifting, second: Lifting,
     sig_inv = const_op(basis, m_ct.op.dom, m_eep.op.dom,
                        mp.sigma.op.matrix.conj().T[:, :k_t])
     rhs = product(product(m_ce.op, m_eep.op), sig_inv)
-    residual = coeff_diff(lhs, rhs, n_deg)
+    residual = coeff_diff(lhs, rhs)
     checks = {
         "sigma_unitary": mp.sigma.unitary_residual,
         "sigma_defining": mp.sigma.defining_residual,
@@ -553,7 +544,6 @@ class SynthesisReport:
 
 def synthesize_lifting(c: RowContraction, a: RowContraction, a2: RowContraction,
                        lam, u, n_deg: int = DEFAULT_DEGREE, tol: float = 1e-8, *,
-                       eps_pc: float = 1e-8, rank_tol: float = 1e-10,
                        require_pure: bool = True) -> tuple[Lifting, SynthesisReport]:
     """From a contraction lam and a unitary u, build the two-step lifting whose
     characteristic function coincides with the prescribed factored operator.
@@ -562,7 +552,7 @@ def synthesize_lifting(c: RowContraction, a: RowContraction, a2: RowContraction,
     u maps F + (star-defect of a2) onto (column-defect of a) + F_*.
     F and F_* are abstract coordinate spaces whose dimensions are read off
     the shapes.  When the vacuum coefficient of the inner factored operator
-    is a strict contraction (margin eps_pc), F and F_* are exhausted by the
+    is a strict contraction (margin PURE_MARGIN), F and F_* are exhausted by the
     defect data and the construction is certified unitary; require_pure=False
     degrades to partial-isometry extensions instead of raising.
     """
@@ -595,13 +585,14 @@ def synthesize_lifting(c: RowContraction, a: RowContraction, a2: RowContraction,
     sv_top = operator_norm(vac)
     pure_margin = 1.0 - sv_top
 
-    pure = (pure_margin > eps_pc and svd_rank(p_blk, rank_tol)[0] == f_dim
-            and svd_rank(s_blk.conj().T, rank_tol)[0] == f_star)
+    pure = (pure_margin > PURE_MARGIN and svd_rank(p_blk)[0] == f_dim
+            and svd_rank(s_blk.conj().T)[0] == f_star)
     if require_pure and not pure:
         raise NotPurelyContractive(
             f"vacuum margin {pure_margin:.3e} or rank deficiency of the corner blocks")
 
-    d_r, r_range, d_sr, sr_range = contraction_defects(r_blk)
+    delta = SubOperator(dsa2.space, da.space, r_blk.conj().T)
+    d_sr, sr_range, d_r, r_range = delta.defects
     q_r = r_range.basis
     q_sr = sr_range.basis
     u1 = q_r.conj().T @ d_r @ pinv(p_blk)
@@ -614,7 +605,6 @@ def synthesize_lifting(c: RowContraction, a: RowContraction, a2: RowContraction,
                 f"isometry extensions not unitary ({unitarity_residual(u1):.3e}, "
                 f"{unitarity_residual(u2):.3e})")
 
-    delta = SubOperator(dsa2.space, da.space, r_blk.conj().T)
     ahat_lift = make_lifting(a, a2, delta)
     sig_ah = defect_unitary(ahat_lift, tol)
     sig_star_ah = star_defect_unitary(ahat_lift, tol)
@@ -637,8 +627,7 @@ def synthesize_lifting(c: RowContraction, a: RowContraction, a2: RowContraction,
     m_cep = lifting_char_fn(eprime, n_deg)
     sig_ep = defect_unitary(eprime, tol)
     g_hat = gamma_hat.matrix
-    _, sg_range = psd_root_range(np.eye(k_c) - g_hat @ g_hat.conj().T)
-    q_star_ghat = sg_range.basis
+    q_star_ghat = gamma_hat.defects[3].basis
     leak = operator_norm(np.eye(k_c) - q_star_ghat @ q_star_ghat.conj().T) if k_c else 0.0
     if leak > tol and require_pure:
         raise SubspaceLeak(f"first slot leaves the range of the splitting unitary ({leak:.3e})")
@@ -650,7 +639,7 @@ def synthesize_lifting(c: RowContraction, a: RowContraction, a2: RowContraction,
                         block_diag(np.eye(k_c), inner))
     realized = product(_as_coords(m_cep.op), _as_coords(product(sig_inv, last)))
 
-    residual = coeff_diff(target_symbol, realized, n_deg)
+    residual = coeff_diff(target_symbol, realized)
     report = SynthesisReport(
         residual=residual,
         degree=n_deg,
@@ -669,7 +658,7 @@ def synthesize_lifting(c: RowContraction, a: RowContraction, a2: RowContraction,
             "projection_leak": leak,
             "charfn_crosscheck": m_cep.crosscheck_residual,
         },
-        factors={"phi": phi, "gamma_hat": g_hat, "u1": u1, "u2": u2, "delta": r_blk.conj().T},
+        factors={"phi": phi, "gamma_hat": g_hat, "u1": u1, "u2": u2, "delta": delta.matrix},
         symbol=target_symbol,
     )
     if residual > tol:

@@ -10,9 +10,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ValidationError
 from .lifting import Lifting, IteratedLifting, is_minimal_lifting, iterate_liftings, make_lifting
 from .numlin import SubOperator, Subspace, operator_norm
 from .rowcon import RowContraction, defect, star_defect
+
+MAX_TRIES = 50            # draws of a minimal iterated lifting before giving up
+MAX_SYNTHESIS_TRIES = 200  # draws of well-conditioned synthesis data before giving up
 
 
 def _cgauss(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
@@ -40,19 +44,20 @@ def random_lifting(rng: np.random.Generator, c: RowContraction, a: RowContractio
     return make_lifting(c, a, gamma)
 
 
-def random_iterated_lifting(rng: np.random.Generator, d: int, dims: tuple[int, int, int],
-                            require_minimal: bool = True, max_tries: int = 50) -> IteratedLifting:
+def random_iterated_lifting(rng: np.random.Generator, d: int,
+                            dims: tuple[int, int, int]) -> IteratedLifting:
     """A two-step lifting with both levels minimal (resampled deterministically)."""
     nc, na, nap = dims
-    for _ in range(max_tries):
+    for _ in range(MAX_TRIES):
         c = random_row_contraction(rng, d, nc)
         a = random_row_contraction(rng, d, na)
         a2 = random_row_contraction(rng, d, nap)
         first = random_lifting(rng, c, a)
         second = random_lifting(rng, first.E, a2)
-        if not require_minimal or (is_minimal_lifting(first) and is_minimal_lifting(second)):
+        if is_minimal_lifting(first) and is_minimal_lifting(second):
             return iterate_liftings(first, second)
-    raise RuntimeError("could not draw a minimal iterated lifting; relax dims")
+    raise ValidationError(f"could not draw a minimal iterated lifting in {MAX_TRIES} tries; "
+                          "relax dims")
 
 
 def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -64,8 +69,7 @@ def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     return q * (dphase / np.abs(dphase))
 
 
-def random_synthesis_data(rng: np.random.Generator, d: int, dims: tuple[int, int, int],
-                          max_tries: int = 200):
+def random_synthesis_data(rng: np.random.Generator, d: int, dims: tuple[int, int, int]):
     """Input data (c, a, a2, lam, u) for the synthesis construction, with margins.
 
     The abstract spaces get the generic dimensions dim F = rank of the
@@ -73,7 +77,7 @@ def random_synthesis_data(rng: np.random.Generator, d: int, dims: tuple[int, int
     strict corner block of u keeps consistent.
     """
     nc, na, nap = dims
-    for _ in range(max_tries):
+    for _ in range(MAX_SYNTHESIS_TRIES):
         c = random_row_contraction(rng, d, nc)
         a = random_row_contraction(rng, d, na)
         a2 = random_row_contraction(rng, d, nap)
@@ -96,4 +100,5 @@ def random_synthesis_data(rng: np.random.Generator, d: int, dims: tuple[int, int
         if r_blk.size and operator_norm(r_blk) > 1 - 1e-3:
             continue
         return c, a, a2, lam, u
-    raise RuntimeError("could not draw well-conditioned synthesis data")
+    raise ValidationError(
+        f"could not draw well-conditioned synthesis data in {MAX_SYNTHESIS_TRIES} tries")

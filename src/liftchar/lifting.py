@@ -22,18 +22,19 @@ from .numlin import (
     as_complex,
     block_shuffle,
     direct_sum,
+    frozen,
     memo,
     operator_norm,
     pinv,
     polar_unitary,
-    readonly,
     unitarity_residual,
 )
-from .rowcon import DefectData, RowContraction, all_words, defect, star_defect
+from .rowcon import DefectData, RowContraction, defect, star_defect
 
 log = logging.getLogger(__name__)
 
 LIFT_TOL = 1e-10
+SPAN_TOL = 1e-9  # a Krylov vector shorter than this after orthogonalization adds nothing
 
 
 @dataclass(frozen=True)
@@ -41,7 +42,7 @@ class Lifting:
     """A contractive lifting E = [[C, 0], [B, A]] with its coupling contraction.
 
     The defects of C, A and E are those of the row contractions, computed
-    once per row contraction; B is stored read-only.
+    once per row contraction; B is stored as read-only copies.
     """
 
     C: RowContraction
@@ -51,7 +52,7 @@ class Lifting:
     E: RowContraction
 
     def __post_init__(self):
-        object.__setattr__(self, "B", tuple(readonly(b) for b in self.B))
+        object.__setattr__(self, "B", tuple(frozen(b) for b in self.B))
 
     @property
     def d(self) -> int:
@@ -212,9 +213,7 @@ def defect_unitary(lift: Lifting, tol: float = 1e-8) -> SigmaUnitary:
     once per lifting and tol.
     """
     def compute():
-        dl = lift.gamma.matrix
-        k_c = lift.dC.rank
-        dstar_delta, sd_range = numlin.psd_root_range(np.eye(k_c) - dl @ dl.conj().T)
+        _, _, dstar_delta, sd_range = lift.gamma.defects
         q_c = lift.dC.space.basis
         t11 = q_c @ dstar_delta @ q_c.conj().T @ lift.dC.D
         t21 = -lift.A.row.conj().T @ lift.gamma_ambient.conj().T @ lift.dC.D
@@ -237,9 +236,7 @@ def star_defect_unitary(lift: Lifting, tol: float = 1e-8) -> SigmaUnitary:
     and tol.
     """
     def compute():
-        dl = lift.gamma.matrix
-        k_sa = lift.dstarA.rank
-        d_delta, dd_range = numlin.psd_root_range(np.eye(k_sa) - dl.conj().T @ dl)
+        d_delta, dd_range, _, _ = lift.gamma.defects
         q_sa = lift.dstarA.space.basis
         t12 = -lift.C.row @ lift.gamma_ambient @ lift.dstarA.D
         t22 = q_sa @ d_delta @ q_sa.conj().T @ lift.dstarA.D
@@ -283,7 +280,7 @@ class IteratedLifting:
         return lift
 
 
-def iterate_liftings(first: Lifting, second: Lifting, tol: float = LIFT_TOL) -> IteratedLifting:
+def iterate_liftings(first: Lifting, second: Lifting) -> IteratedLifting:
     """Assemble the two-step lifting data: split B', form A-hat, extract delta and gamma-hat."""
     if second.C.d != first.E.d or second.C.dim != first.E.dim:
         raise Mismatch("second lifting must lift the first one's E")
@@ -295,12 +292,12 @@ def iterate_liftings(first: Lifting, second: Lifting, tol: float = LIFT_TOL) -> 
     b_hat = tuple(np.vstack([first.B[i], b1p[i]]) for i in range(d))
 
     delta, r_delta = extract_gamma(first.A, second.A, b2p)
-    if r_delta > tol * max(1.0, operator_norm(np.hstack(b2p))):
+    if r_delta > LIFT_TOL * max(1.0, operator_norm(np.hstack(b2p))):
         raise ResidualTooLarge(f"delta extraction residual {r_delta:.3e}")
     # A-hat = [[A, 0], [B2', A']] is E of the lifting of A by A' with coupling delta
     a_hat = _assemble_lifting(first.A, second.A, np.hstack(b2p), delta).E
     gamma_hat, r_hat = extract_gamma(first.C, a_hat, b_hat)
-    if r_hat > tol * max(1.0, operator_norm(np.hstack(b_hat))):
+    if r_hat > LIFT_TOL * max(1.0, operator_norm(np.hstack(b_hat))):
         raise ResidualTooLarge(f"gamma-hat extraction residual {r_hat:.3e}")
     return IteratedLifting(first, second, delta, a_hat, b_hat, gamma_hat, b1p, b2p)
 
@@ -315,20 +312,20 @@ class JuliaHalmos:
     residual: float
 
 
-def julia_halmos(op: SubOperator, tol: float = LIFT_TOL) -> JuliaHalmos:
+def julia_halmos(op: SubOperator) -> JuliaHalmos:
     """The unitary [[D_{*,L}, L], [-L*, D_L]] attached to a contraction L."""
     m = op.matrix
-    if operator_norm(m) > 1.0 + tol:
+    if operator_norm(m) > 1.0 + LIFT_TOL:
         raise NotContraction(f"operator norm {operator_norm(m):.6f} > 1")
-    d_l, _, d_star, _ = numlin.contraction_defects(m)
+    d_l, _, d_star, _ = op.defects
     j = np.block([[d_star, m], [-m.conj().T, d_l]])
     return JuliaHalmos(op, j, unitarity_residual(j))
 
 
 # ---------------------------------------------------------------------------
-# span growth, minimality, resolving couplings
+# span growth and minimality
 
-def krylov_span(mats: list[np.ndarray], seed: np.ndarray, rank_tol: float = 1e-9) -> np.ndarray:
+def krylov_span(mats: list[np.ndarray], seed: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the smallest invariant subspace containing span(seed).
 
     Grows by applying every matrix to the newest vectors with two-pass
@@ -343,7 +340,7 @@ def krylov_span(mats: list[np.ndarray], seed: np.ndarray, rank_tol: float = 1e-9
             for b in basis:
                 v -= b * (b.conj() @ v)
         nrm = np.linalg.norm(v)
-        if nrm <= rank_tol:
+        if nrm <= SPAN_TOL:
             return False
         basis.append(v / nrm)
         return True
@@ -362,47 +359,11 @@ def krylov_span(mats: list[np.ndarray], seed: np.ndarray, rank_tol: float = 1e-9
     return np.column_stack(basis) if basis else np.zeros((n, 0), dtype=np.complex128)
 
 
-def is_minimal_lifting(lift: Lifting, rank_tol: float = 1e-9) -> bool:
+def is_minimal_lifting(lift: Lifting) -> bool:
     """Whether span{ E_w x : x in H_C } exhausts H_E."""
     n = lift.E.dim
     seed = np.zeros((n, lift.C.dim), dtype=np.complex128)
     seed[: lift.C.dim, :] = np.eye(lift.C.dim)
-    span = krylov_span(list(lift.E.ops), seed, rank_tol)
+    span = krylov_span(list(lift.E.ops), seed)
     return span.shape[1] == n
 
-
-def is_resolving(gamma: SubOperator, a: RowContraction, tol: float = 1e-8) -> bool:
-    """Whether ker contains ker: gamma D_{*,A} A_w* h = 0 for all w forces
-    D_{*,A} A_w* h = 0 for all w.
-
-    Stacks observability blocks for word lengths <= L, growing L until the
-    kernel of the gamma-composed stack stabilizes (one confirming sweep).
-    """
-    dsa = star_defect(a)
-    if not gamma.domain.same_basis(dsa.space):
-        raise DimMismatch("gamma domain must be the star-defect space of a")
-    g_amb = gamma.as_ambient()
-    n = a.dim
-
-    def stacks(level: int) -> tuple[np.ndarray, np.ndarray]:
-        rows_o, rows_g = [], []
-        for w in all_words(a.d, level):
-            block = dsa.D @ a.word_product(w).conj().T
-            rows_o.append(block)
-            rows_g.append(g_amb @ block)
-        return np.vstack(rows_o), np.vstack(rows_g)
-
-    prev_dim = None
-    level = 0
-    while True:
-        o_stack, g_stack = stacks(level)
-        ker = numlin.null_subspace(g_stack, 1e-12)
-        if prev_dim is not None and ker.dim == prev_dim:
-            break
-        prev_dim = ker.dim
-        level += 1
-        if level > n + 1:
-            break
-    if ker.dim == 0:
-        return True
-    return operator_norm(o_stack @ ker.basis) <= tol

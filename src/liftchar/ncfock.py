@@ -12,8 +12,7 @@ convention is
     theta x = sum_a  e_{reverse(a)} (x) theta_(a) x,
 
 i.e. the stored coefficient at word a is the coefficient of the basis
-vector indexed by the reversed word.  All consumers must go through
-realize/extract_coeffs to avoid double-reversal bugs.
+vector indexed by the reversed word.
 
 `realize` is matrix-free: it reorders each degree tensor by the reversed
 words and applies the operator and its adjoint to vectors, so the norm and
@@ -32,8 +31,8 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import DimMismatch, IndexOutOfRange
-from .numlin import Subspace, as_complex, direct_sum, max_operator_norm, operator_norm, readonly
-from .rowcon import Word, all_words, reverse_word
+from .numlin import Subspace, as_complex, direct_sum, max_operator_norm, readonly
+from .rowcon import Word, all_words
 
 DEFAULT_DEGREE = 6
 LANCZOS_TOL = 1e-13  # relative a-posteriori bound at which realized_norm stops
@@ -74,25 +73,6 @@ class FockBasis:
 @lru_cache(maxsize=None)
 def fock_basis(d: int, N: int) -> FockBasis:
     return FockBasis(d, N)
-
-
-def creation(basis: FockBasis, side: str, i: int) -> np.ndarray:
-    """Matrix of the creation operator: left prepends, right appends the letter.
-
-    Words that would exceed degree N map to 0.
-    """
-    if not 1 <= i <= basis.d:
-        raise IndexOutOfRange(f"letter {i} outside 1..{basis.d}")
-    if side not in ("left", "right"):
-        raise DimMismatch("side must be 'left' or 'right'")
-    n = len(basis)
-    m = np.zeros((n, n), dtype=np.complex128)
-    for w, j in basis.index.items():
-        if len(w) >= basis.N:
-            continue
-        target = (i,) + w if side == "left" else w + (i,)
-        m[basis.index[target], j] = 1.0
-    return m
 
 
 @dataclass(frozen=True)
@@ -317,29 +297,12 @@ def realize(m: MultiAnalyticOp) -> Realization:
     return Realization(m.basis, m.dom.dim, m.cod.dim, blocks)
 
 
-def extract_coeffs(r: Realization) -> dict[Word, np.ndarray]:
-    """Invert realize by reading the vacuum column block against e_{reverse(a)}."""
-    basis, k_dom, k_cod = r.basis, r.k_dom, r.k_cod
-    col = r.matvec(np.eye(r.shape[1], k_dom, dtype=np.complex128))
-    out: dict[Word, np.ndarray] = {}
-    for a in basis.words:
-        i = basis.index[reverse_word(a)]
-        block = col[i * k_cod : (i + 1) * k_cod, :]
-        if operator_norm(block) > 0.0:
-            out[a] = block
-    return out
-
-
-def degree_diffs(m1: MultiAnalyticOp, m2: MultiAnalyticOp,
-                 up_to: int | None = None) -> Iterator[np.ndarray]:
-    """Coefficient differences m1 - m2, one stack per degree <= up_to that
-    either operand stores (default: the larger truncation degree), made one
-    degree at a time."""
+def degree_diffs(m1: MultiAnalyticOp, m2: MultiAnalyticOp) -> Iterator[np.ndarray]:
+    """Coefficient differences m1 - m2, one stack per degree that either
+    operand stores, made one degree at a time."""
     if m1.basis.d != m2.basis.d or m1.dom.dim != m2.dom.dim or m1.cod.dim != m2.cod.dim:
         raise DimMismatch("coefficient shapes differ")
-    if up_to is None:
-        up_to = max(m1.basis.N, m2.basis.N)
-    g1, g2 = m1.graded[:max(up_to + 1, 0)], m2.graded[:max(up_to + 1, 0)]
+    g1, g2 = m1.graded, m2.graded
     for n in range(max(len(g1), len(g2))):
         if n >= len(g2):
             yield g1[n]
@@ -349,9 +312,9 @@ def degree_diffs(m1: MultiAnalyticOp, m2: MultiAnalyticOp,
             yield g1[n] - g2[n]
 
 
-def coeff_diff(m1: MultiAnalyticOp, m2: MultiAnalyticOp, up_to: int | None = None) -> float:
-    """Max operator-norm deviation of coefficients over words of length <= up_to."""
-    return max((max_operator_norm(t) for t in degree_diffs(m1, m2, up_to)), default=0.0)
+def coeff_diff(m1: MultiAnalyticOp, m2: MultiAnalyticOp) -> float:
+    """Max operator-norm deviation of coefficients over all stored words."""
+    return max((max_operator_norm(t) for t in degree_diffs(m1, m2)), default=0.0)
 
 
 def _probe(n: int, cols: int) -> np.ndarray:

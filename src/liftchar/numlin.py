@@ -10,6 +10,7 @@ so that defect-space coordinates are reproducible across runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -28,6 +29,11 @@ def readonly(m) -> np.ndarray:
     v = as_complex(m).view()
     v.flags.writeable = False
     return v
+
+
+def frozen(m) -> np.ndarray:
+    """A read-only complex copy of m: later writes to the caller's array do not show through."""
+    return readonly(np.array(m, dtype=np.complex128))
 
 
 def memo(owner, key, compute):
@@ -135,10 +141,6 @@ class Subspace:
     def zero(cls, n: int) -> "Subspace":
         return cls(n, np.zeros((n, 0), dtype=np.complex128))
 
-    def project(self) -> np.ndarray:
-        """Orthogonal projection onto the subspace, as an ambient matrix."""
-        return self.basis @ self.basis.conj().T
-
     def coords(self, vectors: np.ndarray) -> np.ndarray:
         """Coordinates of ambient column vectors in this basis."""
         return self.basis.conj().T @ as_complex(vectors)
@@ -218,14 +220,18 @@ def null_subspace(m, rank_tol: float = RANK_TOL) -> Subspace:
 
 @dataclass(frozen=True)
 class SubOperator:
-    """An operator between two subspaces, in their basis coordinates."""
+    """An operator between two subspaces, in their basis coordinates.
+
+    The matrix is stored as a read-only copy, so its cached defects cannot
+    go stale.
+    """
 
     domain: Subspace
     codomain: Subspace
     matrix: np.ndarray  # k_cod x k_dom
 
     def __post_init__(self):
-        m = readonly(self.matrix)
+        m = frozen(self.matrix)
         if m.shape != (self.codomain.dim, self.domain.dim):
             raise DimMismatch(
                 f"matrix shape {m.shape} vs (cod {self.codomain.dim}, dom {self.domain.dim})"
@@ -235,6 +241,11 @@ class SubOperator:
     @property
     def norm(self) -> float:
         return operator_norm(self.matrix)
+
+    @cached_property
+    def defects(self) -> tuple[np.ndarray, Subspace, np.ndarray, Subspace]:
+        """(D, range D, D_*, range D_*) of the matrix, computed once."""
+        return contraction_defects(self.matrix)
 
     def as_ambient(self) -> np.ndarray:
         """The operator as a map between the two ambient spaces."""

@@ -3,7 +3,6 @@ import pytest
 
 from liftchar import charfact
 from liftchar.charfact import (
-    assemble_factorization,
     lifting_char_fn,
     minimal_part,
     resolvent_identity_residual,
@@ -229,7 +228,8 @@ class TestKernelCheck:
         with pytest.raises(ResidualTooLarge, match="ker D_E"):
             lifting_char_fn(example2_iterated().second, 3)
         lift = example2_iterated().second  # fresh: nothing cached on it
-        fn = lifting_char_fn(lift, 3, kernel_tol=1.0)
+        monkeypatch.setattr(charfact, "KERNEL_TOL", 1.0)
+        fn = lifting_char_fn(lift, 3)
         old = _kernel_residual_by_projector(lift, fn)
         assert 0.5e-6 < fn.kernel_residual == pytest.approx(old, rel=1e-12)
 
@@ -262,9 +262,7 @@ class TestMemo:
         assert row_char_fn(a, 4).N == 4
         fn = lifting_char_fn(lift, 3)
         assert lifting_char_fn(lift, 3) is fn
-        assert lifting_char_fn(lift, 3, kernel_tol=1e-8) is fn
         assert lifting_char_fn(lift, 2) is not fn
-        assert lifting_char_fn(lift, 3, kernel_tol=1e-9) is not fn
         assert defect_unitary(lift) is defect_unitary(lift, 1e-8)
         assert defect_unitary(lift, 1e-9) is not defect_unitary(lift)
         assert star_defect_unitary(lift) is star_defect_unitary(lift, 1e-8)
@@ -319,7 +317,7 @@ class TestFactorization:
         assert all(v < 1e-10 for v in rep.residual_columns.values())
 
     def test_assembled_symbol_matches_display(self):
-        rhs = assemble_factorization(example1_iterated(), 2)
+        rhs = verify_factorization(example1_iterated(), 2).rhs
         np.testing.assert_allclose(rhs.coeff(()), [[1 / (2 * S3 * 3), 0, 0]], atol=1e-12)
         np.testing.assert_allclose(rhs.coeff((1,)), [[0, S3, S3]], atol=1e-12)
 
@@ -339,8 +337,8 @@ class TestFactorization:
         second = lifting_from_blocks(first.E, a2, [np.zeros((1, 4))])
         it = iterate_liftings(first, second)
         lhs = lifting_char_fn(it.as_c_lifting, 4).comp
-        rhs = assemble_factorization(it, 4)
-        assert coeff_diff(lhs, rhs, 4) < 1e-10
+        rhs = verify_factorization(it, 4).rhs
+        assert coeff_diff(lhs, rhs) < 1e-10
 
     def test_scalar_random_at_n5(self):
         rng = np.random.default_rng(6)

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from liftchar import ncfock
+from liftchar import charfact, cli, gen, lifting, ncfock, numlin
 from liftchar.charfact import lifting_char_fn, row_char_fn
 from liftchar.cli import (
     INTERTWINE_TOL,
@@ -23,6 +23,7 @@ from liftchar.cli import (
 )
 from liftchar.errors import ParseError, ValidationError
 from liftchar.gen import random_iterated_lifting, random_row_contraction
+from liftchar.lifting import extract_gamma
 from liftchar.ncfock import MultiAnalyticOp
 from liftchar.rowcon import reverse_word
 
@@ -75,7 +76,8 @@ class TestParseScenario:
         np.testing.assert_allclose(np.hstack(scen.iterated.second.E.ops),
                                    0.5 * np.ones((3, 1)) @ np.array([[1, 0, 0]]),
                                    atol=1e-12)
-        assert scen.derivations["gamma_residual"] < 1e-12
+        first = scen.first
+        assert extract_gamma(first.C, first.A, first.B)[1] < 1e-12
 
     def test_packaged_example2(self):
         scen = parse_scenario(_packaged_scenario("example2.json"))
@@ -188,6 +190,11 @@ class TestCommands:
         assert rc == 0
         doc = json.loads(out_file.read_text())
         assert doc["pass"] is True and len(doc["per_seed"]) == 2
+
+    def test_random_suite_exits_two_when_generator_gives_up(self, monkeypatch, capsys):
+        monkeypatch.setattr(gen, "is_minimal_lifting", lambda lift: False)
+        assert main(["random-suite", "--seeds", "1"]) == 2
+        assert "could not draw a minimal iterated lifting" in capsys.readouterr().err
 
 
 def test_console_entry_point_runs():
@@ -313,3 +320,34 @@ def test_sigmas_memory_stays_small():
         tracemalloc.stop()
     assert all(c.passed for c in checks)
     assert peak < 200e6, f"traced peak {peak / 1e6:.0f} MB"
+
+
+def _count_calls(monkeypatch, name, *modules):
+    """Wrap `name` wherever one of the modules binds it; the list gets one entry per call."""
+    calls = []
+    for mod in modules:
+        fn = getattr(mod, name, None)
+        if fn is not None:
+            def counting(*args, _fn=fn, **kw):
+                calls.append(name)
+                return _fn(*args, **kw)
+            monkeypatch.setattr(mod, name, counting)
+    return calls
+
+
+def test_no_duplicate_work(monkeypatch, capsys):
+    # parsing example2 derives four couplings (gamma, gamma', delta, gamma-hat) once
+    # each, and worked-examples splits off each example's minimal part once
+    gammas = _count_calls(monkeypatch, "extract_gamma", lifting, charfact, cli)
+    parse_scenario(_packaged_scenario("example2.json"))
+    assert len(gammas) == 4
+    parts = _count_calls(monkeypatch, "minimal_part", charfact, cli)
+    assert main(["worked-examples"]) == 0
+    assert len(parts) == 2
+    # a coupling's defects are shared by its defect unitaries, Julia-Halmos matrix and
+    # the factorization (drawing the instances included)
+    roots = _count_calls(monkeypatch, "psd_root_range", numlin, charfact, lifting)
+    for s in range(5):
+        it = random_iterated_lifting(np.random.default_rng(s), 2, (2, 2, 2))
+        run_battery(it.first, it, 5, 1e-8, "all")
+    assert len(roots) <= 175
