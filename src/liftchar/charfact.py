@@ -193,9 +193,9 @@ def lifting_char_fn(lift: Lifting, n_deg: int = DEFAULT_DEGREE) -> CharFn:
     B_j = [-A_j* row(B), (D_A^2)_j], columns reordered from H_C^d + H_A^d to
     H_E^d; it is then divided by D_E on its range.  It must vanish on
     ker D_E: the largest ||T_w K|| over the coefficients, K an orthonormal
-    basis of that kernel, is the kernel residual (exactly 0 when D_E is
-    injective) and must not exceed KERNEL_TOL.  Computed once per lifting
-    and degree.
+    basis of that kernel, is the kernel residual (exactly 0, and not
+    computed, when D_E is injective) and must not exceed KERNEL_TOL.
+    Computed once per lifting and degree.
     """
     def compute():
         basis = fock_basis(lift.d, n_deg)
@@ -212,8 +212,10 @@ def lifting_char_fn(lift: Lifting, n_deg: int = DEFAULT_DEGREE) -> CharFn:
 
         cols = d * lift.E.dim
         q_e = lift.dE.space.basis
-        _, ker = psd_root_range(np.eye(cols) - q_e @ q_e.conj().T)
-        k_res = max(max_operator_norm(t @ ker.basis) for t in comp_coeffs)
+        k_res = 0.0
+        if lift.dE.rank < cols:
+            _, ker = psd_root_range(np.eye(cols) - q_e @ q_e.conj().T)
+            k_res = max(max_operator_norm(t @ ker.basis) for t in comp_coeffs)
         if k_res > KERNEL_TOL:
             raise ResidualTooLarge(
                 f"symbol-times-defect does not vanish on ker D_E (residual {k_res:.3e})")

@@ -18,6 +18,9 @@ from .errors import DimMismatch, NotHermitian, NotPSD, NotSquare
 
 RANK_TOL = 1e-10
 ORTH_TOL = 1e-12
+# relative slack between a Frobenius or row/column bound and the spectral norm it
+# stands in for: far wider than the rounding of either
+_BOUND_MARGIN = 1e-8
 
 
 def as_complex(m) -> np.ndarray:
@@ -65,14 +68,39 @@ def max_operator_norm(stack) -> float:
 
     sqrt of the top eigenvalue of each block's smaller Gram matrix, by one
     batched eigvalsh: it agrees with the top singular value to rounding, and
-    costs less than batched SVDs of small blocks.
+    costs less than batched SVDs of small blocks.  Only blocks that could
+    attain the maximum go through it.  Every column and row norm in the
+    stack is a lower bound lb on the answer, and a block's Frobenius norm is
+    an upper bound on its spectral norm, so a block whose Frobenius norm is
+    below lb (1 - 1e-8) is provably below the maximum and is dropped.  The
+    margin is far wider than the rounding of either bound, so the block
+    that attains the maximum is always kept and the value is exactly the
+    one the unpruned stack gives.
     """
     m = np.asarray(stack)
     if m.size == 0:
         return 0.0
+    sq = m.real**2 + m.imag**2
+    lb2 = max(sq.sum(axis=-2).max(), sq.sum(axis=-1).max())
+    # "not below" rather than ">=", so NaN blocks stay in as they always did
+    m = m[~(sq.sum(axis=(-2, -1)) < lb2 * (1.0 - _BOUND_MARGIN) ** 2)]
     mh = m.conj().swapaxes(-1, -2)
     gram = m @ mh if m.shape[-2] <= m.shape[-1] else mh @ m
     return float(np.sqrt(max(np.linalg.eigvalsh(gram)[..., -1].max(), 0.0)))
+
+
+def norm_exceeds(m, bound: float) -> bool:
+    """operator_norm(m) > bound, with the SVD only when the Frobenius norm
+    cannot decide.
+
+    The spectral norm is at most the Frobenius norm, so a Frobenius norm
+    below bound (1 - 1e-8) settles the answer as False; the margin keeps the
+    decision identical to the SVD's under rounding.
+    """
+    m = np.asarray(m)
+    if np.linalg.norm(m) < bound * (1.0 - _BOUND_MARGIN):
+        return False
+    return operator_norm(m) > bound
 
 
 def pinv(m, rank_tol: float = RANK_TOL) -> np.ndarray:
@@ -125,7 +153,7 @@ class Subspace:
             raise DimMismatch(f"basis shape {b.shape} vs ambient {self.ambient_dim}")
         if b.shape[1] > self.ambient_dim:
             raise DimMismatch("more basis vectors than ambient dimension")
-        if b.shape[1] and isometry_residual(b) > ORTH_TOL:
+        if b.shape[1] and norm_exceeds(b.conj().T @ b - np.eye(b.shape[1]), ORTH_TOL):
             raise DimMismatch("basis columns are not orthonormal within 1e-12")
         object.__setattr__(self, "basis", readonly(b))
 
@@ -179,7 +207,7 @@ def psd_root_range(gram, rank_tol: float = RANK_TOL) -> tuple[np.ndarray, Subspa
     # scale floored at 1: everything here is built from contractions, and a
     # purely relative test misfires on near-zero defect operators
     scale = max(operator_norm(gram), 1.0)
-    if operator_norm(gram - gram.conj().T) > rank_tol * scale:
+    if norm_exceeds(gram - gram.conj().T, rank_tol * scale):
         raise NotHermitian("matrix is not Hermitian within tolerance")
     w, v = np.linalg.eigh((gram + gram.conj().T) / 2.0)
     if w[0] < -rank_tol * scale:
@@ -210,12 +238,6 @@ def svd_rank(m, rank_tol: float = RANK_TOL) -> tuple[int, np.ndarray]:
         return 0, np.eye(m.shape[1], dtype=np.complex128)
     _, s, vh = np.linalg.svd(m)
     return int(np.sum(s > rank_tol * max(s[0], 1e-300))), vh
-
-
-def null_subspace(m, rank_tol: float = RANK_TOL) -> Subspace:
-    """Null space of an arbitrary matrix via SVD, same phase convention."""
-    rank, vh = svd_rank(m, rank_tol)
-    return Subspace(vh.shape[0], _fix_phases(vh[rank:].conj().T))
 
 
 @dataclass(frozen=True)

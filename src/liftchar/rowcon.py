@@ -9,7 +9,7 @@ from itertools import product as iter_product
 import numpy as np
 
 from . import numlin
-from .errors import DimMismatch, IndexOutOfRange, NotPSD
+from .errors import DimMismatch, NotPSD
 from .numlin import Subspace, frozen, memo, readonly
 
 ROWCON_TOL = 1e-10
@@ -30,24 +30,10 @@ def all_words(d: int, max_len: int) -> tuple[Word, ...]:
     return tuple(out)
 
 
-def reverse_word(w: Word) -> Word:
-    return tuple(reversed(w))
-
-
 def word_to_str(w: Word, d: int) -> str:
     if d > 9:
         raise DimMismatch("word serialization as digit strings requires d <= 9")
     return "".join(str(c) for c in w)
-
-
-def str_to_word(s: str, d: int) -> Word:
-    if d > 9:
-        raise DimMismatch("word serialization as digit strings requires d <= 9")
-    w = tuple(int(c) for c in s)
-    for c in w:
-        if not 1 <= c <= d:
-            raise IndexOutOfRange(f"letter {c} outside 1..{d}")
-    return w
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ from liftchar.errors import ParseError, ValidationError
 from liftchar.gen import random_iterated_lifting, random_row_contraction
 from liftchar.lifting import extract_gamma
 from liftchar.ncfock import MultiAnalyticOp
-from liftchar.rowcon import reverse_word
 
 
 def write_scenario(tmp_path, name="scen.json", **overrides):
@@ -294,7 +293,7 @@ class TestCharfnChecksCanFail:
         for a, mat in op.coeffs.items():  # e_b (x) x -> e_{reverse(a) + b} (x) theta_(a) x
             for b, j in basis.index.items():
                 if len(a) + len(b) <= basis.N:
-                    i = basis.index[reverse_word(a) + b]
+                    i = basis.index[a[::-1] + b]
                     wrong[i * kc:(i + 1) * kc, j * kd:(j + 1) * kd] += mat
 
         class Prepending:

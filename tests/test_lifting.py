@@ -13,7 +13,7 @@ from liftchar.lifting import (
     make_lifting,
     star_defect_unitary,
 )
-from liftchar.numlin import SubOperator, Subspace, null_subspace, operator_norm, unitarity_residual
+from liftchar.numlin import SubOperator, Subspace, operator_norm, svd_rank, unitarity_residual
 from liftchar.rowcon import RowContraction, all_words, defect, star_defect
 
 S2 = 1 / np.sqrt(2)
@@ -34,6 +34,12 @@ def word_product(a, w):
     for c in w:
         out = out @ a.ops[c - 1]
     return out
+
+
+def null_subspace(m, rank_tol):
+    """Null space of m from its SVD."""
+    rank, vh = svd_rank(m, rank_tol)
+    return Subspace(vh.shape[0], vh[rank:].conj().T)
 
 
 def is_resolving(gamma, a, tol=1e-8):

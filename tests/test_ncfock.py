@@ -18,7 +18,6 @@ from liftchar.ncfock import (
     realized_norm,
 )
 from liftchar.numlin import Subspace, block_diag, max_operator_norm, operator_norm
-from liftchar.rowcon import reverse_word
 
 
 def creation(basis, side, i):
@@ -44,7 +43,7 @@ def extract_coeffs(r):
     col = r.matvec(np.eye(r.shape[1], k_dom, dtype=np.complex128))
     out = {}
     for a in basis.words:
-        i = basis.index[reverse_word(a)]
+        i = basis.index[a[::-1]]
         block = col[i * k_cod : (i + 1) * k_cod, :]
         if operator_norm(block) > 0.0:
             out[a] = block
@@ -93,7 +92,7 @@ def dense_oracle(m):
     nw = len(basis)
     out = np.zeros((nw * kc, nw * kd), dtype=np.complex128)
     for a, mat in m.coeffs.items():
-        ra = reverse_word(a)
+        ra = a[::-1]
         la = len(a)
         for b, j in basis.index.items():
             if len(b) + la > basis.N:
@@ -356,7 +355,74 @@ class TestGradedStorage:
             MultiAnalyticOp(basis, one, one, (np.ones((1, 1, 1)), np.ones((1, 1, 1))))
 
 
+def unpruned_max_operator_norm(stack):
+    """max_operator_norm without pruning: every block through the Gram eigvalsh."""
+    m = np.asarray(stack)
+    if m.size == 0:
+        return 0.0
+    mh = m.conj().swapaxes(-1, -2)
+    gram = m @ mh if m.shape[-2] <= m.shape[-1] else mh @ m
+    return float(np.sqrt(max(np.linalg.eigvalsh(gram)[..., -1].max(), 0.0)))
+
+
+def pruning_stacks():
+    """Stacks where pruning could go wrong: near-ties, one dominant block,
+    equal blocks, rank one (Frobenius equals spectral norm), noise level."""
+    rng = np.random.default_rng(31)
+
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    def unitary(n):
+        return np.linalg.qr(cplx(n, n))[0]
+
+    stacks = {f"random{shape}": cplx(*shape)
+              for shape in [(364, 6, 18), (50, 5, 3), (7, 1, 4), (9, 4, 1), (1, 3, 3)]}
+    a = cplx(4, 6)
+    tie = cplx(30, 4, 6) * 0.1
+    tie[7], tie[19] = a, unitary(4) @ a @ unitary(6)  # equal norms up to rounding
+    stacks["tie_rotated"] = tie
+    tie2 = tie.copy()
+    tie2[19] = a * (1 + 1e-14)
+    stacks["tie_1e-14"] = tie2
+    dom = cplx(100, 3, 5) * 1e-3
+    dom[42] *= 1e5
+    stacks["dominant"] = dom
+    stacks["all_equal"] = np.broadcast_to(a, (12, 4, 6))
+    r1 = cplx(40, 5, 1) @ cplx(40, 1, 7)
+    stacks["rank_one"] = r1
+    stacks["rank_one_tie"] = np.concatenate([r1, r1[::-1] * (1 + 1e-14)])
+    stacks["rank_one_scaled"] = r1 * np.logspace(-8, 2, 40)[:, None, None]
+    stacks["noise"] = cplx(64, 3, 3) * 1e-16
+    stacks["noise_real"] = rng.standard_normal((64, 2, 5)) * 1e-16
+    one_col = np.zeros((20, 4, 5), dtype=complex)
+    one_col[:, :, 2] = cplx(20, 4)  # a column norm is the spectral norm
+    stacks["one_column"] = one_col
+    stacks["zero"] = np.zeros((6, 3, 2))
+    stacks["one_matrix"] = a
+    return stacks
+
+
 class TestMaxOperatorNorm:
+    @pytest.mark.parametrize("name", sorted(pruning_stacks()))
+    def test_pruning_changes_no_value(self, name):
+        stack = pruning_stacks()[name]
+        assert max_operator_norm(stack) == unpruned_max_operator_norm(stack)
+
+    def test_only_candidates_reach_eigvalsh(self, monkeypatch):
+        seen = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(a):
+            seen.append(a.shape[0])
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        stacks = pruning_stacks()
+        max_operator_norm(stacks["dominant"])
+        max_operator_norm(stacks["all_equal"])
+        assert seen == [1, 12]
+
     @pytest.mark.parametrize("shape", [(364, 6, 18), (50, 5, 3), (7, 1, 4), (9, 4, 1), (1, 3, 3)])
     def test_random(self, shape):
         rng = np.random.default_rng(list(shape))

@@ -3,11 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liftchar.errors import NotHermitian, NotPSD, NotSquare
+from liftchar.errors import DimMismatch, NotHermitian, NotPSD, NotSquare
 from liftchar.numlin import (
+    ORTH_TOL,
+    RANK_TOL,
     Subspace,
     SubOperator,
     block_shuffle,
+    isometry_residual,
+    norm_exceeds,
     operator_norm,
     pinv,
     psd_root_range,
@@ -162,6 +166,57 @@ def test_subspace_validation():
     s = Subspace.full(3)
     assert s.dim == 3
     assert Subspace.zero(3).dim == 0
+
+
+class TestNormGates:
+    """Threshold gates decide by the Frobenius norm first; the decision must be
+    the spectral norm's, also where the Frobenius norm exceeds the bound."""
+
+    @staticmethod
+    def perturbed_basis(target):
+        """A dense orthonormal 6 x 3 basis with one entry moved so that its
+        isometry residual (rank two, Frobenius above spectral) is target."""
+        rng = np.random.default_rng(8)
+        q = np.linalg.qr(rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3)))[0]
+
+        def moved(delta):
+            b = q.copy()
+            b[2, 1] += delta
+            return b
+
+        # the residual is linear in delta to 1e-12 relative at this size
+        return moved(1e-12 * target / isometry_residual(moved(1e-12)))
+
+    def test_subspace_gate_at_orth_tol(self):
+        above, below = self.perturbed_basis(1.01 * ORTH_TOL), self.perturbed_basis(0.99 * ORTH_TOL)
+        assert isometry_residual(above) > ORTH_TOL > isometry_residual(below)
+        gram_err = below.conj().T @ below - np.eye(3)
+        assert np.linalg.norm(gram_err) > ORTH_TOL  # the Frobenius norm cannot decide
+        with pytest.raises(DimMismatch):
+            Subspace(6, above)
+        assert Subspace(6, below).dim == 3
+
+    @pytest.mark.parametrize("factor", [1 + 1e-6, 1 - 1e-6])
+    def test_hermitian_gate_at_rank_tol(self, factor):
+        # ||G - G*|| = 2t with Frobenius norm 2t sqrt(2); scale is 1
+        t = factor * RANK_TOL / 2
+        gram = np.diag([0.5 + 1j * t, 0.3 - 1j * t, 0.2])
+        assert np.linalg.norm(gram - gram.conj().T) > RANK_TOL
+        if factor > 1:
+            with pytest.raises(NotHermitian):
+                psd_root_range(gram)
+        else:
+            assert psd_root_range(gram)[1].dim == 3
+
+    def test_norm_exceeds_matches_svd(self):
+        rng = np.random.default_rng(9)
+        for shape in ((4, 4), (3, 7), (7, 3), (1, 1), (5, 1)):
+            m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            s, f = operator_norm(m), np.linalg.norm(m)
+            for bound in (0.5 * s, s * (1 - 1e-15), s, s * (1 + 1e-15), 0.5 * (s + f), f, 2 * f):
+                assert norm_exceeds(m, bound) == (s > bound)
+        assert not norm_exceeds(np.zeros((3, 0)), 0.0)
+        assert not norm_exceeds(np.zeros((2, 2)), 0.0)
 
 
 def test_suboperator_ambient_roundtrip():

@@ -1,15 +1,13 @@
 import numpy as np
 import pytest
 
-from liftchar.errors import IndexOutOfRange, NotPSD
+from liftchar.errors import NotPSD
 from liftchar.numlin import operator_norm
 from liftchar.rowcon import (
     RowContraction,
     all_words,
     defect,
-    reverse_word,
     star_defect,
-    str_to_word,
     word_to_str,
 )
 
@@ -29,14 +27,16 @@ def test_row_contraction_rejects_expansive():
         rc([[1.5]])
 
 
+def str_to_word(s):
+    """Reference inverse of word_to_str."""
+    return tuple(int(c) for c in s)
+
+
 def test_words():
     assert all_words(2, 2) == ((), (1,), (2,), (1, 1), (1, 2), (2, 1), (2, 2))
-    assert reverse_word((1, 2, 2)) == (2, 2, 1)
     assert word_to_str((1, 2), 2) == "12"
-    assert str_to_word("", 3) == ()
-    assert str_to_word("31", 3) == (3, 1)
-    with pytest.raises(IndexOutOfRange):
-        str_to_word("4", 3)
+    assert word_to_str((), 3) == ""
+    assert all(str_to_word(word_to_str(w, 3)) == w for w in all_words(3, 3))
 
 
 class TestDefects:
