@@ -142,13 +142,10 @@ def _build_level(c: RowContraction, a: RowContraction, raw: dict, b_key: str, g_
         except LiftcharError as exc:
             raise ValidationError(f"{b_key}: {exc}") from None
     g = mat_from_json(raw[g_key], g_key)
-    dom, cod = star_defect(a).space, defect(c).space
-    if g.shape != (cod.dim, dom.dim):
-        raise ValidationError(f"{g_key}: shape {g.shape}, expected {(cod.dim, dom.dim)}")
-    gamma = SubOperator(dom, cod, g)
-    if gamma.norm > 1 + 1e-10:
-        raise ValidationError(f"{g_key} not contractive (norm {gamma.norm:.6f})")
-    return make_lifting(c, a, gamma)
+    try:
+        return make_lifting(c, a, SubOperator(star_defect(a).space, defect(c).space, g))
+    except LiftcharError as exc:
+        raise ValidationError(f"{g_key}: {exc}") from None
 
 
 def _is_int(x) -> bool:
@@ -499,7 +496,7 @@ def _expected_symbols(which: str) -> dict[str, dict[tuple, np.ndarray]]:
     }
 
 
-def symbol_matches(fn: CharFn, expected: dict[tuple, np.ndarray], tol: float = 1e-10) -> float:
+def symbol_matches(fn: CharFn, expected: dict[tuple, np.ndarray]) -> float:
     """Max deviation of the ambient symbol from the expected word -> matrix table."""
     amb = fn.ambient_symbol()
     words = set(amb) | set(expected)
@@ -602,6 +599,11 @@ def main(argv: list[str] | None = None) -> int:
     except LiftcharError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        pass
+    # reported once the handler has released the traceback and the frames it holds
+    print("error: out of memory (reduce --degree or the dimensions)", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

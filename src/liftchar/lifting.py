@@ -9,7 +9,7 @@ star-defect space of A to the column-defect space of C.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -25,7 +25,6 @@ from .numlin import (
     frozen,
     memo,
     operator_norm,
-    pinv,
     polar_unitary,
     unitarity_residual,
 )
@@ -120,8 +119,7 @@ def _assemble_lifting(c: RowContraction, a: RowContraction, b_row: np.ndarray,
     return Lifting(c, a, b, gamma, RowContraction(tuple(mats)))
 
 
-def make_lifting(c: RowContraction, a: RowContraction, gamma: SubOperator,
-                 tol: float = LIFT_TOL) -> Lifting:
+def make_lifting(c: RowContraction, a: RowContraction, gamma: SubOperator) -> Lifting:
     """Build the lifting of c by a from the coupling contraction gamma."""
     if c.d != a.d:
         raise DimMismatch("c and a must have the same number of letters")
@@ -131,8 +129,8 @@ def make_lifting(c: RowContraction, a: RowContraction, gamma: SubOperator,
         raise DimMismatch("gamma domain must be the star-defect space of a (same basis)")
     if not gamma.codomain.same_basis(dc.space):
         raise DimMismatch("gamma codomain must be the column-defect space of c (same basis)")
-    if gamma.norm > 1.0 + tol:
-        raise NotContraction(f"coupling has norm {gamma.norm:.6f} > 1")
+    if gamma.norm > 1.0 + LIFT_TOL:
+        raise NotContraction(f"coupling not contractive (norm {gamma.norm:.6f} > 1)")
     b_row = dsa.D @ gamma.as_ambient().conj().T @ dc.D
     return _assemble_lifting(c, a, b_row, gamma)
 
@@ -144,7 +142,7 @@ def extract_gamma(c: RowContraction, a: RowContraction, b) -> tuple[SubOperator,
         raise DimMismatch(f"B row has shape {b_row.shape}, expected {(a.dim, c.d * c.dim)}")
     dc = defect(c)
     dsa = star_defect(a)
-    g_amb = pinv(dc.D) @ b_row.conj().T @ pinv(dsa.D)
+    g_amb = dc.pinv @ b_row.conj().T @ dsa.pinv
     coords = dc.space.coords(g_amb @ dsa.space.basis)
     op = SubOperator(dsa.space, dc.space, coords)
     residual = operator_norm(b_row.conj().T - dc.D @ op.as_ambient() @ dsa.D)
@@ -154,13 +152,14 @@ def extract_gamma(c: RowContraction, a: RowContraction, b) -> tuple[SubOperator,
 def lifting_from_blocks(c: RowContraction, a: RowContraction, b,
                         tol: float = LIFT_TOL) -> Lifting:
     """Build a Lifting from explicit B blocks, verifying the coupling factorization."""
-    gamma, residual = extract_gamma(c, a, b)
-    if residual > tol * max(1.0, operator_norm(np.hstack([as_complex(m) for m in b]))):
+    b_row = np.hstack([as_complex(m) for m in b])
+    gamma, residual = extract_gamma(c, a, b_row)
+    if residual > tol * max(1.0, operator_norm(b_row)):
         raise ResidualTooLarge(
             f"B does not factor as D_C gamma D_*A (residual {residual:.3e})")
     if gamma.norm > 1.0 + 1e-8:
         raise NotContraction(f"extracted coupling has norm {gamma.norm:.6f} > 1")
-    return _assemble_lifting(c, a, np.hstack([as_complex(m) for m in b]), gamma)
+    return _assemble_lifting(c, a, b_row, gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -173,17 +172,17 @@ class SigmaUnitary:
     op: SubOperator
     defining_residual: float  # || sigma D - target || on the ambient space
     unitary_residual: float
-    rank_deficit: int
 
 
-def _certified_sigma(target: np.ndarray, d_op: np.ndarray, dom: Subspace, cod: Subspace,
+def _certified_sigma(target: np.ndarray, dd: DefectData, cod: Subspace,
                      tol: float) -> SigmaUnitary:
     """Unitary s with s (D h) = target h, built as target * pinv(D) on range(D)."""
-    mat = cod.coords(target @ pinv(d_op) @ dom.basis)
+    dom = dd.space
+    mat = cod.coords(target @ dd.pinv @ dom.basis)
     range_resid = cod.contains_residual(target)
 
     def defining(mm: np.ndarray) -> float:
-        return operator_norm(cod.basis @ mm @ dom.basis.conj().T @ d_op - target)
+        return operator_norm(cod.basis @ mm @ dom.basis.conj().T @ dd.D - target)
 
     resid = max(defining(mat), range_resid)
     if mat.shape[0] == mat.shape[1]:
@@ -198,10 +197,10 @@ def _certified_sigma(target: np.ndarray, d_op: np.ndarray, dom: Subspace, cod: S
         un = numlin.isometry_residual(mat) if mat.shape[0] >= mat.shape[1] else float("inf")
     if resid > tol:
         raise ResidualTooLarge(f"defect unitary defining relation residual {resid:.3e}")
-    deficit = cod.dim - dom.dim
-    if deficit:
-        log.warning("defect unitary rank deficit %d (cod %d vs dom %d)", deficit, cod.dim, dom.dim)
-    return SigmaUnitary(SubOperator(dom, cod, mat), resid, float(un), deficit)
+    if cod.dim != dom.dim:
+        log.warning("defect unitary rank deficit %d (cod %d vs dom %d)",
+                    cod.dim - dom.dim, cod.dim, dom.dim)
+    return SigmaUnitary(SubOperator(dom, cod, mat), resid, float(un))
 
 
 def defect_unitary(lift: Lifting, tol: float = 1e-8) -> SigmaUnitary:
@@ -223,7 +222,7 @@ def defect_unitary(lift: Lifting, tol: float = 1e-8) -> SigmaUnitary:
         # column permutation: target consumes H_E^d in its native interleaved order
         star_delta_space = Subspace(lift.d * lift.C.dim, q_c @ sd_range.basis)
         cod = direct_sum(star_delta_space, lift.dA.space)
-        return _certified_sigma(target, lift.dE.D, lift.dE.space, cod, tol)
+        return _certified_sigma(target, lift.dE, cod, tol)
     return memo(lift, ("defect_unitary", tol), compute)
 
 
@@ -246,7 +245,7 @@ def star_defect_unitary(lift: Lifting, tol: float = 1e-8) -> SigmaUnitary:
         ])
         delta_space = Subspace(lift.A.dim, q_sa @ dd_range.basis)
         cod = direct_sum(lift.dstarC.space, delta_space)
-        return _certified_sigma(target, lift.dstarE.D, lift.dstarE.space, cod, tol)
+        return _certified_sigma(target, lift.dstarE, cod, tol)
     return memo(lift, ("star_defect_unitary", tol), compute)
 
 
@@ -257,49 +256,41 @@ def star_defect_unitary(lift: Lifting, tol: float = 1e-8) -> SigmaUnitary:
 class IteratedLifting:
     """E' lifting E lifting C, rearranged as the one-step lifting of C by A-hat."""
 
-    first: Lifting   # E over C (coupling gamma)
-    second: Lifting  # E' over E (coupling gamma')
-    delta: SubOperator       # star-defect of A' -> column-defect of A
-    a_hat: RowContraction    # [[A, 0], [B2', A']]
-    b_hat: tuple[np.ndarray, ...]
-    gamma_hat: SubOperator   # star-defect of A-hat -> column-defect of C
-    b1p: tuple[np.ndarray, ...]
-    b2p: tuple[np.ndarray, ...]
+    first: Lifting         # E over C (coupling gamma)
+    second: Lifting        # E' over E (coupling gamma')
+    ahat_lifting: Lifting  # A-hat = [[A, 0], [B2', A']] over A (coupling delta)
+    as_c_lifting: Lifting  # E' as C lifted by A-hat (coupling gamma-hat); E is second.E
 
-    @cached_property
-    def ahat_lifting(self) -> Lifting:
-        """A-hat as the lifting of A by A' with coupling delta."""
-        return Lifting(self.first.A, self.second.A, self.b2p, self.delta, self.a_hat)
+    @property
+    def delta(self) -> SubOperator:
+        """Star-defect of A' -> column-defect of A."""
+        return self.ahat_lifting.gamma
 
-    @cached_property
-    def as_c_lifting(self) -> Lifting:
-        """E' viewed as a lifting of C by A-hat."""
-        lift = _assemble_lifting(self.first.C, self.a_hat, np.hstack(self.b_hat), self.gamma_hat)
-        if operator_norm(np.hstack(lift.E.ops) - np.hstack(self.second.E.ops)) > 1e-12:
-            raise Mismatch("reassembled E' disagrees with the given one")
-        return lift
+    @property
+    def a_hat(self) -> RowContraction:
+        return self.ahat_lifting.E
+
+    @property
+    def gamma_hat(self) -> SubOperator:
+        """Star-defect of A-hat -> column-defect of C."""
+        return self.as_c_lifting.gamma
 
 
 def iterate_liftings(first: Lifting, second: Lifting) -> IteratedLifting:
-    """Assemble the two-step lifting data: split B', form A-hat, extract delta and gamma-hat."""
+    """Split B' = [B1', B2'], lift A by A' with B2' (that is A-hat), and lift C
+    by A-hat with [B; B1'], reusing second.E as the latter's E."""
     if second.C.d != first.E.d or second.C.dim != first.E.dim:
         raise Mismatch("second lifting must lift the first one's E")
     if operator_norm(np.hstack(second.C.ops) - np.hstack(first.E.ops)) > 1e-10:
         raise Mismatch("second.C differs from first.E")
-    d, nc = first.d, first.C.dim
-    b1p = tuple(second.B[i][:, :nc] for i in range(d))
-    b2p = tuple(second.B[i][:, nc:] for i in range(d))
-    b_hat = tuple(np.vstack([first.B[i], b1p[i]]) for i in range(d))
-
-    delta, r_delta = extract_gamma(first.A, second.A, b2p)
-    if r_delta > LIFT_TOL * max(1.0, operator_norm(np.hstack(b2p))):
-        raise ResidualTooLarge(f"delta extraction residual {r_delta:.3e}")
-    # A-hat = [[A, 0], [B2', A']] is E of the lifting of A by A' with coupling delta
-    a_hat = _assemble_lifting(first.A, second.A, np.hstack(b2p), delta).E
-    gamma_hat, r_hat = extract_gamma(first.C, a_hat, b_hat)
-    if r_hat > LIFT_TOL * max(1.0, operator_norm(np.hstack(b_hat))):
-        raise ResidualTooLarge(f"gamma-hat extraction residual {r_hat:.3e}")
-    return IteratedLifting(first, second, delta, a_hat, b_hat, gamma_hat, b1p, b2p)
+    nc = first.C.dim
+    ahat_lifting = lifting_from_blocks(first.A, second.A, [bp[:, nc:] for bp in second.B])
+    b_hat = [np.vstack([b, bp[:, :nc]]) for b, bp in zip(first.B, second.B)]
+    as_c = lifting_from_blocks(first.C, ahat_lifting.E, b_hat)
+    if operator_norm(np.hstack(as_c.E.ops) - np.hstack(second.E.ops)) > 1e-12:
+        raise Mismatch("reassembled E' disagrees with the given one")
+    # the given E' itself, so that its defects are computed once
+    return IteratedLifting(first, second, ahat_lifting, replace(as_c, E=second.E))
 
 
 # ---------------------------------------------------------------------------
@@ -307,8 +298,7 @@ def iterate_liftings(first: Lifting, second: Lifting) -> IteratedLifting:
 
 @dataclass(frozen=True)
 class JuliaHalmos:
-    L: SubOperator
-    J: np.ndarray  # on cod(L) + dom(L) coordinates
+    J: np.ndarray  # on cod(L) + dom(L) coordinates of the contraction L
     residual: float
 
 
@@ -319,7 +309,7 @@ def julia_halmos(op: SubOperator) -> JuliaHalmos:
         raise NotContraction(f"operator norm {operator_norm(m):.6f} > 1")
     d_l, _, d_star, _ = op.defects
     j = np.block([[d_star, m], [-m.conj().T, d_l]])
-    return JuliaHalmos(op, j, unitarity_residual(j))
+    return JuliaHalmos(j, unitarity_residual(j))
 
 
 # ---------------------------------------------------------------------------

@@ -103,12 +103,12 @@ def norm_exceeds(m, bound: float) -> bool:
     return operator_norm(m) > bound
 
 
-def pinv(m, rank_tol: float = RANK_TOL) -> np.ndarray:
-    """Moore-Penrose pseudo-inverse, singular values below rank_tol*s_max -> 0."""
+def pinv(m) -> np.ndarray:
+    """Moore-Penrose pseudo-inverse, singular values below RANK_TOL*s_max -> 0."""
     m = as_complex(m)
     if m.size == 0:
         return np.zeros((m.shape[1], m.shape[0]), dtype=np.complex128)
-    return np.linalg.pinv(m, rcond=rank_tol)
+    return np.linalg.pinv(m, rcond=RANK_TOL)
 
 
 def unitarity_residual(m) -> float:
@@ -178,11 +178,12 @@ class Subspace:
         v = as_complex(vectors)
         return operator_norm(v - self.basis @ (self.basis.conj().T @ v))
 
-    def same_basis(self, other: "Subspace", tol: float = 1e-10) -> bool:
+    def same_basis(self, other: "Subspace") -> bool:
+        """Same ambient space and basis vectors, to 1e-10 in operator norm."""
         return (
             self.ambient_dim == other.ambient_dim
             and self.dim == other.dim
-            and (self.dim == 0 or operator_norm(self.basis - other.basis) <= tol)
+            and (self.dim == 0 or not norm_exceeds(self.basis - other.basis, 1e-10))
         )
 
 
@@ -193,7 +194,9 @@ def psd_root_range(gram, rank_tol: float = RANK_TOL) -> tuple[np.ndarray, Subspa
     rank_tol * max eigenvalue are set to exactly zero before taking square
     roots, so the root, its range basis, and pseudo-inverses stay mutually
     consistent.  (Rank decisions on the root itself would see noise
-    amplified to sqrt(eps).)  Eigenvalues below -rank_tol * scale raise
+    amplified to sqrt(eps).)  The gates take their scale from the same
+    eigenvalues, max(|w|, 1): an anti-Hermitian part above rank_tol * scale
+    raises NotHermitian, and eigenvalues below -rank_tol * scale raise
     NotPSD.  The range basis is ordered by descending eigenvalue with the
     first nonzero coordinate of each vector real positive, so it is
     reproducible for identical inputs.
@@ -204,12 +207,12 @@ def psd_root_range(gram, rank_tol: float = RANK_TOL) -> tuple[np.ndarray, Subspa
     n = gram.shape[0]
     if n == 0:
         return gram.copy(), Subspace.zero(0)
+    w, v = np.linalg.eigh((gram + gram.conj().T) / 2.0)
     # scale floored at 1: everything here is built from contractions, and a
     # purely relative test misfires on near-zero defect operators
-    scale = max(operator_norm(gram), 1.0)
+    scale = max(-w[0], w[-1], 1.0)
     if norm_exceeds(gram - gram.conj().T, rank_tol * scale):
         raise NotHermitian("matrix is not Hermitian within tolerance")
-    w, v = np.linalg.eigh((gram + gram.conj().T) / 2.0)
     if w[0] < -rank_tol * scale:
         raise NotPSD(f"negative eigenvalue {w[0]:.3e} below -tol*norm")
     lam_max = max(float(w[-1]), 0.0)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product as iter_product
 
 import numpy as np
@@ -81,7 +81,8 @@ class RowContraction:
 
 @dataclass(frozen=True)
 class DefectData:
-    """Positive square root D together with the closure of its range."""
+    """Positive square root D together with the closure of its range, and its
+    pseudo-inverse, computed once."""
 
     D: np.ndarray
     space: Subspace
@@ -93,6 +94,11 @@ class DefectData:
     @property
     def rank(self) -> int:
         return self.space.dim
+
+    @cached_property
+    def pinv(self) -> np.ndarray:
+        """The pseudo-inverse of D (read-only), the inverse of D on its range."""
+        return readonly(numlin.pinv(self.D))
 
 
 def defect(s: RowContraction) -> DefectData:

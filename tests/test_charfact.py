@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -273,6 +275,18 @@ class TestMemo:
         assert it.ahat_lifting is it.ahat_lifting
         assert it.ahat_lifting.E is it.a_hat
 
+    def test_derived_liftings_share_their_objects(self):
+        # A-hat, E' over C and E-tilde are each one object, so their defects
+        # are decomposed once
+        it = random_iterated_lifting(np.random.default_rng(12), 2, (1, 2, 1))
+        assert it.as_c_lifting.E is it.second.E
+        assert it.ahat_lifting.E is it.a_hat
+        assert it.delta is it.ahat_lifting.gamma
+        assert it.gamma_hat is it.as_c_lifting.gamma
+        assert it.as_c_lifting.A is it.a_hat
+        mp = minimal_part(it.first, it.second)
+        assert mp.tilde_lifting.E is mp.e_tilde
+
     def test_equal_objects_do_not_share(self):
         # the store belongs to the instance, not to equal values
         make = lambda: random_iterated_lifting(np.random.default_rng(12), 2, (1, 2, 1))
@@ -316,6 +330,32 @@ class TestFactorization:
         assert rep.passed
         assert rep.residual < 1e-10
         assert all(v < 1e-10 for v in rep.residual_columns.values())
+
+    def test_projection_leak_fails_its_own_line(self, monkeypatch):
+        # delta = 1, so D_delta = 0 and the whole third block of the composite
+        # is leak; perturbing the Julia-Halmos matrix puts 1e-3 there, which
+        # the projection then removes from both sides of the identity
+        first = lifting_from_blocks(rc([[0.5]]), rc([[0.0]]), [np.array([[0.5]])])
+        second = lifting_from_blocks(first.E, rc([[0.0]]), [np.array([[0.0, 1.0]])])
+        it = iterate_liftings(first, second)
+        assert abs(it.delta.matrix[0, 0] - 1.0) < 1e-12
+        julia_halmos = charfact.julia_halmos
+
+        def perturbed(op):
+            jh = julia_halmos(op)
+            j = jh.J.copy()
+            j[-1, :] += 1e-3
+            return dataclasses.replace(jh, J=j)
+
+        monkeypatch.setattr(charfact, "julia_halmos", perturbed)
+        checks = {c.name: c for c in run_battery(first, it, 3, 1e-8, "factorization")}
+        leak = checks["factorization-leak"]
+        assert leak.residual == pytest.approx(1e-3, rel=1e-9)
+        assert not leak.passed
+        assert [name for name, c in checks.items() if not c.passed] == ["factorization-leak"]
+        for name in ("factorization", "factorization[HC_columns]",
+                     "factorization[HAhat_columns]"):
+            assert checks[name].residual < 1e-14
 
     def test_assembled_symbol_matches_display(self):
         rhs = verify_factorization(example1_iterated(), 2).rhs

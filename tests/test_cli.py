@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -8,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from liftchar import charfact, cli, gen, lifting, ncfock, numlin
+from liftchar import charfact, cli, gen, lifting, ncfock, numlin, rowcon
 from liftchar.charfact import lifting_char_fn, row_char_fn
 from liftchar.cli import (
     INTERTWINE_TOL,
@@ -350,3 +351,44 @@ def test_no_duplicate_work(monkeypatch, capsys):
         it = random_iterated_lifting(np.random.default_rng(s), 2, (2, 2, 2))
         run_battery(it.first, it, 5, 1e-8, "all")
     assert len(roots) <= 175
+
+
+def test_nothing_decomposed_twice(monkeypatch):
+    # every PSD eigendecomposition and pseudo-inverse of a battery has its own
+    # input: the derived liftings share their row contractions, and a defect's
+    # pseudo-inverse is kept with it (d = 2, where no two defects of a generic
+    # instance coincide)
+    seen = {"psd_root_range": [], "pinv": []}
+    for name, inputs in seen.items():
+        fn = getattr(numlin, name)
+
+        def recording(m, *args, _fn=fn, _inputs=inputs, **kw):
+            m = np.asarray(m)
+            if m.size:
+                _inputs.append(m.shape + (m.tobytes(),))
+            return _fn(m, *args, **kw)
+
+        for mod in (numlin, rowcon, lifting, charfact, cli):
+            if getattr(mod, name, None) is fn:
+                monkeypatch.setattr(mod, name, recording)
+    it = random_iterated_lifting(np.random.default_rng(12), 2, (2, 2, 2))
+    assert all(c.passed for c in run_battery(it.first, it, 4, 1e-8, "all"))
+    for name, inputs in seen.items():
+        assert inputs, name
+        assert len(set(inputs)) == len(inputs), f"{name} repeats an input"
+
+
+def test_out_of_memory_exits_two():
+    # the address-space cap applies to the child process only
+    cap = 600_000 * 1024
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "liftchar", "verify", _packaged_scenario("example1.json"),
+         "--degree", "100000000"],
+        capture_output=True, text=True, preexec_fn=limit, timeout=120)
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert any(line.startswith("error:") for line in proc.stderr.splitlines())
+    assert "Traceback" not in proc.stderr

@@ -190,7 +190,7 @@ class TestIterate:
         second = lifting_from_blocks(first.E, rc([[0.0]]), [np.array([[0.5, 0.0]])])
         it = iterate_liftings(first, second)
         np.testing.assert_allclose(np.hstack(it.a_hat.ops), np.zeros((2, 2)), atol=1e-14)
-        np.testing.assert_allclose(it.b_hat[0], [[0.5], [0.5]], atol=1e-14)
+        np.testing.assert_allclose(it.as_c_lifting.B[0], [[0.5], [0.5]], atol=1e-14)
         np.testing.assert_allclose(it.gamma_hat.as_ambient(), [[S3, S3]], atol=1e-12)
         cl = it.as_c_lifting
         np.testing.assert_allclose(np.hstack(cl.E.ops), np.hstack(second.E.ops), atol=1e-14)

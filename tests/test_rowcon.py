@@ -12,6 +12,9 @@ from liftchar.rowcon import (
 )
 
 
+S2 = 1 / np.sqrt(2)
+
+
 def rc(*mats):
     return RowContraction(tuple(np.asarray(m, dtype=complex) for m in mats))
 
@@ -96,3 +99,13 @@ class TestStoredOnce:
         assert defect(s).kind == "column" and star_defect(s).kind == "star"
         # another instance with the same entries keeps its own store
         assert defect(RowContraction(s.ops)) is not defect(s)
+
+    def test_pseudo_inverse_is_stored_once(self):
+        # a rank-one column defect, so the pseudo-inverse is not an inverse
+        dd = defect(rc([[S2]], [[S2]]))
+        assert dd.rank == 1
+        assert dd.pinv is dd.pinv
+        np.testing.assert_allclose(dd.pinv @ dd.D @ dd.pinv, dd.pinv, atol=1e-14)
+        np.testing.assert_allclose(dd.D @ dd.pinv @ dd.D, dd.D, atol=1e-14)
+        with pytest.raises(ValueError):
+            dd.pinv[0, 0] = 2.0
