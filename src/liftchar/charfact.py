@@ -24,7 +24,6 @@ import numpy as np
 from .errors import (
     DimMismatch,
     Mismatch,
-    NotContraction,
     NotPurelyContractive,
     OracleMismatch,
     ResidualTooLarge,
@@ -72,6 +71,7 @@ from .numlin import (
     operator_norm,
     pinv,
     psd_root_range,
+    require_contraction,
     svd_rank,
     unitarity_residual,
 )
@@ -153,7 +153,6 @@ class CharFn:
 
     op: MultiAnalyticOp
     comp: MultiAnalyticOp
-    N: int
     crosscheck_residual: float
     kernel_residual: float = 0.0
 
@@ -179,7 +178,7 @@ def row_char_fn(a: RowContraction, n_deg: int = DEFAULT_DEGREE) -> CharFn:
         comp_coeffs = tuple(q_sa.conj().T @ t for t in amb)
         op = MultiAnalyticOp(basis, da.space, dsa.space, tuple(t @ q_a for t in comp_coeffs))
         comp = MultiAnalyticOp(basis, Subspace.full(a.d * n), dsa.space, comp_coeffs)
-        return CharFn(op, comp, n_deg, resid)
+        return CharFn(op, comp, resid)
     return memo(a, ("row_char_fn", n_deg), compute)
 
 
@@ -224,7 +223,7 @@ def lifting_char_fn(lift: Lifting, n_deg: int = DEFAULT_DEGREE) -> CharFn:
         op = MultiAnalyticOp(basis, lift.dE.space, lift.dC.space,
                              tuple(t @ de_pinv_q for t in comp_coeffs))
         comp = MultiAnalyticOp(basis, Subspace.full(cols), lift.dC.space, comp_coeffs)
-        return CharFn(op, comp, n_deg, resid, k_res)
+        return CharFn(op, comp, resid, k_res)
     return memo(lift, ("lifting_char_fn", n_deg), compute)
 
 
@@ -539,18 +538,18 @@ class SynthesisReport:
 
 
 def synthesize_lifting(c: RowContraction, a: RowContraction, a2: RowContraction,
-                       lam, u, n_deg: int = DEFAULT_DEGREE, tol: float = 1e-8, *,
-                       require_pure: bool = True) -> tuple[Lifting, SynthesisReport]:
+                       lam, u, n_deg: int = DEFAULT_DEGREE,
+                       tol: float = 1e-8) -> tuple[Lifting, SynthesisReport]:
     """From a contraction lam and a unitary u, build the two-step lifting whose
     characteristic function coincides with the prescribed factored operator.
 
     lam maps (star-defect of a) + F_* into the column-defect space of c;
     u maps F + (star-defect of a2) onto (column-defect of a) + F_*.
     F and F_* are abstract coordinate spaces whose dimensions are read off
-    the shapes.  When the vacuum coefficient of the inner factored operator
-    is a strict contraction (margin PURE_MARGIN), F and F_* are exhausted by the
-    defect data and the construction is certified unitary; require_pure=False
-    degrades to partial-isometry extensions instead of raising.
+    the shapes.  The vacuum coefficient of the inner factored operator must
+    be a strict contraction (margin PURE_MARGIN), with full-rank corner blocks,
+    or NotPurelyContractive is raised; then F and F_* are exhausted by the
+    defect data and the construction is certified unitary.
     """
     lam = as_complex(lam)
     u = as_complex(u)
@@ -564,8 +563,7 @@ def synthesize_lifting(c: RowContraction, a: RowContraction, a2: RowContraction,
     if u.shape[0] != u.shape[1] or u.shape[0] != k_a + f_star or u.shape[1] < k_sa2:
         raise DimMismatch(f"u shape {u.shape} incompatible (need square {k_a + f_star})")
     f_dim = u.shape[1] - k_sa2
-    if operator_norm(lam) > 1.0 + 1e-10:
-        raise NotContraction(f"lam has norm {operator_norm(lam):.6f} > 1")
+    require_contraction(lam)
     u_res = unitarity_residual(u)
     if u_res > tol:
         raise ValidationError(f"u is not unitary within tolerance ({u_res:.3e})")
@@ -583,7 +581,7 @@ def synthesize_lifting(c: RowContraction, a: RowContraction, a2: RowContraction,
 
     pure = (pure_margin > PURE_MARGIN and svd_rank(p_blk)[0] == f_dim
             and svd_rank(s_blk.conj().T)[0] == f_star)
-    if require_pure and not pure:
+    if not pure:
         raise NotPurelyContractive(
             f"vacuum margin {pure_margin:.3e} or rank deficiency of the corner blocks")
 
@@ -595,11 +593,10 @@ def synthesize_lifting(c: RowContraction, a: RowContraction, a2: RowContraction,
     u2 = q_sr.conj().T @ d_sr @ pinv(s_blk.conj().T)
     u1_res = operator_norm(u1 @ p_blk - q_r.conj().T @ d_r)
     u2_res = operator_norm(u2 @ s_blk.conj().T - q_sr.conj().T @ d_sr)
-    if pure:
-        if unitarity_residual(u1) > tol or unitarity_residual(u2) > tol:
-            raise UnitaryExtensionFailure(
-                f"isometry extensions not unitary ({unitarity_residual(u1):.3e}, "
-                f"{unitarity_residual(u2):.3e})")
+    if unitarity_residual(u1) > tol or unitarity_residual(u2) > tol:
+        raise UnitaryExtensionFailure(
+            f"isometry extensions not unitary ({unitarity_residual(u1):.3e}, "
+            f"{unitarity_residual(u2):.3e})")
 
     ahat_lift = make_lifting(a, a2, delta)
     sig_ah = defect_unitary(ahat_lift, tol)
@@ -625,7 +622,7 @@ def synthesize_lifting(c: RowContraction, a: RowContraction, a2: RowContraction,
     g_hat = gamma_hat.matrix
     q_star_ghat = gamma_hat.defects[3].basis
     leak = operator_norm(np.eye(k_c) - q_star_ghat @ q_star_ghat.conj().T) if k_c else 0.0
-    if leak > tol and require_pure:
+    if leak > tol:
         raise SubspaceLeak(f"first slot leaves the range of the splitting unitary ({leak:.3e})")
     sig_inv = const_op(basis, Subspace.full(k_c + ahat_lift.dE.rank), eprime.dE.space,
                        sig_ep.op.matrix.conj().T @ block_diag(q_star_ghat.conj().T,

@@ -17,8 +17,8 @@ class NotSquare(LiftcharError):
     pass
 
 
-class NotContraction(LiftcharError):
-    pass
+class NotContraction(NotPSD):
+    """A matrix of norm above 1: I - mm* is not PSD."""
 
 
 class DimMismatch(LiftcharError, ValueError):

@@ -9,13 +9,13 @@ star-defect space of A to the column-defect space of C.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from . import numlin
-from .errors import DimMismatch, Mismatch, NotContraction, ResidualTooLarge
+from .errors import DimMismatch, Mismatch, ResidualTooLarge
 from .numlin import (
     Subspace,
     SubOperator,
@@ -24,15 +24,18 @@ from .numlin import (
     direct_sum,
     frozen,
     memo,
+    norm_exceeds,
     operator_norm,
     polar_unitary,
+    readonly,
+    require_contraction,
     unitarity_residual,
 )
 from .rowcon import DefectData, RowContraction, defect, star_defect
 
 log = logging.getLogger(__name__)
 
-LIFT_TOL = 1e-10
+LIFT_TOL = 1e-10  # relative residual of a coupling factorization extracted from B blocks
 SPAN_TOL = 1e-9  # a Krylov vector shorter than this after orthogonalization adds nothing
 
 
@@ -103,10 +106,9 @@ class Lifting:
         return idx[:nc], idx[nc:]
 
 
-def _assemble_lifting(c: RowContraction, a: RowContraction, b_row: np.ndarray,
-                      gamma: SubOperator) -> Lifting:
-    """E_i = [[C_i, 0], [B_i, A_i]] with row(B) split into its d blocks; building
-    E validates it as a row contraction (the "if" direction of the factorization)."""
+def _lifting_blocks(c: RowContraction, a: RowContraction,
+                    b_row: np.ndarray) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """row(B) split into its d blocks B_i, and E_i = [[C_i, 0], [B_i, A_i]]."""
     nc, na = c.dim, a.dim
     b = tuple(b_row[:, i * nc : (i + 1) * nc] for i in range(c.d))
     mats = []
@@ -116,7 +118,15 @@ def _assemble_lifting(c: RowContraction, a: RowContraction, b_row: np.ndarray,
         e[nc:, :nc] = bi
         e[nc:, nc:] = ai
         mats.append(e)
-    return Lifting(c, a, b, gamma, RowContraction(tuple(mats)))
+    return b, tuple(mats)
+
+
+def _assemble_lifting(c: RowContraction, a: RowContraction, b_row: np.ndarray,
+                      gamma: SubOperator) -> Lifting:
+    """The lifting with blocks E_i = [[C_i, 0], [B_i, A_i]]; building E validates
+    it as a row contraction (the "if" direction of the factorization)."""
+    b, mats = _lifting_blocks(c, a, b_row)
+    return Lifting(c, a, b, gamma, RowContraction(mats))
 
 
 def make_lifting(c: RowContraction, a: RowContraction, gamma: SubOperator) -> Lifting:
@@ -129,8 +139,7 @@ def make_lifting(c: RowContraction, a: RowContraction, gamma: SubOperator) -> Li
         raise DimMismatch("gamma domain must be the star-defect space of a (same basis)")
     if not gamma.codomain.same_basis(dc.space):
         raise DimMismatch("gamma codomain must be the column-defect space of c (same basis)")
-    if gamma.norm > 1.0 + LIFT_TOL:
-        raise NotContraction(f"coupling not contractive (norm {gamma.norm:.6f} > 1)")
+    require_contraction(gamma.matrix)
     b_row = dsa.D @ gamma.as_ambient().conj().T @ dc.D
     return _assemble_lifting(c, a, b_row, gamma)
 
@@ -149,17 +158,23 @@ def extract_gamma(c: RowContraction, a: RowContraction, b) -> tuple[SubOperator,
     return op, residual
 
 
-def lifting_from_blocks(c: RowContraction, a: RowContraction, b,
-                        tol: float = LIFT_TOL) -> Lifting:
-    """Build a Lifting from explicit B blocks, verifying the coupling factorization."""
-    b_row = np.hstack([as_complex(m) for m in b])
+def _coupling_from_blocks(c: RowContraction, a: RowContraction, b_row: np.ndarray,
+                         tol: float) -> SubOperator:
+    """The coupling extracted from row(B), which must factor within tol * max(1, ||B||)
+    and be a contraction."""
     gamma, residual = extract_gamma(c, a, b_row)
     if residual > tol * max(1.0, operator_norm(b_row)):
         raise ResidualTooLarge(
             f"B does not factor as D_C gamma D_*A (residual {residual:.3e})")
-    if gamma.norm > 1.0 + 1e-8:
-        raise NotContraction(f"extracted coupling has norm {gamma.norm:.6f} > 1")
-    return _assemble_lifting(c, a, b_row, gamma)
+    require_contraction(gamma.matrix)
+    return gamma
+
+
+def lifting_from_blocks(c: RowContraction, a: RowContraction, b,
+                        tol: float = LIFT_TOL) -> Lifting:
+    """Build a Lifting from explicit B blocks, verifying the coupling factorization."""
+    b_row = np.hstack([as_complex(m) for m in b])
+    return _assemble_lifting(c, a, b_row, _coupling_from_blocks(c, a, b_row, tol))
 
 
 # ---------------------------------------------------------------------------
@@ -278,19 +293,22 @@ class IteratedLifting:
 
 def iterate_liftings(first: Lifting, second: Lifting) -> IteratedLifting:
     """Split B' = [B1', B2'], lift A by A' with B2' (that is A-hat), and lift C
-    by A-hat with [B; B1'], reusing second.E as the latter's E."""
+    by A-hat with [B; B1'], whose E is second.E itself once its blocks agree."""
     if second.C.d != first.E.d or second.C.dim != first.E.dim:
         raise Mismatch("second lifting must lift the first one's E")
-    if operator_norm(np.hstack(second.C.ops) - np.hstack(first.E.ops)) > 1e-10:
+    if norm_exceeds(np.hstack(second.C.ops) - np.hstack(first.E.ops), 1e-10):
         raise Mismatch("second.C differs from first.E")
     nc = first.C.dim
     ahat_lifting = lifting_from_blocks(first.A, second.A, [bp[:, nc:] for bp in second.B])
-    b_hat = [np.vstack([b, bp[:, :nc]]) for b, bp in zip(first.B, second.B)]
-    as_c = lifting_from_blocks(first.C, ahat_lifting.E, b_hat)
-    if operator_norm(np.hstack(as_c.E.ops) - np.hstack(second.E.ops)) > 1e-12:
+    a_hat = ahat_lifting.E
+    b_hat = np.hstack([np.vstack([b, bp[:, :nc]]) for b, bp in zip(first.B, second.B)])
+    gamma_hat = _coupling_from_blocks(first.C, a_hat, b_hat, LIFT_TOL)
+    b, mats = _lifting_blocks(first.C, a_hat, b_hat)
+    if norm_exceeds(np.hstack(mats) - np.hstack(second.E.ops), 1e-12):
         raise Mismatch("reassembled E' disagrees with the given one")
     # the given E' itself, so that its defects are computed once
-    return IteratedLifting(first, second, ahat_lifting, replace(as_c, E=second.E))
+    return IteratedLifting(first, second, ahat_lifting,
+                           Lifting(first.C, a_hat, b, gamma_hat, second.E))
 
 
 # ---------------------------------------------------------------------------
@@ -303,13 +321,15 @@ class JuliaHalmos:
 
 
 def julia_halmos(op: SubOperator) -> JuliaHalmos:
-    """The unitary [[D_{*,L}, L], [-L*, D_L]] attached to a contraction L."""
-    m = op.matrix
-    if operator_norm(m) > 1.0 + LIFT_TOL:
-        raise NotContraction(f"operator norm {operator_norm(m):.6f} > 1")
-    d_l, _, d_star, _ = op.defects
-    j = np.block([[d_star, m], [-m.conj().T, d_l]])
-    return JuliaHalmos(j, unitarity_residual(j))
+    """The unitary [[D_{*,L}, L], [-L*, D_L]] attached to a contraction L, computed
+    once per operator (J read-only)."""
+    def compute():
+        m = op.matrix
+        require_contraction(m)
+        d_l, _, d_star, _ = op.defects
+        j = np.block([[d_star, m], [-m.conj().T, d_l]])
+        return JuliaHalmos(readonly(j), unitarity_residual(j))
+    return memo(op, "julia_halmos", compute)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimMismatch, NotHermitian, NotPSD, NotSquare
+from .errors import DimMismatch, NotContraction, NotHermitian, NotPSD, NotSquare
 
 RANK_TOL = 1e-10
 ORTH_TOL = 1e-12
@@ -187,6 +187,33 @@ class Subspace:
         )
 
 
+def _below_psd(w: np.ndarray, rank_tol: float) -> bool:
+    """The PSD gate on ascending eigenvalues w: w[0] < -rank_tol * max(-w[0], w[-1], 1).
+
+    The scale is floored at 1: everything here is built from contractions,
+    and a purely relative test misfires on near-zero defect operators.
+    """
+    return w[0] < -rank_tol * max(-w[0], w[-1], 1.0)
+
+
+def require_contraction(m) -> None:
+    """Raise NotContraction unless m is a contraction, by psd_root_range's PSD gate.
+
+    The one contraction test of the library.  It decides on the smaller of
+    I - mm* and I - m*m, whose smallest eigenvalue is 1 - ||m||^2, under the
+    gate that later builds m's defect operators, so a matrix accepted here
+    has defects psd_root_range accepts (the cut is near ||m|| = 1 + RANK_TOL/2).
+    """
+    m = as_complex(m)
+    if m.size == 0:
+        return
+    mh = m.conj().T
+    gram = m @ mh if m.shape[0] <= m.shape[1] else mh @ m
+    w = np.linalg.eigvalsh(np.eye(gram.shape[0]) - gram)
+    if _below_psd(w, RANK_TOL):
+        raise NotContraction(f"not contractive (norm {np.sqrt(1.0 - w[0]):.12f})")
+
+
 def psd_root_range(gram, rank_tol: float = RANK_TOL) -> tuple[np.ndarray, Subspace]:
     """Clamped positive root of a Hermitian PSD Gram matrix plus its range.
 
@@ -197,9 +224,10 @@ def psd_root_range(gram, rank_tol: float = RANK_TOL) -> tuple[np.ndarray, Subspa
     amplified to sqrt(eps).)  The gates take their scale from the same
     eigenvalues, max(|w|, 1): an anti-Hermitian part above rank_tol * scale
     raises NotHermitian, and eigenvalues below -rank_tol * scale raise
-    NotPSD.  The range basis is ordered by descending eigenvalue with the
-    first nonzero coordinate of each vector real positive, so it is
-    reproducible for identical inputs.
+    NotPSD (`_below_psd`, the rule require_contraction shares).  The range
+    basis is ordered by descending eigenvalue with the first nonzero
+    coordinate of each vector real positive, so it is reproducible for
+    identical inputs.
     """
     gram = as_complex(gram)
     if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
@@ -208,12 +236,9 @@ def psd_root_range(gram, rank_tol: float = RANK_TOL) -> tuple[np.ndarray, Subspa
     if n == 0:
         return gram.copy(), Subspace.zero(0)
     w, v = np.linalg.eigh((gram + gram.conj().T) / 2.0)
-    # scale floored at 1: everything here is built from contractions, and a
-    # purely relative test misfires on near-zero defect operators
-    scale = max(-w[0], w[-1], 1.0)
-    if norm_exceeds(gram - gram.conj().T, rank_tol * scale):
+    if norm_exceeds(gram - gram.conj().T, rank_tol * max(-w[0], w[-1], 1.0)):
         raise NotHermitian("matrix is not Hermitian within tolerance")
-    if w[0] < -rank_tol * scale:
+    if _below_psd(w, rank_tol):
         raise NotPSD(f"negative eigenvalue {w[0]:.3e} below -tol*norm")
     lam_max = max(float(w[-1]), 0.0)
     cut = rank_tol * lam_max if lam_max > rank_tol else np.inf
@@ -262,10 +287,6 @@ class SubOperator:
                 f"matrix shape {m.shape} vs (cod {self.codomain.dim}, dom {self.domain.dim})"
             )
         object.__setattr__(self, "matrix", m)
-
-    @property
-    def norm(self) -> float:
-        return operator_norm(self.matrix)
 
     @cached_property
     def defects(self) -> tuple[np.ndarray, Subspace, np.ndarray, Subspace]:

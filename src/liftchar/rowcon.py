@@ -9,10 +9,8 @@ from itertools import product as iter_product
 import numpy as np
 
 from . import numlin
-from .errors import DimMismatch, NotPSD
+from .errors import DimMismatch
 from .numlin import Subspace, frozen, memo, readonly
-
-ROWCON_TOL = 1e-10
 
 Word = tuple[int, ...]
 
@@ -59,11 +57,7 @@ class RowContraction:
             if s.shape != (n, n):
                 raise DimMismatch("all tuple entries must be square of equal size")
         object.__setattr__(self, "ops", ops)
-        if n:
-            gram = np.eye(n) - self.row @ self.row.conj().T
-            w = np.linalg.eigvalsh((gram + gram.conj().T) / 2.0)
-            if w.size and w[0] < -ROWCON_TOL:
-                raise NotPSD(f"not a row contraction: min eigenvalue {w[0]:.3e}")
+        numlin.require_contraction(self.row)
 
     @property
     def d(self) -> int:

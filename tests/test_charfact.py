@@ -262,7 +262,7 @@ class TestMemo:
         a, lift = it.first.A, it.first
         assert row_char_fn(a, 3) is row_char_fn(a, 3)
         assert row_char_fn(a, 4) is not row_char_fn(a, 3)
-        assert row_char_fn(a, 4).N == 4
+        assert row_char_fn(a, 4).op.basis.N == 4
         fn = lifting_char_fn(lift, 3)
         assert lifting_char_fn(lift, 3) is fn
         assert lifting_char_fn(lift, 2) is not fn
@@ -465,16 +465,10 @@ class TestSynthesize:
         np.testing.assert_allclose(rep.symbol.coeff((1,)), [[0, S3, S3]], atol=1e-12)
 
     def test_swap_data_block_diagonal(self):
-        # an off-diagonal unitary with zero lam: couplings with C vanish and
-        # the target operator degenerates to the projection onto its C slot
+        # an off-diagonal unitary puts rank-deficient corner blocks in the
+        # inner factored operator, which is then not purely contractive
         c, z1 = rc([[0.5]]), rc([[0.0]])
         u = np.array([[0.0, 1.0], [1.0, 0.0]])
-        ep, rep = synthesize_lifting(c, z1, z1, np.zeros((1, 2)), u, 3, 1e-10,
-                                     require_pure=False)
-        assert not rep.purely_contractive
-        assert rep.passed
-        assert operator_norm(np.hstack(ep.B)) < 1e-12
-        np.testing.assert_allclose(rep.symbol.coeff(()), [[1, 0, 0]], atol=1e-12)
         with pytest.raises(NotPurelyContractive):
             synthesize_lifting(c, z1, z1, np.zeros((1, 2)), u, 3, 1e-10)
 
@@ -482,6 +476,12 @@ class TestSynthesize:
         c, z1 = rc([[0.5]]), rc([[0.0]])
         with pytest.raises(NotContraction):
             synthesize_lifting(c, z1, z1, np.array([[0.9, 0.9]]), np.eye(2), 2, 1e-8)
+
+    def test_rejects_lam_just_above_norm_one(self):
+        # 1 + 8e-11 is below the old 1 + 1e-10 slack, but its defect is not PSD
+        c, z1 = rc([[0.5]]), rc([[0.0]])
+        with pytest.raises(NotContraction, match="norm 1.000000000080"):
+            synthesize_lifting(c, z1, z1, np.array([[1 + 8e-11, 0.0]]), np.eye(2), 2, 1e-8)
 
     def test_random_round_trips(self):
         rng = np.random.default_rng(11)

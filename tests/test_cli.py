@@ -46,6 +46,15 @@ def write_scenario(tmp_path, name="scen.json", **overrides):
     return str(path)
 
 
+def _boundary_scenario(tmp_path, key):
+    """C = 0.99, A = 0 and a coupling of norm 1 + 8e-11, given as gamma or as B:
+    E itself passes as a row contraction, but the coupling's defect is not PSD."""
+    g = 1 + 8e-11
+    if key == "gamma":
+        return write_scenario(tmp_path, C=[[[[0.99, 0.0]]]], B=None, gamma=[[[g, 0.0]]])
+    return write_scenario(tmp_path, C=[[[[0.99, 0.0]]]], B=[[[[np.sqrt(1 - 0.99**2) * g, 0.0]]]])
+
+
 def test_mat_json_round_trip():
     m = np.array([[1 + 2j, 0.5], [0, -1j]])
     np.testing.assert_allclose(mat_from_json(mat_to_json(m), "m"), m)
@@ -112,6 +121,12 @@ class TestParseScenario:
         path = write_scenario(tmp_path, B=None, gamma=[[[0.5, 0.0]]])
         scen = parse_scenario(path)
         assert scen.first.gamma.matrix[0, 0] == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("key", ["gamma", "B"])
+    def test_coupling_just_above_norm_one_rejected(self, tmp_path, key):
+        path = _boundary_scenario(tmp_path, key)
+        with pytest.raises(ValidationError, match=rf"^{key}: not contractive \(norm 1\.0000000000"):
+            parse_scenario(path)
 
     def test_corrupted_second_level(self, tmp_path):
         # B' too large to factor through the defect operators contractively
@@ -376,6 +391,37 @@ def test_nothing_decomposed_twice(monkeypatch):
     for name, inputs in seen.items():
         assert inputs, name
         assert len(set(inputs)) == len(inputs), f"{name} repeats an input"
+
+
+@pytest.mark.parametrize("key", ["gamma", "B"])
+@pytest.mark.parametrize("argv", [["charfn"], ["verify", "--check", "resolvent"], ["verify"]],
+                         ids=["charfn", "verify-resolvent", "verify"])
+def test_expansive_coupling_exits_two_at_parse(tmp_path, capsys, key, argv):
+    path = _boundary_scenario(tmp_path, key)
+    assert main(argv[:1] + [path] + argv[1:]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {key}: not contractive (norm 1.0000000000")
+    assert "Traceback" not in captured.err
+
+
+def test_no_unitarity_residual_input_repeats(monkeypatch):
+    # the Julia-Halmos matrix of delta is built once, for its report line and
+    # for the factorization
+    fn, inputs = numlin.unitarity_residual, []
+
+    def recording(m, *args, **kw):
+        m = np.asarray(m)
+        inputs.append(m.shape + (m.tobytes(),))
+        return fn(m, *args, **kw)
+
+    for mod in (numlin, rowcon, lifting, charfact, cli):
+        if getattr(mod, "unitarity_residual", None) is fn:
+            monkeypatch.setattr(mod, "unitarity_residual", recording)
+    it = random_iterated_lifting(np.random.default_rng(12), 2, (2, 2, 2))
+    assert all(c.passed for c in run_battery(it.first, it, 4, 1e-8, "all"))
+    assert inputs
+    assert len(set(inputs)) == len(inputs)
 
 
 def test_out_of_memory_exits_two():

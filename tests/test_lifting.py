@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from liftchar.errors import DimMismatch, Mismatch, NotContraction
+from liftchar.errors import DimMismatch, Mismatch, NotContraction, NotPSD
 from liftchar.gen import random_lifting, random_row_contraction
 from liftchar.lifting import (
     defect_unitary,
@@ -65,6 +65,43 @@ def is_resolving(gamma, a, tol=1e-8):
         if level > a.dim + 1:
             break
     return ker.dim == 0 or operator_norm(o_stack @ ker.basis) <= tol
+
+
+class TestContractionAwayFromTheBoundary:
+    """Row tuples and couplings of norm 1 +- 1e-6 are accepted exactly when the
+    norm is at most 1."""
+
+    @staticmethod
+    def scaled(rng, shape, norm):
+        g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        return g * (norm / operator_norm(g))
+
+    @pytest.mark.parametrize("norm", [1 - 1e-6, 1 + 1e-6])
+    def test_couplings(self, norm):
+        rng = np.random.default_rng(13)
+        for _ in range(100):
+            k_cod, k_dom = (int(k) for k in rng.integers(1, 5, size=2))
+            c, a = rc(np.zeros((k_cod, k_cod))), rc(np.zeros((k_dom, k_dom)))
+            m = self.scaled(rng, (k_cod, k_dom), norm)
+            try:
+                make_lifting(c, a, SubOperator(star_defect(a).space, defect(c).space, m))
+                accepted = True
+            except NotContraction:
+                accepted = False
+            assert accepted == (operator_norm(m) <= 1.0)
+
+    @pytest.mark.parametrize("norm", [1 - 1e-6, 1 + 1e-6])
+    def test_row_tuples(self, norm):
+        rng = np.random.default_rng(14)
+        for _ in range(100):
+            d, n = (int(k) for k in rng.integers(1, 4, size=2))
+            row = self.scaled(rng, (n, d * n), norm)
+            try:
+                RowContraction(tuple(row[:, i * n : (i + 1) * n] for i in range(d)))
+                accepted = True
+            except NotPSD:
+                accepted = False
+            assert accepted == (operator_norm(row) <= 1.0)
 
 
 class TestMakeExtract:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liftchar.errors import DimMismatch, NotHermitian, NotPSD, NotSquare
+from liftchar.errors import DimMismatch, NotContraction, NotHermitian, NotPSD, NotSquare
 from liftchar.numlin import (
     ORTH_TOL,
     RANK_TOL,
@@ -15,6 +15,7 @@ from liftchar.numlin import (
     operator_norm,
     pinv,
     psd_root_range,
+    require_contraction,
     unitarity_residual,
 )
 
@@ -217,6 +218,41 @@ class TestNormGates:
                 assert norm_exceeds(m, bound) == (s > bound)
         assert not norm_exceeds(np.zeros((3, 0)), 0.0)
         assert not norm_exceeds(np.zeros((2, 2)), 0.0)
+
+
+class TestRequireContraction:
+    """The one contraction test, under psd_root_range's PSD gate (its agreement
+    with the norm away from the boundary is pinned in test_lifting)."""
+
+    @staticmethod
+    def accepts(m) -> bool:
+        try:
+            require_contraction(m)
+        except NotContraction:
+            return False
+        return True
+
+    def test_boundary_matches_the_defect_gate(self):
+        # the cut, near norm 1 + RANK_TOL / 2, is the one psd_root_range makes
+        # on the defect Gram matrix
+        decided = []
+        for t in (1e-11, 4e-11, 6e-11, 8e-11, 1e-9):
+            m = np.array([[1.0 + t, 0.0], [0.0, 0.3]])
+            try:
+                psd_root_range(np.eye(2) - m.conj().T @ m)
+                decided.append(True)
+            except NotPSD:
+                decided.append(False)
+            assert self.accepts(m) == decided[-1]
+            assert self.accepts(m[:1]) == decided[-1]
+        assert decided == [True, True, False, False, False]
+
+    def test_message_and_type(self):
+        with pytest.raises(NotContraction, match=r"not contractive \(norm 1\.000000000080\)"):
+            require_contraction(np.array([[1 + 8e-11, 0.0]]))
+        assert issubclass(NotContraction, NotPSD)
+        require_contraction(np.zeros((0, 3)))
+        require_contraction(np.eye(3))
 
 
 def test_suboperator_ambient_roundtrip():
