@@ -30,9 +30,9 @@ from .errors import (
     SubspaceLeak,
     UnitaryExtensionFailure,
     ValidationError,
-    VerificationFailure,
 )
 from .lifting import (
+    BUILD_TOL,
     Lifting,
     IteratedLifting,
     SigmaUnitary,
@@ -282,15 +282,15 @@ def _coord_const(basis, dom_k: int, cod_k: int, mat) -> MultiAnalyticOp:
     return const_op(basis, Subspace.full(dom_k), Subspace.full(cod_k), mat)
 
 
-def _assemble(it: IteratedLifting, n_deg: int, tol: float):
+def _assemble(it: IteratedLifting, n_deg: int):
     """The factored right-hand side for the two-step lifting, plus diagnostics."""
     basis = fock_basis(it.first.d, n_deg)
     cl = it.as_c_lifting
     lift_ahat = it.ahat_lifting
 
-    sig_ep = defect_unitary(cl, tol)
-    sig_ah = defect_unitary(lift_ahat, tol)
-    sig_star_ah = star_defect_unitary(lift_ahat, tol)
+    sig_ep = defect_unitary(cl)
+    sig_ah = defect_unitary(lift_ahat)
+    sig_star_ah = star_defect_unitary(lift_ahat)
     jh = julia_halmos(it.delta)
 
     k_c = cl.dC.rank
@@ -380,7 +380,7 @@ def verify_factorization(it: IteratedLifting, n_deg: int = DEFAULT_DEGREE,
     factored form, overall and restricted to the H_C and H_A-hat column groups."""
     cl = it.as_c_lifting
     chf = lifting_char_fn(cl, n_deg)
-    rhs, info = _assemble(it, n_deg, tol)
+    rhs, info = _assemble(it, n_deg)
     idx_c, idx_ah = cl.column_split()
     residual = res_c = res_ah = 0.0
     for diff in degree_diffs(_as_coords(chf.comp), rhs):
@@ -413,19 +413,18 @@ class MinimalPart:
 
     space: Subspace          # the orbit subspace of H_E'
     complement: Subspace
-    e_tilde: RowContraction  # restriction, in orbit coordinates (H_C block first)
-    a_tilde: RowContraction  # compression to the orthogonal complement
     gamma: SubOperator       # coupling of the upper-triangular corner
     sigma: SigmaUnitary      # column-defect space of E' onto D_Etilde + D_gamma
-    tilde_lifting: Lifting   # e_tilde as a lifting of C
+    tilde_lifting: Lifting   # the restriction, in orbit coordinates, as a lifting of C
     invariance_residual: float
     gamma_residual: float
     minimal: bool
 
 
-def minimal_part(first: Lifting, second: Lifting, *, tol: float = 1e-8) -> MinimalPart:
+def minimal_part(first: Lifting, second: Lifting) -> MinimalPart:
     """Split H_E' into the E'-orbit of H_C and its complement, extract the
-    corner coupling and the defect-space unitary of the splitting."""
+    corner coupling and the defect-space unitary of the splitting; each gate
+    refuses above BUILD_TOL."""
     if not is_minimal_lifting(first):
         log.warning("first lifting is not minimal; the product identity assumes it")
     if not is_minimal_lifting(second):
@@ -441,14 +440,14 @@ def minimal_part(first: Lifting, second: Lifting, *, tol: float = 1e-8) -> Minim
     q_p = complement.basis
 
     inv_res = max(operator_norm(q_p.conj().T @ ep.ops[i] @ q_t) for i in range(d))
-    if inv_res > tol:
+    if inv_res > BUILD_TOL:
         raise ResidualTooLarge(f"orbit subspace not invariant (residual {inv_res:.3e})")
 
     # the restriction to the orbit (H_C block first) is a lifting of C; the
     # lifting built from its blocks is the one E-tilde the code uses
     restricted = [q_t.conj().T @ ep.ops[i] @ q_t for i in range(d)]
     off = max(operator_norm(r[:nc, nc:]) for r in restricted) if t > nc else 0.0
-    if off > tol:
+    if off > BUILD_TOL:
         raise ResidualTooLarge(f"restriction is not a lifting of C (corner {off:.3e})")
     a_inner = RowContraction(tuple(r[nc:, nc:] for r in restricted))
     tilde_lifting = lifting_from_blocks(first.C, a_inner, [r[nc:, :nc] for r in restricted])
@@ -460,7 +459,7 @@ def minimal_part(first: Lifting, second: Lifting, *, tol: float = 1e-8) -> Minim
     # the coupling of a lifting of Atilde by Etilde with blocks x_row
     coupling, g_res = extract_gamma(a_tilde, e_tilde, x_row)
     gamma = coupling.adjoint()
-    if g_res > tol * max(1.0, operator_norm(x_row)):
+    if g_res > BUILD_TOL * max(1.0, operator_norm(x_row)):
         raise ResidualTooLarge(f"corner coupling residual {g_res:.3e}")
 
     det, dat = defect(e_tilde), defect(a_tilde)
@@ -473,19 +472,16 @@ def minimal_part(first: Lifting, second: Lifting, *, tol: float = 1e-8) -> Minim
     target = np.vstack([top, bot]) @ conv
     gamma_space = Subspace(d * (n - t), q_at @ dg_range.basis)
     cod = Subspace(d * t + d * (n - t), block_diag(det.space.basis, gamma_space.basis))
-    sigma = _certified_sigma(target, defect(ep), cod, tol)
-    return MinimalPart(space, complement, e_tilde, a_tilde, gamma, sigma,
-                       tilde_lifting, inv_res, g_res,
+    sigma = _certified_sigma(target, defect(ep), cod)
+    return MinimalPart(space, complement, gamma, sigma, tilde_lifting, inv_res, g_res,
                        is_minimal_lifting(tilde_lifting))
 
 
 def verify_minimal_product(first: Lifting, second: Lifting,
-                           n_deg: int = DEFAULT_DEGREE, tol: float = 1e-8,
-                           mp: MinimalPart | None = None) -> FactorizationReport:
+                           n_deg: int = DEFAULT_DEGREE, tol: float = 1e-8) -> FactorizationReport:
     """Check that the symbol of the minimal part equals the product of the two
     constituent symbols composed with the splitting unitary's inverse on D_Etilde."""
-    if mp is None:
-        mp = minimal_part(first, second, tol=tol)
+    mp = minimal_part(first, second)
     m_ce = lifting_char_fn(first, n_deg)
     m_eep = lifting_char_fn(second, n_deg)
     m_ct = lifting_char_fn(mp.tilde_lifting, n_deg)
@@ -531,7 +527,6 @@ class SynthesisReport:
     tolerance: float
     passed: bool
     pure_margin: float
-    purely_contractive: bool
     checks: dict[str, float] = field(default_factory=dict)
     factors: dict[str, np.ndarray] = field(default_factory=dict)
     symbol: MultiAnalyticOp | None = None
@@ -549,7 +544,8 @@ def synthesize_lifting(c: RowContraction, a: RowContraction, a2: RowContraction,
     the shapes.  The vacuum coefficient of the inner factored operator must
     be a strict contraction (margin PURE_MARGIN), with full-rank corner blocks,
     or NotPurelyContractive is raised; then F and F_* are exhausted by the
-    defect data and the construction is certified unitary.
+    defect data and the construction is certified unitary.  Its gates refuse
+    above BUILD_TOL; tol only judges the symbol residual (report.passed).
     """
     lam = as_complex(lam)
     u = as_complex(u)
@@ -565,7 +561,7 @@ def synthesize_lifting(c: RowContraction, a: RowContraction, a2: RowContraction,
     f_dim = u.shape[1] - k_sa2
     require_contraction(lam)
     u_res = unitarity_residual(u)
-    if u_res > tol:
+    if u_res > BUILD_TOL:
         raise ValidationError(f"u is not unitary within tolerance ({u_res:.3e})")
 
     ust = u.conj().T
@@ -579,9 +575,8 @@ def synthesize_lifting(c: RowContraction, a: RowContraction, a2: RowContraction,
     sv_top = operator_norm(vac)
     pure_margin = 1.0 - sv_top
 
-    pure = (pure_margin > PURE_MARGIN and svd_rank(p_blk)[0] == f_dim
-            and svd_rank(s_blk.conj().T)[0] == f_star)
-    if not pure:
+    if not (pure_margin > PURE_MARGIN and svd_rank(p_blk)[0] == f_dim
+            and svd_rank(s_blk.conj().T)[0] == f_star):
         raise NotPurelyContractive(
             f"vacuum margin {pure_margin:.3e} or rank deficiency of the corner blocks")
 
@@ -593,14 +588,14 @@ def synthesize_lifting(c: RowContraction, a: RowContraction, a2: RowContraction,
     u2 = q_sr.conj().T @ d_sr @ pinv(s_blk.conj().T)
     u1_res = operator_norm(u1 @ p_blk - q_r.conj().T @ d_r)
     u2_res = operator_norm(u2 @ s_blk.conj().T - q_sr.conj().T @ d_sr)
-    if unitarity_residual(u1) > tol or unitarity_residual(u2) > tol:
+    if unitarity_residual(u1) > BUILD_TOL or unitarity_residual(u2) > BUILD_TOL:
         raise UnitaryExtensionFailure(
             f"isometry extensions not unitary ({unitarity_residual(u1):.3e}, "
             f"{unitarity_residual(u2):.3e})")
 
     ahat_lift = make_lifting(a, a2, delta)
-    sig_ah = defect_unitary(ahat_lift, tol)
-    sig_star_ah = star_defect_unitary(ahat_lift, tol)
+    sig_ah = defect_unitary(ahat_lift)
+    sig_star_ah = star_defect_unitary(ahat_lift)
 
     phi = block_diag(np.eye(k_sa), u2).conj().T @ sig_star_ah.op.matrix
     gamma_hat = SubOperator(ahat_lift.dstarE.space, dc.space, lam @ phi)
@@ -618,11 +613,11 @@ def synthesize_lifting(c: RowContraction, a: RowContraction, a2: RowContraction,
     target_symbol = product(front, product(g1, product(g2, g3)))
 
     m_cep = lifting_char_fn(eprime, n_deg)
-    sig_ep = defect_unitary(eprime, tol)
+    sig_ep = defect_unitary(eprime)
     g_hat = gamma_hat.matrix
     q_star_ghat = gamma_hat.defects[3].basis
     leak = operator_norm(np.eye(k_c) - q_star_ghat @ q_star_ghat.conj().T) if k_c else 0.0
-    if leak > tol:
+    if leak > BUILD_TOL:
         raise SubspaceLeak(f"first slot leaves the range of the splitting unitary ({leak:.3e})")
     sig_inv = const_op(basis, Subspace.full(k_c + ahat_lift.dE.rank), eprime.dE.space,
                        sig_ep.op.matrix.conj().T @ block_diag(q_star_ghat.conj().T,
@@ -639,7 +634,6 @@ def synthesize_lifting(c: RowContraction, a: RowContraction, a2: RowContraction,
         tolerance=tol,
         passed=residual <= tol,
         pure_margin=pure_margin,
-        purely_contractive=pure,
         checks={
             "u_unitary": u_res,
             "u1_defining": u1_res,
@@ -654,6 +648,4 @@ def synthesize_lifting(c: RowContraction, a: RowContraction, a2: RowContraction,
         factors={"phi": phi, "gamma_hat": g_hat, "u1": u1, "u2": u2, "delta": delta.matrix},
         symbol=target_symbol,
     )
-    if residual > tol:
-        raise VerificationFailure(f"synthesized symbol mismatch {residual:.3e}")
     return eprime, report

@@ -53,10 +53,6 @@ class UnitaryExtensionFailure(LiftcharError):
     pass
 
 
-class VerificationFailure(LiftcharError):
-    pass
-
-
 class ParseError(LiftcharError):
     pass
 

@@ -36,6 +36,7 @@ from .rowcon import DefectData, RowContraction, defect, star_defect
 log = logging.getLogger(__name__)
 
 LIFT_TOL = 1e-10  # relative residual of a coupling factorization extracted from B blocks
+BUILD_TOL = 1e-8  # a construction whose defining residual exceeds this refuses to build
 SPAN_TOL = 1e-9  # a Krylov vector shorter than this after orthogonalization adds nothing
 
 
@@ -189,8 +190,7 @@ class SigmaUnitary:
     unitary_residual: float
 
 
-def _certified_sigma(target: np.ndarray, dd: DefectData, cod: Subspace,
-                     tol: float) -> SigmaUnitary:
+def _certified_sigma(target: np.ndarray, dd: DefectData, cod: Subspace) -> SigmaUnitary:
     """Unitary s with s (D h) = target h, built as target * pinv(D) on range(D)."""
     dom = dd.space
     mat = cod.coords(target @ dd.pinv @ dom.basis)
@@ -202,15 +202,15 @@ def _certified_sigma(target: np.ndarray, dd: DefectData, cod: Subspace,
     resid = max(defining(mat), range_resid)
     if mat.shape[0] == mat.shape[1]:
         un = unitarity_residual(mat)
-        if un > 1e-12 and resid < tol:
+        if un > 1e-12 and resid < BUILD_TOL:
             polished = polar_unitary(mat)
-            if max(defining(polished), range_resid) <= max(resid, tol):
+            if max(defining(polished), range_resid) <= BUILD_TOL:
                 mat = polished
                 resid = max(defining(mat), range_resid)
                 un = unitarity_residual(mat)
     else:
         un = numlin.isometry_residual(mat) if mat.shape[0] >= mat.shape[1] else float("inf")
-    if resid > tol:
+    if resid > BUILD_TOL:
         raise ResidualTooLarge(f"defect unitary defining relation residual {resid:.3e}")
     if cod.dim != dom.dim:
         log.warning("defect unitary rank deficit %d (cod %d vs dom %d)",
@@ -218,13 +218,13 @@ def _certified_sigma(target: np.ndarray, dd: DefectData, cod: Subspace,
     return SigmaUnitary(SubOperator(dom, cod, mat), resid, float(un))
 
 
-def defect_unitary(lift: Lifting, tol: float = 1e-8) -> SigmaUnitary:
+def defect_unitary(lift: Lifting) -> SigmaUnitary:
     """Unitary from the column-defect space of E onto D_{*,delta} + D_A.
 
     Its defining relation, with delta the lifting's coupling:
         sigma D_E = [[D_{*,delta} D_C, 0], [-row(A)* delta* D_C, D_A]]
     after the canonical reordering of H_E^d into H_C^d + H_A^d.  Computed
-    once per lifting and tol.
+    once per lifting.
     """
     def compute():
         _, _, dstar_delta, sd_range = lift.gamma.defects
@@ -237,17 +237,16 @@ def defect_unitary(lift: Lifting, tol: float = 1e-8) -> SigmaUnitary:
         # column permutation: target consumes H_E^d in its native interleaved order
         star_delta_space = Subspace(lift.d * lift.C.dim, q_c @ sd_range.basis)
         cod = direct_sum(star_delta_space, lift.dA.space)
-        return _certified_sigma(target, lift.dE, cod, tol)
-    return memo(lift, ("defect_unitary", tol), compute)
+        return _certified_sigma(target, lift.dE, cod)
+    return memo(lift, "defect_unitary", compute)
 
 
-def star_defect_unitary(lift: Lifting, tol: float = 1e-8) -> SigmaUnitary:
+def star_defect_unitary(lift: Lifting) -> SigmaUnitary:
     """Unitary from the star-defect space of E onto D_{*,C} + D_delta.
 
     Defining relation:
         sigma' D_{*,E} = [[D_{*,C}, -row(C) delta D_{*,A}], [0, D_delta D_{*,A}]]
-    on H_E = H_C + H_A (no reordering needed).  Computed once per lifting
-    and tol.
+    on H_E = H_C + H_A (no reordering needed).  Computed once per lifting.
     """
     def compute():
         d_delta, dd_range, _, _ = lift.gamma.defects
@@ -260,8 +259,8 @@ def star_defect_unitary(lift: Lifting, tol: float = 1e-8) -> SigmaUnitary:
         ])
         delta_space = Subspace(lift.A.dim, q_sa @ dd_range.basis)
         cod = direct_sum(lift.dstarC.space, delta_space)
-        return _certified_sigma(target, lift.dstarE, cod, tol)
-    return memo(lift, ("star_defect_unitary", tol), compute)
+        return _certified_sigma(target, lift.dstarE, cod)
+    return memo(lift, "star_defect_unitary", compute)
 
 
 # ---------------------------------------------------------------------------

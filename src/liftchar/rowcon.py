@@ -80,7 +80,6 @@ class DefectData:
 
     D: np.ndarray
     space: Subspace
-    kind: str  # "column" (on H^d) or "star" (on H)
 
     def __post_init__(self):
         object.__setattr__(self, "D", readonly(self.D))
@@ -105,7 +104,7 @@ def defect(s: RowContraction) -> DefectData:
     def compute():
         row = s.row
         m = np.eye(s.d * s.dim) - row.conj().T @ row
-        return DefectData(*numlin.psd_root_range(m), "column")
+        return DefectData(*numlin.psd_root_range(m))
     return memo(s, "defect", compute)
 
 
@@ -115,5 +114,5 @@ def star_defect(s: RowContraction) -> DefectData:
     def compute():
         row = s.row
         m = np.eye(s.dim) - row @ row.conj().T
-        return DefectData(*numlin.psd_root_range(m), "star")
+        return DefectData(*numlin.psd_root_range(m))
     return memo(s, "star_defect", compute)

@@ -266,17 +266,15 @@ class TestMemo:
         fn = lifting_char_fn(lift, 3)
         assert lifting_char_fn(lift, 3) is fn
         assert lifting_char_fn(lift, 2) is not fn
-        assert defect_unitary(lift) is defect_unitary(lift, 1e-8)
-        assert defect_unitary(lift, 1e-9) is not defect_unitary(lift)
-        assert star_defect_unitary(lift) is star_defect_unitary(lift, 1e-8)
-        assert star_defect_unitary(lift, 1e-9) is not star_defect_unitary(lift)
+        assert defect_unitary(lift) is defect_unitary(lift)
+        assert star_defect_unitary(lift) is star_defect_unitary(lift)
         # the lifting's defects are those of its row contractions
         assert lift.dA is defect(a) and lift.dstarA is star_defect(a)
         assert it.ahat_lifting is it.ahat_lifting
         assert it.ahat_lifting.E is it.a_hat
 
     def test_derived_liftings_share_their_objects(self):
-        # A-hat, E' over C and E-tilde are each one object, so their defects
+        # A-hat and E' over C are each one object, so their defects
         # are decomposed once
         it = random_iterated_lifting(np.random.default_rng(12), 2, (1, 2, 1))
         assert it.as_c_lifting.E is it.second.E
@@ -284,8 +282,16 @@ class TestMemo:
         assert it.delta is it.ahat_lifting.gamma
         assert it.gamma_hat is it.as_c_lifting.gamma
         assert it.as_c_lifting.A is it.a_hat
-        mp = minimal_part(it.first, it.second)
-        assert mp.tilde_lifting.E is mp.e_tilde
+
+    def test_factorization_reports_the_judged_sigma(self):
+        # example2's tolerance (1e-10) is not the one sigma is built under, yet
+        # the factorization records the very unitary the sigma lines judged
+        scen = parse_scenario(_packaged_scenario("example2.json"))
+        assert scen.tolerance == 1e-10
+        reports = []
+        run_battery(scen.first, scen.iterated, scen.degree, scen.tolerance, "all", reports)
+        rep = next(r for r in reports if r.name == "factorization")
+        assert rep.factors["sigma_Eprime"] is defect_unitary(scen.iterated.as_c_lifting).op.matrix
 
     def test_equal_objects_do_not_share(self):
         # the store belongs to the instance, not to equal values
@@ -403,7 +409,7 @@ class TestMinimalPart:
         # the orbit of H_C is spanned by e1 and (0, 1, 1)/sqrt(2)
         expect = np.array([[1, 0], [0, S2], [0, S2]])
         np.testing.assert_allclose(mp.space.basis, expect, atol=1e-12)
-        np.testing.assert_allclose(mp.e_tilde.ops[0], [[0, 0], [1, 0]], atol=1e-12)
+        np.testing.assert_allclose(mp.tilde_lifting.E.ops[0], [[0, 0], [1, 0]], atol=1e-12)
         np.testing.assert_allclose(mp.tilde_lifting.gamma.matrix, [[1.0]], atol=1e-12)
         # symbol of the minimal part
         sym = lifting_char_fn(mp.tilde_lifting, 2).ambient_symbol()
@@ -460,7 +466,7 @@ class TestSynthesize:
         lam = np.array([[S3, S3]])
         ep, rep = synthesize_lifting(c, z1, z1, lam, np.eye(2), 3, 1e-10)
         np.testing.assert_allclose(np.hstack(ep.B), [[0.5], [0.5]], atol=1e-12)
-        assert rep.passed and rep.purely_contractive
+        assert rep.passed
         np.testing.assert_allclose(rep.symbol.coeff(()), [[S3, 0, 0]], atol=1e-12)
         np.testing.assert_allclose(rep.symbol.coeff((1,)), [[0, S3, S3]], atol=1e-12)
 
@@ -483,6 +489,13 @@ class TestSynthesize:
         with pytest.raises(NotContraction, match="norm 1.000000000080"):
             synthesize_lifting(c, z1, z1, np.array([[1 + 8e-11, 0.0]]), np.eye(2), 2, 1e-8)
 
+    def test_tolerance_below_rounding_reports_failure(self):
+        # the tolerance judges the symbol residual only; the u, u1/u2 and
+        # leak gates build under BUILD_TOL
+        data = random_synthesis_data(np.random.default_rng([11, 0]), 2, (1, 1, 1))
+        _, rep = synthesize_lifting(*data, 4, tol=1e-18)
+        assert rep.passed is False and rep.residual > 1e-18
+
     def test_random_round_trips(self):
         rng = np.random.default_rng(11)
         for _ in range(10):
@@ -490,4 +503,4 @@ class TestSynthesize:
             dims = tuple(int(rng.integers(1, 3)) for _ in range(3))
             data = random_synthesis_data(rng, d, dims)
             _, rep = synthesize_lifting(*data, 4, 1e-8)
-            assert rep.passed and rep.purely_contractive
+            assert rep.passed

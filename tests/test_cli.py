@@ -206,6 +206,14 @@ class TestCommands:
         doc = json.loads(out_file.read_text())
         assert doc["pass"] is True and len(doc["per_seed"]) == 2
 
+    def test_random_suite_tolerance_below_rounding_fails_lines(self, capsys):
+        # a tolerance only judges: below the rounding of the constructions the
+        # identity lines fail (exit 1) and every seed is named
+        assert main(["random-suite", "--seeds", "5", "--tol", "1e-16"]) == 1
+        out, err = capsys.readouterr()
+        assert "failing seeds: [0, 1, 2, 3, 4]" in out
+        assert "error:" not in err
+
     def test_random_suite_exits_two_when_generator_gives_up(self, monkeypatch, capsys):
         monkeypatch.setattr(gen, "is_minimal_lifting", lambda lift: False)
         assert main(["random-suite", "--seeds", "1"]) == 2
@@ -366,6 +374,15 @@ def test_no_duplicate_work(monkeypatch, capsys):
         it = random_iterated_lifting(np.random.default_rng(s), 2, (2, 2, 2))
         run_battery(it.first, it, 5, 1e-8, "all")
     assert len(roots) <= 175
+
+
+def test_each_defect_unitary_built_once(monkeypatch, capsys):
+    # nine per example: sigma and sigma' of E over C, E' over E, E' over C and
+    # A-hat, plus the minimal part's splitting; none is rebuilt for the
+    # scenario's own tolerance
+    sigmas = _count_calls(monkeypatch, "_certified_sigma", lifting, charfact)
+    assert main(["worked-examples"]) == 0
+    assert len(sigmas) == 18
 
 
 def test_nothing_decomposed_twice(monkeypatch):
