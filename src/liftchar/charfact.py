@@ -247,9 +247,8 @@ def resolvent_identity_residual(a: RowContraction, n_deg: int = DEFAULT_DEGREE) 
 
     chf = row_char_fn(a, n_deg)
     da = defect(a)
-    a_star = const_op(basis, dsa.space, da.space,
-                      da.space.coords(a.row.conj().T @ q))
-    rhs = add(identity_op(basis, dsa.space), product(chf.op, a_star))
+    a_star = const_op(basis, da.space.coords(a.row.conj().T @ q))
+    rhs = add(identity_op(basis, dsa.rank), product(chf.op, a_star))
     return coeff_diff(lhs, rhs)
 
 
@@ -272,18 +271,19 @@ class FactorizationReport:
     rhs: MultiAnalyticOp | None = None
 
 
-def _as_coords(m: MultiAnalyticOp) -> MultiAnalyticOp:
-    """Relabel dom/cod as abstract coordinate spaces (for chain assembly)."""
-    return MultiAnalyticOp(m.basis, Subspace.full(m.dom.dim), Subspace.full(m.cod.dim), m.graded)
-
-
-def _coord_const(basis, dom_k: int, cod_k: int, mat) -> MultiAnalyticOp:
-    """Constant multi-analytic operator between abstract coordinate spaces."""
-    return const_op(basis, Subspace.full(dom_k), Subspace.full(cod_k), mat)
+def _cascade(basis, m_a: MultiAnalyticOp, u: np.ndarray,
+             m_ap: MultiAnalyticOp) -> MultiAnalyticOp:
+    """(M_A (+) I) u (I (+) M_A'): the A-hat slot of both factored forms, with
+    the identities sized by u."""
+    left = block_diag_op(basis, m_a, identity_op(basis, u.shape[0] - m_a.dom.dim))
+    right = block_diag_op(basis, identity_op(basis, u.shape[1] - m_ap.cod.dim), m_ap)
+    return product(left, product(const_op(basis, u), right))
 
 
 def _assemble(it: IteratedLifting, n_deg: int):
-    """The factored right-hand side for the two-step lifting, plus diagnostics."""
+    """The factored right-hand side for the two-step lifting, plus diagnostics:
+    the constant C-slot D_*gamma-hat m7[:k_c] plus the A-hat slot
+    gamma-hat m2 _cascade(J(delta)) m6 m7[k_c:], m7 splitting D_E' in two."""
     basis = fock_basis(it.first.d, n_deg)
     cl = it.as_c_lifting
     lift_ahat = it.ahat_lifting
@@ -295,8 +295,6 @@ def _assemble(it: IteratedLifting, n_deg: int):
 
     k_c = cl.dC.rank
     k_ahat = cl.dA.rank          # column defect of A-hat
-    k_star_ahat = cl.dstarA.rank
-    k_a = lift_ahat.dC.rank      # column defect of A
     k_sa = lift_ahat.dstarC.rank
     k_ap = lift_ahat.dA.rank
     k_sap = lift_ahat.dstarA.rank
@@ -313,32 +311,17 @@ def _assemble(it: IteratedLifting, n_deg: int):
     m_a = row_char_fn(it.first.A, n_deg)
     m_ap = row_char_fn(it.second.A, n_deg)
 
-    n_amb = it.first.d * cl.E.dim
     m7 = block_diag(q_star_ghat, np.eye(k_ahat)) @ sig_ep.op.matrix \
         @ cl.dE.space.basis.conj().T @ cl.dE.D
-    f7 = _coord_const(basis, n_amb, k_c + k_ahat, m7)
-    m6 = block_diag(np.eye(k_c),
-                    block_diag(q_star_delta, np.eye(k_ap)) @ sig_ah.op.matrix)
-    f6 = _coord_const(basis, k_c + k_ahat, k_c + k_a + k_ap, m6)
-    f5 = block_diag_op(basis, identity_op(basis, Subspace.full(k_c)),
-                       identity_op(basis, Subspace.full(k_a)), _as_coords(m_ap.op))
-    f4 = _coord_const(basis, k_c + k_a + k_sap, k_c + k_a + k_sap, block_diag(np.eye(k_c), jh.J))
-    f3 = block_diag_op(basis, identity_op(basis, Subspace.full(k_c)),
-                       _as_coords(m_a.op), identity_op(basis, Subspace.full(k_sap)))
-    m2 = block_diag(np.eye(k_c),
-                    sig_star_ah.op.matrix.conj().T @ block_diag(np.eye(k_sa), q_delta.conj().T))
-    f2 = _coord_const(basis, k_c + k_sa + k_sap, k_c + k_star_ahat, m2)
-    f1 = _coord_const(basis, k_c + k_star_ahat, k_c, np.hstack([dstar_ghat, g_hat]))
-
-    chain = product(f5, product(f6, f7))
-    chain = product(f3, product(f4, chain))
+    m6 = block_diag(q_star_delta, np.eye(k_ap)) @ sig_ah.op.matrix
+    m2 = sig_star_ah.op.matrix.conj().T @ block_diag(np.eye(k_sa), q_delta.conj().T)
+    core = product(_cascade(basis, m_a.op, jh.J, m_ap.op), const_op(basis, m6 @ m7[k_c:]))
     # the inverse of sigma'_Ahat is only defined on D_*A + D_delta; measure how
-    # far the composite's third block leaves D_delta before projecting (the
-    # report's factorization-leak line judges it)
+    # far the A-hat slot's D_*A' block leaves D_delta before m2 projects it
+    # (the report's factorization-leak line judges it)
     proj = np.eye(k_sap) - q_delta @ q_delta.conj().T
-    leak = max((max_operator_norm(proj @ t[:, k_c + k_sa :, :]) for t in chain.graded),
-               default=0.0)
-    rhs = product(f1, product(f2, chain))
+    leak = max((max_operator_norm(proj @ t[:, k_sa:, :]) for t in core.graded), default=0.0)
+    rhs = add(const_op(basis, dstar_ghat @ m7[:k_c]), product(const_op(basis, g_hat @ m2), core))
 
     info = {
         "checks": {
@@ -383,7 +366,7 @@ def verify_factorization(it: IteratedLifting, n_deg: int = DEFAULT_DEGREE,
     rhs, info = _assemble(it, n_deg)
     idx_c, idx_ah = cl.column_split()
     residual = res_c = res_ah = 0.0
-    for diff in degree_diffs(_as_coords(chf.comp), rhs):
+    for diff in degree_diffs(chf.comp, rhs):
         residual = max(residual, max_operator_norm(diff))
         res_c = max(res_c, max_operator_norm(diff[:, :, idx_c]))
         res_ah = max(res_ah, max_operator_norm(diff[:, :, idx_ah]))
@@ -490,8 +473,7 @@ def verify_minimal_product(first: Lifting, second: Lifting,
     k_t = mp.tilde_lifting.dE.rank
     basis = fock_basis(first.d, n_deg)
     # adjoint-of-isometry convention for the inverse, restricted to D_Etilde
-    sig_inv = const_op(basis, m_ct.op.dom, m_eep.op.dom,
-                       mp.sigma.op.matrix.conj().T[:, :k_t])
+    sig_inv = const_op(basis, mp.sigma.op.matrix.conj().T[:, :k_t])
     rhs = product(product(m_ce.op, m_eep.op), sig_inv)
     residual = coeff_diff(m_ct.op, rhs)
     checks = {
@@ -604,13 +586,9 @@ def synthesize_lifting(c: RowContraction, a: RowContraction, a2: RowContraction,
     basis = fock_basis(c.d, n_deg)
     dstar_lam, _ = psd_root_range(np.eye(k_c) - lam @ lam.conj().T)
 
-    g3 = block_diag_op(basis, identity_op(basis, Subspace.full(k_c)),
-                       identity_op(basis, Subspace.full(f_dim)), _as_coords(m_ap.op))
-    g2 = _coord_const(basis, k_c + f_dim + k_sa2, k_c + k_a + f_star, block_diag(np.eye(k_c), u))
-    g1 = block_diag_op(basis, identity_op(basis, Subspace.full(k_c)),
-                       _as_coords(m_a.op), identity_op(basis, Subspace.full(f_star)))
-    front = _coord_const(basis, k_c + k_sa + f_star, k_c, np.hstack([dstar_lam, lam]))
-    target_symbol = product(front, product(g1, product(g2, g3)))
+    target_symbol = product(const_op(basis, np.hstack([dstar_lam, lam])),
+                            block_diag_op(basis, identity_op(basis, k_c),
+                                          _cascade(basis, m_a.op, u, m_ap.op)))
 
     m_cep = lifting_char_fn(eprime, n_deg)
     sig_ep = defect_unitary(eprime)
@@ -619,13 +597,9 @@ def synthesize_lifting(c: RowContraction, a: RowContraction, a2: RowContraction,
     leak = operator_norm(np.eye(k_c) - q_star_ghat @ q_star_ghat.conj().T) if k_c else 0.0
     if leak > BUILD_TOL:
         raise SubspaceLeak(f"first slot leaves the range of the splitting unitary ({leak:.3e})")
-    sig_inv = const_op(basis, Subspace.full(k_c + ahat_lift.dE.rank), eprime.dE.space,
-                       sig_ep.op.matrix.conj().T @ block_diag(q_star_ghat.conj().T,
-                                                              np.eye(ahat_lift.dE.rank)))
     inner = sig_ah.op.matrix.conj().T @ block_diag(u1, np.eye(k_a2))
-    last = _coord_const(basis, k_c + f_dim + k_a2, k_c + ahat_lift.dE.rank,
-                        block_diag(np.eye(k_c), inner))
-    realized = product(_as_coords(m_cep.op), _as_coords(product(sig_inv, last)))
+    realized = product(m_cep.op, const_op(basis, sig_ep.op.matrix.conj().T
+                                          @ block_diag(q_star_ghat.conj().T, inner)))
 
     residual = coeff_diff(target_symbol, realized)
     report = SynthesisReport(

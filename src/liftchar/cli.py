@@ -126,8 +126,8 @@ def _row_contraction(data, d: int, what: str) -> RowContraction:
         raise ValidationError(f"{what}: {exc}") from None
 
 
-def _build_level(c: RowContraction, a: RowContraction, raw: dict, b_key: str, g_key: str,
-                 tol: float) -> Lifting:
+def _build_level(c: RowContraction, a: RowContraction, raw: dict, b_key: str,
+                 g_key: str) -> Lifting:
     has_b, has_g = b_key in raw, g_key in raw
     if has_b == has_g:
         raise ValidationError(f"exactly one of {b_key!r} or {g_key!r} must be given")
@@ -138,7 +138,7 @@ def _build_level(c: RowContraction, a: RowContraction, raw: dict, b_key: str, g_
                 raise ValidationError(
                     f"{b_key}[{i}]: shape {m.shape}, expected {(a.dim, c.dim)}")
         try:
-            return lifting_from_blocks(c, a, b, tol)
+            return lifting_from_blocks(c, a, b)
         except LiftcharError as exc:
             raise ValidationError(f"{b_key}: {exc}") from None
     g = mat_from_json(raw[g_key], g_key)
@@ -162,7 +162,7 @@ def _float_or_inf(x) -> float:
 
 def parse_scenario(path: str) -> Scenario:
     """Read and validate a scenario file; a coupling derived from B blocks must
-    factor within the tolerance."""
+    factor within lifting.LIFT_TOL, whatever the tolerance."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -190,12 +190,12 @@ def parse_scenario(path: str) -> Scenario:
 
     c = _row_contraction(raw["C"], d, "C")
     a = _row_contraction(raw["A"], d, "A")
-    first = _build_level(c, a, raw, "B", "gamma", tol)
+    first = _build_level(c, a, raw, "B", "gamma")
 
     second = iterated = None
     if "Aprime" in raw:
         a2 = _row_contraction(raw["Aprime"], d, "Aprime")
-        second = _build_level(first.E, a2, raw, "Bprime", "gammaprime", tol)
+        second = _build_level(first.E, a2, raw, "Bprime", "gammaprime")
         try:
             iterated = iterate_liftings(first, second)
         except LiftcharError as exc:

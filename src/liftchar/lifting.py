@@ -159,23 +159,22 @@ def extract_gamma(c: RowContraction, a: RowContraction, b) -> tuple[SubOperator,
     return op, residual
 
 
-def _coupling_from_blocks(c: RowContraction, a: RowContraction, b_row: np.ndarray,
-                         tol: float) -> SubOperator:
-    """The coupling extracted from row(B), which must factor within tol * max(1, ||B||)
-    and be a contraction."""
+def _coupling_from_blocks(c: RowContraction, a: RowContraction,
+                         b_row: np.ndarray) -> SubOperator:
+    """The coupling extracted from row(B), which must factor within
+    LIFT_TOL * max(1, ||B||) and be a contraction."""
     gamma, residual = extract_gamma(c, a, b_row)
-    if residual > tol * max(1.0, operator_norm(b_row)):
+    if residual > LIFT_TOL * max(1.0, operator_norm(b_row)):
         raise ResidualTooLarge(
             f"B does not factor as D_C gamma D_*A (residual {residual:.3e})")
     require_contraction(gamma.matrix)
     return gamma
 
 
-def lifting_from_blocks(c: RowContraction, a: RowContraction, b,
-                        tol: float = LIFT_TOL) -> Lifting:
+def lifting_from_blocks(c: RowContraction, a: RowContraction, b) -> Lifting:
     """Build a Lifting from explicit B blocks, verifying the coupling factorization."""
     b_row = np.hstack([as_complex(m) for m in b])
-    return _assemble_lifting(c, a, b_row, _coupling_from_blocks(c, a, b_row, tol))
+    return _assemble_lifting(c, a, b_row, _coupling_from_blocks(c, a, b_row))
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +300,7 @@ def iterate_liftings(first: Lifting, second: Lifting) -> IteratedLifting:
     ahat_lifting = lifting_from_blocks(first.A, second.A, [bp[:, nc:] for bp in second.B])
     a_hat = ahat_lifting.E
     b_hat = np.hstack([np.vstack([b, bp[:, :nc]]) for b, bp in zip(first.B, second.B)])
-    gamma_hat = _coupling_from_blocks(first.C, a_hat, b_hat, LIFT_TOL)
+    gamma_hat = _coupling_from_blocks(first.C, a_hat, b_hat)
     b, mats = _lifting_blocks(first.C, a_hat, b_hat)
     if norm_exceeds(np.hstack(mats) - np.hstack(second.E.ops), 1e-12):
         raise Mismatch("reassembled E' disagrees with the given one")

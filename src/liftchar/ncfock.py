@@ -6,8 +6,11 @@ holds the coefficient of the word a of length n, idx being the
 lexicographic rank within the degree.  Degrees past the stored tensors are
 zero.  Word concatenation is an index product, idx(a + b) = idx(a) d^|b| +
 idx(b), so composing two operators takes one GEMM per pair of degrees and
-every per-word comparison is one batched norm per degree.  The pairing
-convention is
+every per-word comparison is one batched norm per degree.  Composition is
+by coordinates: `product` asks only that the inner dimensions agree, and
+`const_op`, `identity_op` and `block_diag_op` label their spaces as plain
+coordinate spaces.  The dom/cod subspaces record where an operator came
+from; no arithmetic here compares them.  The pairing convention is
 
     theta x = sum_a  e_{reverse(a)} (x) theta_(a) x,
 
@@ -31,7 +34,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import DimMismatch, IndexOutOfRange
-from .numlin import Subspace, as_complex, direct_sum, max_operator_norm, readonly
+from .numlin import Subspace, as_complex, max_operator_norm, readonly
 from .rowcon import Word, all_words
 
 DEFAULT_DEGREE = 6
@@ -145,13 +148,20 @@ class MultiAnalyticOp:
         return self.cod.basis @ self.coeff(w) @ self.dom.basis.conj().T
 
 
-def identity_op(basis: FockBasis, space: Subspace) -> MultiAnalyticOp:
-    return const_op(basis, space, space, np.eye(space.dim))
+@lru_cache(maxsize=None)
+def _coords(k: int) -> Subspace:
+    """The coordinate space C^k, one shared copy per k (a Subspace is immutable)."""
+    return Subspace.full(k)
 
 
-def const_op(basis: FockBasis, dom: Subspace, cod: Subspace, matrix) -> MultiAnalyticOp:
-    """Ampliation I_Gamma (x) X as a multi-analytic operator."""
-    return MultiAnalyticOp(basis, dom, cod, (as_complex(matrix)[None],))
+def identity_op(basis: FockBasis, k: int) -> MultiAnalyticOp:
+    return const_op(basis, np.eye(k))
+
+
+def const_op(basis: FockBasis, matrix) -> MultiAnalyticOp:
+    """Ampliation I_Gamma (x) X as a multi-analytic operator between coordinate spaces."""
+    m = as_complex(matrix)
+    return MultiAnalyticOp(basis, _coords(m.shape[1]), _coords(m.shape[0]), (m[None],))
 
 
 def add(m1: MultiAnalyticOp, m2: MultiAnalyticOp) -> MultiAnalyticOp:
@@ -176,13 +186,15 @@ def pair_products(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
 def product(m1: MultiAnalyticOp, m2: MultiAnalyticOp) -> MultiAnalyticOp:
     """Composition m1 after m2; exact for all words of length <= N.
 
-    The coefficient of w sums theta1_(a) theta2_(b) over the splittings
+    Composition is by coordinates: m1.dom and m2.cod must have the same
+    dimension, and the result keeps m2.dom and m1.cod as its labels.  The
+    coefficient of w sums theta1_(a) theta2_(b) over the splittings
     w = a + b, so degree n collects one `pair_products` per (p, q), p + q = n.
     """
     if m1.basis != m2.basis:
         raise DimMismatch("operands live on different Fock truncations")
-    if not m1.dom.same_basis(m2.cod):
-        raise DimMismatch("m1.dom must match m2.cod (same ambient space and basis)")
+    if m1.dom.dim != m2.cod.dim:
+        raise DimMismatch(f"m1.dom has dimension {m1.dom.dim}, m2.cod {m2.cod.dim}")
     top = m1.basis.N
     g1, g2 = m1.graded, m2.graded
     i, k = m1.cod.dim, m2.dom.dim
@@ -200,12 +212,12 @@ def product(m1: MultiAnalyticOp, m2: MultiAnalyticOp) -> MultiAnalyticOp:
 
 
 def block_diag_op(basis: FockBasis, *ops: MultiAnalyticOp) -> MultiAnalyticOp:
-    """Direct sum of multi-analytic operators (block diagonal per word)."""
+    """Direct sum of multi-analytic operators (block diagonal per word) in coordinates."""
     for op in ops:
         if op.basis != basis:
             raise DimMismatch("operands live on different Fock truncations")
-    dom = direct_sum(*(op.dom for op in ops))
-    cod = direct_sum(*(op.cod for op in ops))
+    dom = _coords(sum(op.dom.dim for op in ops))
+    cod = _coords(sum(op.cod.dim for op in ops))
     graded = []
     for n in range(max((len(op.graded) for op in ops), default=0)):
         t = np.zeros((basis.d**n, cod.dim, dom.dim), dtype=np.complex128)

@@ -14,6 +14,7 @@ from liftchar.charfact import (
     verify_minimal_product,
 )
 from liftchar.errors import (
+    Mismatch,
     NotContraction,
     NotPurelyContractive,
     OracleMismatch,
@@ -452,6 +453,17 @@ class TestMinimalPart:
         assert mp.space.dim == first.E.dim
         assert mp.space.contains_residual(np.eye(4)[:, :3]) < 1e-9
 
+    def test_second_lifting_of_another_e_is_refused(self):
+        # the two liftings of C by A have defect spaces of one dimension but
+        # different bases, so only the basis comparison can tell them apart
+        rng = np.random.default_rng(3)
+        c, a = random_row_contraction(rng, 2, 1), random_row_contraction(rng, 2, 1)
+        first, other = random_lifting(rng, c, a), random_lifting(rng, c, a)
+        second = random_lifting(rng, other.E, random_row_contraction(rng, 2, 1))
+        assert first.dE.rank == other.dE.rank
+        with pytest.raises(Mismatch, match="does not lift the first one's E"):
+            verify_minimal_product(first, second, 3)
+
     def test_random(self):
         rng = np.random.default_rng(10)
         for _ in range(5):
@@ -504,3 +516,21 @@ class TestSynthesize:
             data = random_synthesis_data(rng, d, dims)
             _, rep = synthesize_lifting(*data, 4, 1e-8)
             assert rep.passed
+
+
+def test_constants_fold_before_products(monkeypatch):
+    # a product of two constants is one matmul, never a `product` call
+    product = charfact.product
+    degrees = []
+
+    def recording(m1, m2):
+        degrees.append((len(m1.graded), len(m2.graded)))
+        return product(m1, m2)
+
+    monkeypatch.setattr(charfact, "product", recording)
+    it = random_iterated_lifting(np.random.default_rng(4), 2, (2, 2, 2))
+    run_battery(it.first, it, 4, 1e-8, "all")
+    _, rep = synthesize_lifting(*random_synthesis_data(np.random.default_rng(11), 2, (1, 1, 1)),
+                                4, 1e-8)
+    assert rep.passed and degrees
+    assert (1, 1) not in degrees

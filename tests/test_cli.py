@@ -184,6 +184,19 @@ class TestCommands:
         assert words == sorted(words, key=lambda s: (len(s), s))
         assert "" in words and "1" in words
 
+    def test_scenario_tolerance_does_not_gate_parsing(self, tmp_path, capsys):
+        # B must factor within LIFT_TOL whatever the tolerance, so a tolerance
+        # below rounding fails lines (exit 1) and does not refuse the input
+        first = random_iterated_lifting(np.random.default_rng([1, 0]), 3, (1, 1, 1)).first
+        path = write_scenario(tmp_path, d=3, tolerance=1e-16,
+                              C=[mat_to_json(m) for m in first.C.ops],
+                              A=[mat_to_json(m) for m in first.A.ops],
+                              B=[mat_to_json(m) for m in first.B])
+        assert main(["charfn", path]) == 0
+        capsys.readouterr()
+        assert main(["verify", path]) == 1
+        assert "error:" not in capsys.readouterr().err
+
     def test_charfn_isometric_base_empty(self, tmp_path, capsys):
         path = write_scenario(tmp_path, A=[[[[1.0, 0.0]]]], B=[[[[0.0, 0.0]]]])
         rc = main(["charfn", path])
