@@ -2,12 +2,16 @@
 and the verifiable operator identities built from them.
 
 Every characteristic function is the transfer function of a colligation with
-state space H_A, and one engine (`transfer_coeffs`) computes all of them by
-two routes (explicit word products vs the degree recursion) that are
+state space H_A and state operators X_j = A_j*, and one engine
+(`transfer_coeffs`) computes all of them.  The word products X_w depend on A
+alone: `word_stack` grows them once per row contraction and degree by two
+routes, one appending letters and one prepending them, that are
 cross-checked; this is the main defense against coefficient-reversal and
-ordering bugs, which the conventions here make easy to commit.  The engine
-also certifies the colligation (unitary or contractive), which catches
-assembly errors that both routes would share.
+ordering bugs, which the conventions here make easy to commit.  Each
+function is then one assembly, (C X_w) B_k in two GEMMs, and the engine
+certifies its colligation (unitary or contractive), which catches assembly
+errors in D, C or B that the word stack cannot see.  An assembly that
+misplaces whole words is left to the identity checks.
 
 Degree language replaces the radial limit r -> 1 throughout: an identity
 X(r) = Y(r) for all r in [0,1) is asserted as coefficient equality per
@@ -71,6 +75,7 @@ from .numlin import (
     operator_norm,
     pinv,
     psd_root_range,
+    readonly,
     require_contraction,
     svd_rank,
     unitarity_residual,
@@ -87,56 +92,83 @@ PURE_MARGIN = 1e-8  # least 1 - ||vacuum coefficient|| of a purely contractive s
 # ---------------------------------------------------------------------------
 # the colligation engine: every characteristic function is a transfer function
 
-def transfer_coeffs(D: np.ndarray, C: np.ndarray, B: np.ndarray, X: np.ndarray, n_deg: int, *,
-                    certify: str | None = None) -> tuple[tuple[np.ndarray, ...], float]:
+def word_stack(a: RowContraction, n_deg: int) -> tuple[np.ndarray, float]:
+    """The state-word products X_w = X_{w_1} ... X_{w_n}, X_j = A_j*, of every
+    word with |w| < n_deg (n_deg >= 1), stacked in graded lexicographic order
+    with X_() = I, and the residual of the two routes that grow them.
+
+    The append route grows P_{n+1}[(w, k)] = P_n[w] X_k at rank idx(w) d + k - 1
+    (`pair_products`).  The prepend route grows T_{n+1}[(k, w)] = X_k T_n[w] at
+    rank (k-1) d^n + idx(w), by a GEMM of its own.  A disagreement beyond
+    CROSSCHECK_TOL raises OracleMismatch: it catches a letter-order fault in
+    either.  Every colligation over A shares the stack, so it is computed
+    once per row contraction and degree.
+    """
+    def compute():
+        d, s = a.d, a.dim
+        x = _adjoints(a)
+        x_wide = x.reshape(d * s, s)
+        tiers = [np.eye(s, dtype=np.complex128)[None]]
+        pre, diffs = tiers[0], []
+        for n in range(1, n_deg):
+            tiers.append(pair_products(tiers[-1], x).reshape(d**n, s, s))
+            pre = (x_wide @ pre.transpose(1, 0, 2).reshape(s, d**(n - 1) * s)).reshape(
+                d, s, d**(n - 1), s).transpose(0, 2, 1, 3).reshape(d**n, s, s)
+            diffs.append(tiers[-1] - pre)
+        resid = max_operator_norm(diffs)
+        if resid > CROSSCHECK_TOL:
+            raise OracleMismatch(f"word-product routes disagree by {resid:.3e}")
+        return readonly(np.concatenate(tiers)), resid
+    return memo(a, ("word_stack", n_deg), compute)
+
+
+def transfer_coeffs(D: np.ndarray, C: np.ndarray, B: np.ndarray, a: RowContraction, n_deg: int,
+                    *, certify: str | None = None) -> tuple[tuple[np.ndarray, ...], float]:
     """Degree tensors of the transfer function D + C (I - sum Z_j X_j)^{-1} sum Z_j B_j
-    of the colligation M = [[D, C], [B, X]], B and X stacked per letter with
-    shapes (d, s, m) and (d, s, s).
+    of the colligation M = [[D, C], [B, X]] over A, X_j = A_j*, with B stacked
+    per letter in shape (d, s, m).
 
     Degree n holds, at row idx(a), the stored coefficient of the word
-    a = (a_1, ..., a_n): C X_{a_1} ... X_{a_{n-1}} B_{a_n}; degree 0 is D.  Two
-    routes compute them, growing the words from opposite ends.  The word
-    route appends letters: prefixes P_0 = C, P_{n+1}[(w, k)] = P_n[w] X_k at
-    rank idx(w) d + k - 1, and degree n + 1 is P_n[w] B_k at the same rank.
-    The degree recursion prepends: T_1 = B, T_{n+1}[(k, rest)] = X_k T_n[rest]
-    at rank (k-1) d^n + idx(rest), and degree n is C T_n.  A disagreement
-    beyond CROSSCHECK_TOL raises OracleMismatch.  Both routes read the same
-    colligation, so `certify` ("unitary" or "contractive") also checks M
-    itself, which catches an assembly error the cross-check cannot see.
-    Returns (degree tensors 0..n_deg, cross-check residual).
+    a = (a_1, ..., a_n): C X_{a_1} ... X_{a_{n-1}} B_{a_n}; degree 0 is D.  The
+    products X_w come from `word_stack`, whose two routes are cross-checked;
+    degrees 1..n_deg are then (C X_w) B_k at rank idx(w) d + k - 1, two GEMMs.
+    `certify` ("unitary" or "contractive") checks M itself, which catches an
+    assembly error the cross-check cannot see.  Returns (degree tensors
+    0..n_deg, the word stack's cross-check residual).
     """
     d, s, m = B.shape
     if certify is not None:
-        col = np.block([[D, C], [B.reshape(d * s, m), X.reshape(d * s, s)]])
+        col = np.block([[D, C], [B.reshape(d * s, m), _adjoints(a).reshape(d * s, s)]])
         r = unitarity_residual(col) if certify == "unitary" else operator_norm(col) - 1.0
         if r > CROSSCHECK_TOL:
             raise ResidualTooLarge(f"colligation is not {certify} (residual {r:.3e})")
     if n_deg == 0:
         return (D[None],), 0.0
-
-    tiers, t = [], B
-    for n in range(1, n_deg + 1):
-        tiers.append(t)
-        if n < n_deg:
-            t = np.einsum("kij,rjm->krim", X, t).reshape(d * len(t), s, m)
-    by_degree = np.einsum("pi,wim->wpm", C, np.concatenate(tiers))
-
-    by_word, prefix, start = np.empty_like(by_degree), C[None], 0
-    for n in range(1, n_deg + 1):
-        by_word[start:start + d**n] = pair_products(prefix, B).reshape(d**n, *by_word.shape[1:])
-        start += d**n
-        if n < n_deg:
-            prefix = pair_products(prefix, X).reshape(d**n, *C.shape)
-    by_word -= by_degree
-    resid = max_operator_norm(by_word)
-    if resid > CROSSCHECK_TOL:
-        raise OracleMismatch(f"characteristic-function routes disagree by {resid:.3e}")
-    return (D[None], *np.split(by_degree, np.cumsum([d**n for n in range(1, n_deg)]))), resid
+    words, resid = word_stack(a, n_deg)
+    c, n_w = C.shape[0], len(words)
+    cx = pair_products(C[None], words).reshape(n_w, c, s)
+    coeffs = pair_products(cx, B).reshape(n_w * d, c, m)
+    off = fock_basis(d, n_deg).offsets  # coeffs starts at degree 1, global index 1
+    return (D[None], *(coeffs[off[n] - 1:off[n + 1] - 1] for n in range(1, n_deg + 1))), resid
 
 
 def _adjoints(a: RowContraction) -> np.ndarray:
     """(A_1*, ..., A_d*) stacked, the state operators X_j of every colligation here."""
     return np.stack([s.conj().T for s in a.ops])
+
+
+def _sandwich(left: np.ndarray | None, graded, right: np.ndarray | None) -> tuple[np.ndarray, ...]:
+    """left @ t @ right for every degree tensor t, a side left out when None:
+    one reshaped GEMM per side and degree, and no copy of all degrees at once."""
+    out = []
+    for t in graded:
+        if left is not None:
+            t = np.ascontiguousarray(pair_products(left[None], t)[0])
+        if right is not None:
+            n, r, c = t.shape
+            t = (t.reshape(n * r, c) @ right).reshape(n, r, right.shape[1])
+        out.append(t)
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -173,10 +205,10 @@ def row_char_fn(a: RowContraction, n_deg: int = DEFAULT_DEGREE) -> CharFn:
         da, dsa = defect(a), star_defect(a)
         n = a.dim
         amb, resid = transfer_coeffs(-a.row, dsa.D, da.D.reshape(a.d, n, a.d * n),
-                                     _adjoints(a), n_deg, certify="unitary")
-        q_a, q_sa = da.space.basis, dsa.space.basis
-        comp_coeffs = tuple(q_sa.conj().T @ t for t in amb)
-        op = MultiAnalyticOp(basis, da.space, dsa.space, tuple(t @ q_a for t in comp_coeffs))
+                                     a, n_deg, certify="unitary")
+        comp_coeffs = _sandwich(dsa.space.basis.conj().T, amb, None)
+        op = MultiAnalyticOp(basis, da.space, dsa.space,
+                             _sandwich(None, comp_coeffs, da.space.basis))
         comp = MultiAnalyticOp(basis, Subspace.full(a.d * n), dsa.space, comp_coeffs)
         return CharFn(op, comp, resid)
     return memo(a, ("row_char_fn", n_deg), compute)
@@ -207,21 +239,21 @@ def lifting_char_fn(lift: Lifting, n_deg: int = DEFAULT_DEGREE) -> CharFn:
         vac = np.hstack([q_ch @ dc.D - g @ dsa.D @ lift.b_row, -g @ a.row @ da.D])[:, inv]
         b = np.concatenate([-x @ lift.b_row, (da.D @ da.D).reshape(d, a.dim, d * a.dim)],
                            axis=2)[:, :, inv]
-        comp_coeffs, resid = transfer_coeffs(vac, g @ dsa.D, b, x, n_deg, certify="contractive")
+        comp_coeffs, resid = transfer_coeffs(vac, g @ dsa.D, b, a, n_deg, certify="contractive")
 
         cols = d * lift.E.dim
         q_e = lift.dE.space.basis
         k_res = 0.0
         if lift.dE.rank < cols:
             _, ker = psd_root_range(np.eye(cols) - q_e @ q_e.conj().T)
-            k_res = max(max_operator_norm(t @ ker.basis) for t in comp_coeffs)
+            k_res = max_operator_norm(_sandwich(None, comp_coeffs, ker.basis))
         if k_res > KERNEL_TOL:
             raise ResidualTooLarge(
                 f"symbol-times-defect does not vanish on ker D_E (residual {k_res:.3e})")
 
         de_pinv_q = lift.dE.pinv @ q_e
         op = MultiAnalyticOp(basis, lift.dE.space, lift.dC.space,
-                             tuple(t @ de_pinv_q for t in comp_coeffs))
+                             _sandwich(None, comp_coeffs, de_pinv_q))
         comp = MultiAnalyticOp(basis, Subspace.full(cols), lift.dC.space, comp_coeffs)
         return CharFn(op, comp, resid, k_res)
     return memo(lift, ("lifting_char_fn", n_deg), compute)
@@ -239,11 +271,9 @@ def resolvent_identity_residual(a: RowContraction, n_deg: int = DEFAULT_DEGREE) 
     """
     basis = fock_basis(a.d, n_deg)
     dsa = star_defect(a)
-    x = _adjoints(a)
-    lhs_full, _ = transfer_coeffs(dsa.D @ dsa.D, dsa.D, x @ dsa.D, x, n_deg)
+    lhs_full, _ = transfer_coeffs(dsa.D @ dsa.D, dsa.D, _adjoints(a) @ dsa.D, a, n_deg)
     q = dsa.space.basis
-    lhs = MultiAnalyticOp(basis, dsa.space, dsa.space,
-                          tuple(q.conj().T @ t @ q for t in lhs_full))
+    lhs = MultiAnalyticOp(basis, dsa.space, dsa.space, _sandwich(q.conj().T, lhs_full, q))
 
     chf = row_char_fn(a, n_deg)
     da = defect(a)
@@ -320,7 +350,7 @@ def _assemble(it: IteratedLifting, n_deg: int):
     # far the A-hat slot's D_*A' block leaves D_delta before m2 projects it
     # (the report's factorization-leak line judges it)
     proj = np.eye(k_sap) - q_delta @ q_delta.conj().T
-    leak = max((max_operator_norm(proj @ t[:, k_sa:, :]) for t in core.graded), default=0.0)
+    leak = max_operator_norm(proj @ t[:, k_sa:, :] for t in core.graded)
     rhs = add(const_op(basis, dstar_ghat @ m7[:k_c]), product(const_op(basis, g_hat @ m2), core))
 
     info = {
@@ -364,12 +394,10 @@ def verify_factorization(it: IteratedLifting, n_deg: int = DEFAULT_DEGREE,
     cl = it.as_c_lifting
     chf = lifting_char_fn(cl, n_deg)
     rhs, info = _assemble(it, n_deg)
-    idx_c, idx_ah = cl.column_split()
-    residual = res_c = res_ah = 0.0
-    for diff in degree_diffs(chf.comp, rhs):
-        residual = max(residual, max_operator_norm(diff))
-        res_c = max(res_c, max_operator_norm(diff[:, :, idx_c]))
-        res_ah = max(res_ah, max_operator_norm(diff[:, :, idx_ah]))
+    # each residual is one batched norm over all degrees, one difference at a time
+    residual = max_operator_norm(degree_diffs(chf.comp, rhs))
+    res_c, res_ah = (max_operator_norm(t[:, :, idx] for t in degree_diffs(chf.comp, rhs))
+                     for idx in cl.column_split())
     checks = dict(info["checks"])
     checks["charfn_crosscheck"] = chf.crosscheck_residual
     checks["charfn_kernel"] = chf.kernel_residual

@@ -12,6 +12,7 @@ from liftchar.charfact import (
     synthesize_lifting,
     verify_factorization,
     verify_minimal_product,
+    word_stack,
 )
 from liftchar.errors import (
     Mismatch,
@@ -34,9 +35,15 @@ from liftchar.lifting import (
     make_lifting,
     star_defect_unitary,
 )
-from liftchar.ncfock import coeff_diff, intertwining_residual, pair_products, realized_norm
+from liftchar.ncfock import (
+    _reversal,
+    coeff_diff,
+    intertwining_residual,
+    pair_products,
+    realized_norm,
+)
 from liftchar.numlin import SubOperator, max_operator_norm, operator_norm, svd_rank
-from liftchar.rowcon import RowContraction, defect, star_defect
+from liftchar.rowcon import RowContraction, all_words, defect, star_defect
 
 S2 = 1 / np.sqrt(2)
 S3 = 1 / np.sqrt(3)
@@ -182,6 +189,58 @@ class TestColligationEngine:
             row_char_fn(it.first.A, 3)
         with pytest.raises(ResidualTooLarge, match="not contractive"):
             lifting_char_fn(it.first, 3)
+
+
+class TestWordStack:
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_stack_is_the_explicit_products(self, d):
+        a = random_row_contraction(np.random.default_rng([5, d]), d, 3)
+        stack, resid = word_stack(a, 5)
+        words = all_words(d, 4)
+        assert stack.shape == (len(words), 3, 3) and resid <= 1e-15
+        for i, w in enumerate(words):
+            want = np.eye(3)
+            for letter in w:
+                want = want @ a.ops[letter - 1].conj().T
+            assert np.abs(stack[i] - want).max() <= 1e-15
+
+    def test_zero_dimensional_state(self):
+        a = RowContraction((np.zeros((0, 0)), np.zeros((0, 0))))
+        stack, resid = word_stack(a, 3)
+        assert stack.shape == (7, 0, 0) and resid == 0.0
+
+    def test_battery_builds_one_stack_per_row_contraction(self, monkeypatch):
+        # the ten engine calls of TestMemo run over four row contractions: A, A', A-hat, A-tilde
+        seen = []
+        stack = charfact.word_stack
+
+        def recording(a, n_deg):
+            seen.append((a, stack(a, n_deg)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(charfact, "word_stack", recording)
+        it = random_iterated_lifting(np.random.default_rng(12), 2, (1, 2, 1))
+        run_battery(it.first, it, 4, 1e-8, "all")
+        assert len(seen) == 10
+        owners = {id(a) for a, _ in seen}
+        assert len(owners) == len({id(r[0]) for _, r in seen}) == 4
+        assert {id(it.first.A), id(it.second.A), id(it.a_hat)} < owners
+
+    @pytest.mark.parametrize("i", range(5))
+    def test_reversed_assembly_fails_the_identities(self, monkeypatch, i):
+        # the engine's cross-check covers the word stack, not the assembly from it:
+        # an assembly that reverses each degree's words must fail the identity lines
+        engine = charfact.transfer_coeffs
+
+        def reversed_rows(D, C, B, a, n, **kw):
+            coeffs, resid = engine(D, C, B, a, n, **kw)
+            return tuple(t[_reversal(B.shape[0], p)] for p, t in enumerate(coeffs)), resid
+
+        monkeypatch.setattr(charfact, "transfer_coeffs", reversed_rows)
+        it = random_iterated_lifting(np.random.default_rng([12, i]), 2, (1, 2, 1))
+        failed = {c.name for c in run_battery(it.first, it, 4, 1e-8, "all") if not c.passed}
+        assert any(name.startswith("charfn-norm") for name in failed)
+        assert {"factorization", "minimal-product"} <= failed
 
 
 def _kernel_residual_by_projector(lift, fn):

@@ -440,6 +440,25 @@ class TestMaxOperatorNorm:
         assert abs(max_operator_norm(stack[:5]) - np.linalg.norm(stack[4], 2)) \
             <= 1e-13 * np.linalg.norm(stack[4], 2)
 
+    @pytest.mark.parametrize("name", sorted(pruning_stacks()))
+    def test_list_of_stacks_equals_their_concatenation(self, name):
+        # a residual over all degrees is one call over the per-degree stacks: the
+        # bound is global, so the value is exactly that of the concatenated stack
+        stack = np.asarray(pruning_stacks()[name])
+        stack = stack.reshape(-1, *stack.shape[-2:])
+        cuts = [0, 1, len(stack) // 3, len(stack) // 2, len(stack)]
+        parts = [stack[a:b] for a, b in zip(cuts, cuts[1:])]
+        want = max_operator_norm(np.concatenate(parts))
+        assert max_operator_norm(parts) == want
+        assert max_operator_norm(iter(parts[::-1])) == want
+        assert max_operator_norm([stack[i] for i in range(len(stack))]) == want
+
+    def test_lone_block_skips_the_bound(self):
+        a = np.array([[3.0, 4.0j], [0.0, 1.0]])
+        assert max_operator_norm(a) == max_operator_norm(a[None]) \
+            == unpruned_max_operator_norm(a[None])
+        assert max_operator_norm([]) == max_operator_norm([np.zeros((0, 3, 3))]) == 0.0
+
     def test_zero_and_empty(self):
         assert max_operator_norm(np.zeros((6, 3, 2))) == 0.0
         for shape in [(0, 3, 3), (4, 0, 3), (4, 3, 0)]:
