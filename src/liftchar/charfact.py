@@ -394,10 +394,12 @@ def verify_factorization(it: IteratedLifting, n_deg: int = DEFAULT_DEGREE,
     cl = it.as_c_lifting
     chf = lifting_char_fn(cl, n_deg)
     rhs, info = _assemble(it, n_deg)
-    # each residual is one batched norm over all degrees, one difference at a time
+    idx_c, idx_ah = cl.column_split()
+    # each residual is one batched norm over all degrees; the differences are
+    # made again for each, so that only one degree's difference is held at a time
     residual = max_operator_norm(degree_diffs(chf.comp, rhs))
-    res_c, res_ah = (max_operator_norm(t[:, :, idx] for t in degree_diffs(chf.comp, rhs))
-                     for idx in cl.column_split())
+    res_c = max_operator_norm(t[:, :, idx_c] for t in degree_diffs(chf.comp, rhs))
+    res_ah = max_operator_norm(t[:, :, idx_ah] for t in degree_diffs(chf.comp, rhs))
     checks = dict(info["checks"])
     checks["charfn_crosscheck"] = chf.crosscheck_residual
     checks["charfn_kernel"] = chf.kernel_residual

@@ -63,49 +63,40 @@ def operator_norm(m: np.ndarray) -> float:
     return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
-def _candidates(m: np.ndarray, lb2) -> tuple[np.ndarray, np.ndarray, float]:
-    """For a nonempty stack m: the mask of the blocks that could attain the
-    largest spectral norm, their squared Frobenius norms, and the squared
-    lower bound lb2 raised by m's column and row norms (see max_operator_norm)."""
-    sq = m.real**2 + m.imag**2
-    lb2 = max(lb2, sq.sum(axis=-2).max(), sq.sum(axis=-1).max())
-    fro2 = sq.sum(axis=(-2, -1))
-    # "not below" rather than ">=", so NaN blocks stay in and the value is NaN
-    return ~(fro2 < lb2 * (1.0 - _BOUND_MARGIN) ** 2), fro2, lb2
-
-
 def max_operator_norm(stacks) -> float:
     """Largest spectral norm in a stack (..., r, c) of matrices, or in an
     iterable of such stacks with one block shape; 0.0 when they are empty.
 
     sqrt of the top eigenvalue of each block's smaller Gram matrix, by one
     batched eigvalsh: it agrees with the top singular value to rounding, and
-    costs less than batched SVDs of small blocks.  A lone block goes
-    straight to it.  Otherwise only blocks that could attain the maximum go
-    through it.  Every column and row norm seen is a lower bound lb on the
-    answer, and a block's Frobenius norm is an upper bound on its spectral
-    norm, so a block whose Frobenius norm is below lb (1 - 1e-8) is provably
-    below the maximum and is dropped.  The margin is far wider than the
-    rounding of either bound, so the block that attains the maximum is
-    always kept and the value is exactly the one the unpruned blocks give.
-    The stacks are read one at a time against the bound so far, and the
-    survivors are pruned again against the final one: the value over an
-    iterable is exactly the value over the concatenated stacks.
+    costs less than batched SVDs of small blocks.  Only blocks that could
+    attain the maximum go through it.  Every column and row norm seen is a
+    lower bound lb on the answer, and a block's Frobenius norm is an upper
+    bound on its spectral norm, so a block whose Frobenius norm is below
+    lb (1 - 1e-8) is provably below the maximum and is dropped.  The margin
+    is far wider than the rounding of either bound, so the block that
+    attains the maximum is always kept and the value is exactly the one the
+    unpruned blocks give.  The stacks are read one at a time against the
+    bound so far, and the survivors are pruned again against the final one:
+    the value over an iterable is exactly the value over the concatenated
+    stacks.
     """
     if isinstance(stacks, np.ndarray):
-        m = stacks
-        if m.size > m.shape[-2] * m.shape[-1]:  # with one block or none, nothing to prune
-            m = m[_candidates(m, 0.0)[0]]
-    else:
-        lb2, kept = 0.0, []
-        for m in stacks:
-            if m.size:
-                keep, fro2, lb2 = _candidates(m, lb2)
-                kept.append((m[keep], fro2[keep]))
-        if not kept:
-            return 0.0
-        m = np.concatenate([k[0] for k in kept])
-        m = m[~(np.concatenate([k[1] for k in kept]) < lb2 * (1.0 - _BOUND_MARGIN) ** 2)]
+        stacks = (stacks,)
+    lb2, kept, kept_fro2 = 0.0, [], []
+    for m in stacks:
+        if m.size:
+            sq = m.real**2 + m.imag**2
+            lb2 = max(lb2, sq.sum(axis=-2).max(), sq.sum(axis=-1).max())
+            fro2 = sq.sum(axis=(-2, -1))
+            # "not below" rather than ">=", so NaN blocks stay in and the value is NaN
+            keep = ~(fro2 < lb2 * (1.0 - _BOUND_MARGIN) ** 2)
+            kept.append(m[keep])
+            kept_fro2.append(fro2[keep])
+    if not kept:
+        return 0.0
+    m = np.concatenate(kept)
+    m = m[~(np.concatenate(kept_fro2) < lb2 * (1.0 - _BOUND_MARGIN) ** 2)]
     if m.size == 0:
         return 0.0
     mh = m.conj().swapaxes(-1, -2)

@@ -453,10 +453,23 @@ class TestMaxOperatorNorm:
         assert max_operator_norm(iter(parts[::-1])) == want
         assert max_operator_norm([stack[i] for i in range(len(stack))]) == want
 
-    def test_lone_block_skips_the_bound(self):
-        a = np.array([[3.0, 4.0j], [0.0, 1.0]])
-        assert max_operator_norm(a) == max_operator_norm(a[None]) \
-            == unpruned_max_operator_norm(a[None])
+    def test_only_candidates_of_a_list_reach_eigvalsh(self, monkeypatch):
+        # blocks kept before the dominant one is read are dropped by the final
+        # bound, and blocks read after it by the bound carried across stacks
+        seen = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(a):
+            seen.append(a.shape[0])
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        parts = np.split(pruning_stacks()["dominant"], [10, 30, 60])
+        max_operator_norm(parts)
+        max_operator_norm(iter(parts[::-1]))
+        assert seen == [1, 1]
+
+    def test_empty_iterables(self):
         assert max_operator_norm([]) == max_operator_norm([np.zeros((0, 3, 3))]) == 0.0
 
     def test_zero_and_empty(self):
