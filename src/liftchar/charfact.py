@@ -57,8 +57,8 @@ from .ncfock import (
     add,
     block_diag_op,
     coeff_diff,
+    coeff_difference,
     const_op,
-    degree_diffs,
     fock_basis,
     identity_op,
     pair_products,
@@ -108,33 +108,36 @@ def word_stack(a: RowContraction, n_deg: int) -> tuple[np.ndarray, float]:
         d, s = a.d, a.dim
         x = _adjoints(a)
         x_wide = x.reshape(d * s, s)
-        tiers = [np.eye(s, dtype=np.complex128)[None]]
-        pre, diffs = tiers[0], []
+        off = fock_basis(d, n_deg - 1).offsets
+        app = np.empty((off[-1], s, s), dtype=np.complex128)
+        pre = np.empty_like(app)
+        app[0] = pre[0] = np.eye(s)
         for n in range(1, n_deg):
-            tiers.append(pair_products(tiers[-1], x).reshape(d**n, s, s))
-            pre = (x_wide @ pre.transpose(1, 0, 2).reshape(s, d**(n - 1) * s)).reshape(
+            last, new = slice(off[n - 1], off[n]), slice(off[n], off[n + 1])
+            app[new] = pair_products(app[last], x).reshape(d**n, s, s)
+            pre[new] = (x_wide @ pre[last].transpose(1, 0, 2).reshape(s, d**(n - 1) * s)).reshape(
                 d, s, d**(n - 1), s).transpose(0, 2, 1, 3).reshape(d**n, s, s)
-            diffs.append(tiers[-1] - pre)
-        resid = max_operator_norm(diffs)
+        resid = max_operator_norm(app - pre)
         if resid > CROSSCHECK_TOL:
             raise OracleMismatch(f"word-product routes disagree by {resid:.3e}")
-        return readonly(np.concatenate(tiers)), resid
+        return readonly(app), resid
     return memo(a, ("word_stack", n_deg), compute)
 
 
 def transfer_coeffs(D: np.ndarray, C: np.ndarray, B: np.ndarray, a: RowContraction, n_deg: int,
-                    *, certify: str | None = None) -> tuple[tuple[np.ndarray, ...], float]:
-    """Degree tensors of the transfer function D + C (I - sum Z_j X_j)^{-1} sum Z_j B_j
+                    *, certify: str | None = None) -> tuple[np.ndarray, float]:
+    """Coefficients of the transfer function D + C (I - sum Z_j X_j)^{-1} sum Z_j B_j
     of the colligation M = [[D, C], [B, X]] over A, X_j = A_j*, with B stacked
     per letter in shape (d, s, m).
 
-    Degree n holds, at row idx(a), the stored coefficient of the word
-    a = (a_1, ..., a_n): C X_{a_1} ... X_{a_{n-1}} B_{a_n}; degree 0 is D.  The
+    Returns one (offsets[n_deg + 1], c, m) array in graded word order, the
+    layout of `MultiAnalyticOp.flat`, and the word stack's cross-check
+    residual.  Row g(a) holds the stored coefficient of the word
+    a = (a_1, ..., a_n): C X_{a_1} ... X_{a_{n-1}} B_{a_n}; row 0 is D.  The
     products X_w come from `word_stack`, whose two routes are cross-checked;
-    degrees 1..n_deg are then (C X_w) B_k at rank idx(w) d + k - 1, two GEMMs.
+    (C X_w) B_k lands at g(w) d + k, two GEMMs written straight after D.
     `certify` ("unitary" or "contractive") checks M itself, which catches an
-    assembly error the cross-check cannot see.  Returns (degree tensors
-    0..n_deg, the word stack's cross-check residual).
+    assembly error the cross-check cannot see.
     """
     d, s, m = B.shape
     if certify is not None:
@@ -143,13 +146,15 @@ def transfer_coeffs(D: np.ndarray, C: np.ndarray, B: np.ndarray, a: RowContracti
         if r > CROSSCHECK_TOL:
             raise ResidualTooLarge(f"colligation is not {certify} (residual {r:.3e})")
     if n_deg == 0:
-        return (D[None],), 0.0
+        return D[None], 0.0
     words, resid = word_stack(a, n_deg)
     c, n_w = C.shape[0], len(words)
     cx = pair_products(C[None], words).reshape(n_w, c, s)
-    coeffs = pair_products(cx, B).reshape(n_w * d, c, m)
-    off = fock_basis(d, n_deg).offsets  # coeffs starts at degree 1, global index 1
-    return (D[None], *(coeffs[off[n] - 1:off[n + 1] - 1] for n in range(1, n_deg + 1))), resid
+    terms = pair_products(cx, B)
+    out = np.empty((1 + n_w * d, c, m), dtype=np.complex128)  # after the GEMM's temporaries
+    out[0] = D
+    out[1:].reshape(terms.shape)[...] = terms
+    return out, resid
 
 
 def _adjoints(a: RowContraction) -> np.ndarray:
@@ -157,18 +162,15 @@ def _adjoints(a: RowContraction) -> np.ndarray:
     return np.stack([s.conj().T for s in a.ops])
 
 
-def _sandwich(left: np.ndarray | None, graded, right: np.ndarray | None) -> tuple[np.ndarray, ...]:
-    """left @ t @ right for every degree tensor t, a side left out when None:
-    one reshaped GEMM per side and degree, and no copy of all degrees at once."""
-    out = []
-    for t in graded:
-        if left is not None:
-            t = np.ascontiguousarray(pair_products(left[None], t)[0])
-        if right is not None:
-            n, r, c = t.shape
-            t = (t.reshape(n * r, c) @ right).reshape(n, r, right.shape[1])
-        out.append(t)
-    return tuple(out)
+def _sandwich(left: np.ndarray | None, flat: np.ndarray, right: np.ndarray | None) -> np.ndarray:
+    """left @ t @ right for every coefficient t of a (words, r, c) array, a side
+    left out when None: one reshaped GEMM per side over all words."""
+    if left is not None:
+        flat = np.ascontiguousarray(pair_products(left[None], flat)[0])
+    if right is not None:
+        n, r, c = flat.shape
+        flat = (flat.reshape(n * r, c) @ right).reshape(n, r, right.shape[1])
+    return flat
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +352,7 @@ def _assemble(it: IteratedLifting, n_deg: int):
     # far the A-hat slot's D_*A' block leaves D_delta before m2 projects it
     # (the report's factorization-leak line judges it)
     proj = np.eye(k_sap) - q_delta @ q_delta.conj().T
-    leak = max_operator_norm(proj @ t[:, k_sa:, :] for t in core.graded)
+    leak = max_operator_norm(_sandwich(proj, core.flat[:, k_sa:, :], None))
     rhs = add(const_op(basis, dstar_ghat @ m7[:k_c]), product(const_op(basis, g_hat @ m2), core))
 
     info = {
@@ -395,11 +397,10 @@ def verify_factorization(it: IteratedLifting, n_deg: int = DEFAULT_DEGREE,
     chf = lifting_char_fn(cl, n_deg)
     rhs, info = _assemble(it, n_deg)
     idx_c, idx_ah = cl.column_split()
-    # each residual is one batched norm over all degrees; the differences are
-    # made again for each, so that only one degree's difference is held at a time
-    residual = max_operator_norm(degree_diffs(chf.comp, rhs))
-    res_c = max_operator_norm(t[:, :, idx_c] for t in degree_diffs(chf.comp, rhs))
-    res_ah = max_operator_norm(t[:, :, idx_ah] for t in degree_diffs(chf.comp, rhs))
+    diff = coeff_difference(chf.comp, rhs)
+    residual = max_operator_norm(diff)
+    res_c = max_operator_norm(diff[:, :, idx_c])
+    res_ah = max_operator_norm(diff[:, :, idx_ah])
     checks = dict(info["checks"])
     checks["charfn_crosscheck"] = chf.crosscheck_residual
     checks["charfn_kernel"] = chf.kernel_residual

@@ -1,17 +1,17 @@
 """Truncated full Fock space over C^d and multi-analytic operators.
 
-A multi-analytic operator is stored by its Fourier coefficients, graded by
-degree: one dense (d^n, k_cod, k_dom) tensor per degree n, whose row idx(a)
-holds the coefficient of the word a of length n, idx being the
-lexicographic rank within the degree.  Degrees past the stored tensors are
-zero.  Word concatenation is an index product, idx(a + b) = idx(a) d^|b| +
-idx(b), so composing two operators takes one GEMM per pair of degrees and
-every per-word comparison is one batched norm over all degrees.
-Composition is by coordinates: `product` asks only that the inner
-dimensions agree, and `const_op`, `identity_op` and `block_diag_op` label
-their spaces as plain coordinate spaces.  The dom/cod subspaces record
-where an operator came from; no arithmetic here compares them.  The
-pairing convention is
+A multi-analytic operator is stored by its Fourier coefficients in one
+contiguous (words, k_cod, k_dom) array in graded word order: row g(a) holds
+the coefficient of the word a, g(a) = sum_i a_i d^(|a| - i) being its graded
+index, and the array ends after a whole degree; the degrees past it are
+zero.  Word concatenation is an index identity, g(a + b) = g(a) d^|b| + g(b),
+so composing two operators takes one GEMM per degree of the right factor,
+and every sum, difference, projection and per-word comparison is one numpy
+call over all words.  Composition is by coordinates: `product` asks only
+that the inner dimensions agree, and `const_op`, `identity_op` and
+`block_diag_op` label their spaces as plain coordinate spaces.  The dom/cod
+subspaces record where an operator came from; no arithmetic here compares
+them.  The pairing convention is
 
     theta x = sum_a  e_{reverse(a)} (x) theta_(a) x,
 
@@ -26,7 +26,7 @@ intertwining checks cost O(N d^N k^2) per product and never form the
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import accumulate
@@ -81,32 +81,28 @@ def fock_basis(d: int, N: int) -> FockBasis:
 
 @dataclass(frozen=True)
 class MultiAnalyticOp:
-    """Gamma_N (x) dom -> Gamma_N (x) cod, given by its graded Fourier coefficients.
+    """Gamma_N (x) dom -> Gamma_N (x) cod, given by its Fourier coefficients.
 
-    graded[n] has shape (d^n, cod.dim, dom.dim), and its row idx(a) is the
-    coefficient of the word a of length n.  Degrees n >= len(graded) are
-    zero, so a constant stores degree 0 only.  The tensors are read-only.
-    `coeffs` views the same data as word -> matrix, and `from_words` builds
+    `flat` has shape (offsets[n], cod.dim, dom.dim): its row g(a) is the
+    coefficient of the word a, g being the graded word index, for the words
+    of the n lowest degrees.  Degrees n and up are zero, so a constant stores
+    degree 0 only.  The array is read-only and contiguous.  `graded` views it
+    one degree at a time, `coeffs` as word -> matrix, and `from_words` builds
     an operator from such a map.
     """
 
     basis: FockBasis
     dom: Subspace
     cod: Subspace
-    graded: tuple[np.ndarray, ...]
+    flat: np.ndarray
 
     def __post_init__(self):
-        d, top = self.basis.d, self.basis.N
-        if len(self.graded) > top + 1:
-            raise DimMismatch(f"{len(self.graded)} coefficient degrees exceed degree {top}")
-        clean = []
-        for n, t in enumerate(self.graded):
-            t = readonly(t)
-            shape = (d**n, self.cod.dim, self.dom.dim)
-            if t.shape != shape:
-                raise DimMismatch(f"degree-{n} coefficients have shape {t.shape}, expected {shape}")
-            clean.append(t)
-        object.__setattr__(self, "graded", tuple(clean))
+        flat = readonly(np.ascontiguousarray(self.flat, dtype=np.complex128))
+        shape = (self.cod.dim, self.dom.dim)
+        if flat.ndim != 3 or flat.shape[1:] != shape or len(flat) not in self.basis.offsets:
+            raise DimMismatch(f"coefficients have shape {flat.shape}, expected (n, *{shape}) "
+                              f"with n one of the degree offsets {self.basis.offsets}")
+        object.__setattr__(self, "flat", flat)
 
     @classmethod
     def from_words(cls, basis: FockBasis, dom: Subspace, cod: Subspace,
@@ -116,32 +112,34 @@ class MultiAnalyticOp:
         if top > basis.N:
             raise DimMismatch(f"coefficient word of length {top} exceeds degree {basis.N}")
         shape = (cod.dim, dom.dim)
-        graded = [np.zeros((basis.d**n, *shape), dtype=np.complex128) for n in range(top + 1)]
+        flat = np.zeros((basis.offsets[top + 1], *shape), dtype=np.complex128)
         for w, m in coeffs.items():
             w, m = tuple(w), as_complex(m)
             if w not in basis.index:
                 raise IndexOutOfRange(f"coefficient word {w} has a letter outside 1..{basis.d}")
             if m.shape != shape:
                 raise DimMismatch(f"coefficient shape {m.shape}, expected {shape}")
-            graded[len(w)][basis.index[w] - basis.offsets[len(w)]] = m
-        return cls(basis, dom, cod, tuple(graded))
+            flat[basis.index[w]] = m
+        return cls(basis, dom, cod, flat)
+
+    @cached_property
+    def graded(self) -> tuple[np.ndarray, ...]:
+        """Per-degree views of `flat`: graded[n] has shape (d^n, cod.dim, dom.dim)."""
+        off = self.basis.offsets
+        return tuple(self.flat[off[n]:off[n + 1]] for n in range(off.index(len(self.flat))))
 
     @cached_property
     def coeffs(self) -> Mapping[Word, np.ndarray]:
         """Read-only map word -> coefficient over the words whose coefficient is
         not exactly zero, in graded order."""
-        words, off = self.basis.words, self.basis.offsets
-        out: dict[Word, np.ndarray] = {}
-        for n, t in enumerate(self.graded):
-            for i in np.flatnonzero(t.reshape(len(t), -1).any(axis=1)):
-                out[words[off[n] + i]] = t[i]
-        return MappingProxyType(out)
+        words, flat = self.basis.words, self.flat
+        return MappingProxyType({words[i]: flat[i]
+                                 for i in np.flatnonzero(flat.any(axis=(1, 2)))})
 
     def coeff(self, w: Word) -> np.ndarray:
-        w = tuple(w)
-        i = self.basis.index.get(w)
-        if i is not None and len(w) < len(self.graded):
-            return self.graded[len(w)][i - self.basis.offsets[len(w)]]
+        i = self.basis.index.get(tuple(w))
+        if i is not None and i < len(self.flat):
+            return self.flat[i]
         return np.zeros((self.cod.dim, self.dom.dim), dtype=np.complex128)
 
     def ambient_coeff(self, w: Word) -> np.ndarray:
@@ -162,22 +160,25 @@ def identity_op(basis: FockBasis, k: int) -> MultiAnalyticOp:
 def const_op(basis: FockBasis, matrix) -> MultiAnalyticOp:
     """Ampliation I_Gamma (x) X as a multi-analytic operator between coordinate spaces."""
     m = as_complex(matrix)
-    return MultiAnalyticOp(basis, _coords(m.shape[1]), _coords(m.shape[0]), (m[None],))
+    return MultiAnalyticOp(basis, _coords(m.shape[1]), _coords(m.shape[0]), m[None])
 
 
 def add(m1: MultiAnalyticOp, m2: MultiAnalyticOp) -> MultiAnalyticOp:
     if m1.basis != m2.basis or m1.dom.dim != m2.dom.dim or m1.cod.dim != m2.cod.dim:
         raise DimMismatch("incompatible operands")
-    long, short = sorted((m1.graded, m2.graded), key=len, reverse=True)
-    graded = tuple(t + short[n] if n < len(short) else t for n, t in enumerate(long))
-    return MultiAnalyticOp(m1.basis, m1.dom, m1.cod, graded)
+    out = np.zeros((max(len(m1.flat), len(m2.flat)), m1.cod.dim, m1.dom.dim), dtype=np.complex128)
+    out[:len(m1.flat)] = m1.flat
+    out[:len(m2.flat)] += m2.flat
+    return MultiAnalyticOp(m1.basis, m1.dom, m1.cod, out)
 
 
 def pair_products(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
     """All products t1[a] @ t2[b] of two matrix stacks, shape (len(t1), len(t2), i, k).
 
-    For degree tensors, flattening the two leading axes puts the product at
-    row idx(a) d^|b| + idx(b), the rank of the word a + b.  One GEMM.
+    With t1 the coefficients of the words a from the first one on, and t2
+    those of the words b of one degree q, flattening the two leading axes
+    puts the product at row g(a) d^q + g(b) - offsets[q]: the rank of a + b
+    counted from offsets[q].  One GEMM.
     """
     (na, i, j), (nb, _, k) = t1.shape, t2.shape
     flat = t1.reshape(na * i, j) @ t2.transpose(1, 0, 2).reshape(j, nb * k)
@@ -190,26 +191,32 @@ def product(m1: MultiAnalyticOp, m2: MultiAnalyticOp) -> MultiAnalyticOp:
     Composition is by coordinates: m1.dom and m2.cod must have the same
     dimension, and the result keeps m2.dom and m1.cod as its labels.  The
     coefficient of w sums theta1_(a) theta2_(b) over the splittings
-    w = a + b, so degree n collects one `pair_products` per (p, q), p + q = n.
+    w = a + b.  For the words b of one degree q, the products with
+    |a| <= N - q fill one contiguous run from offsets[q] on, as
+    g(a + b) = g(a) d^q + g(b); so each degree of m2 is one `pair_products`
+    GEMM added there, and a constant m2 a single GEMM.  The output is
+    allocated after the top degree's GEMM, whose copy of that degree is the
+    largest temporary.
     """
     if m1.basis != m2.basis:
         raise DimMismatch("operands live on different Fock truncations")
     if m1.dom.dim != m2.cod.dim:
         raise DimMismatch(f"m1.dom has dimension {m1.dom.dim}, m2.cod {m2.cod.dim}")
-    top = m1.basis.N
-    g1, g2 = m1.graded, m2.graded
-    i, k = m1.cod.dim, m2.dom.dim
-    n_out = min(len(g1) + len(g2) - 1, top + 1) if g1 and g2 else 0
-    out: list[np.ndarray | None] = [None] * n_out
-    for p, t1 in enumerate(g1):
-        for q, t2 in enumerate(g2[:top + 1 - p]):
-            term = pair_products(t1, t2)
-            if out[p + q] is None:  # no copy when the GEMM result needs no transpose
-                out[p + q] = np.ascontiguousarray(term).reshape(len(t1) * len(t2), i, k)
-            else:
-                acc = out[p + q].reshape(term.shape)  # a view: out entries are C-contiguous
-                acc += term
-    return MultiAnalyticOp(m1.basis, m2.dom, m1.cod, tuple(out))
+    off, top = m1.basis.offsets, m1.basis.N
+    f1, g2 = m1.flat, m2.graded
+    n1, i, j, k = len(m1.graded), m1.cod.dim, m1.dom.dim, m2.dom.dim
+    if len(g2) == 1:
+        out = (f1.reshape(len(f1) * i, j) @ g2[0][0]).reshape(len(f1), i, k)
+        return MultiAnalyticOp(m1.basis, m2.dom, m1.cod, out)
+    out = np.zeros((0, i, k), dtype=np.complex128)  # kept when either side stores nothing
+    for q in reversed(range(len(g2) if n1 else 0)):
+        term = pair_products(f1[:off[min(n1, top + 1 - q)]], g2[q])  # every a with |a| <= N - q
+        if q == len(g2) - 1:
+            out = np.zeros((off[min(n1 + q, top + 1)], i, k), dtype=np.complex128)
+        acc = out[off[q]:off[q] + term.shape[0] * term.shape[1]].reshape(term.shape)
+        acc += term
+        del term, acc  # freed before the next GEMM
+    return MultiAnalyticOp(m1.basis, m2.dom, m1.cod, out)
 
 
 def block_diag_op(basis: FockBasis, *ops: MultiAnalyticOp) -> MultiAnalyticOp:
@@ -219,17 +226,14 @@ def block_diag_op(basis: FockBasis, *ops: MultiAnalyticOp) -> MultiAnalyticOp:
             raise DimMismatch("operands live on different Fock truncations")
     dom = _coords(sum(op.dom.dim for op in ops))
     cod = _coords(sum(op.cod.dim for op in ops))
-    graded = []
-    for n in range(max((len(op.graded) for op in ops), default=0)):
-        t = np.zeros((basis.d**n, cod.dim, dom.dim), dtype=np.complex128)
-        r = c = 0
-        for op in ops:
-            if n < len(op.graded):
-                t[:, r:r + op.cod.dim, c:c + op.dom.dim] = op.graded[n]
-            r += op.cod.dim
-            c += op.dom.dim
-        graded.append(t)
-    return MultiAnalyticOp(basis, dom, cod, tuple(graded))
+    out = np.zeros((max((len(op.flat) for op in ops), default=0), cod.dim, dom.dim),
+                   dtype=np.complex128)
+    r = c = 0
+    for op in ops:
+        out[:len(op.flat), r:r + op.cod.dim, c:c + op.dom.dim] = op.flat
+        r += op.cod.dim
+        c += op.dom.dim
+    return MultiAnalyticOp(basis, dom, cod, out)
 
 
 @lru_cache(maxsize=None)
@@ -316,25 +320,21 @@ def realize(m: MultiAnalyticOp) -> Realization:
     return Realization(m.basis, m.dom.dim, m.cod.dim, blocks)
 
 
-def degree_diffs(m1: MultiAnalyticOp, m2: MultiAnalyticOp) -> Iterator[np.ndarray]:
-    """Coefficient differences m1 - m2, one stack per degree that either
-    operand stores, made one degree at a time."""
+def coeff_difference(m1: MultiAnalyticOp, m2: MultiAnalyticOp) -> np.ndarray:
+    """Coefficients of m1 - m2 over every word either operand stores, as one
+    (words, k_cod, k_dom) array in graded order."""
     if m1.basis.d != m2.basis.d or m1.dom.dim != m2.dom.dim or m1.cod.dim != m2.cod.dim:
         raise DimMismatch("coefficient shapes differ")
-    g1, g2 = m1.graded, m2.graded
-    for n in range(max(len(g1), len(g2))):
-        if n >= len(g2):
-            yield g1[n]
-        elif n >= len(g1):
-            yield -g2[n]
-        else:
-            yield g1[n] - g2[n]
+    out = np.zeros((max(len(m1.flat), len(m2.flat)), m1.cod.dim, m1.dom.dim), dtype=np.complex128)
+    out[:len(m1.flat)] = m1.flat
+    out[:len(m2.flat)] -= m2.flat
+    return out
 
 
 def coeff_diff(m1: MultiAnalyticOp, m2: MultiAnalyticOp) -> float:
     """Max operator-norm deviation of coefficients over all stored words: one
-    batched norm over every degree, made one degree's difference at a time."""
-    return max_operator_norm(degree_diffs(m1, m2))
+    batched norm of their difference."""
+    return max_operator_norm(coeff_difference(m1, m2))
 
 
 def _probe(n: int, cols: int) -> np.ndarray:

@@ -63,42 +63,31 @@ def operator_norm(m: np.ndarray) -> float:
     return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
-def max_operator_norm(stacks) -> float:
-    """Largest spectral norm in a stack (..., r, c) of matrices, or in an
-    iterable of such stacks with one block shape; 0.0 when they are empty.
+def max_operator_norm(m) -> float:
+    """Largest spectral norm in a stack (..., r, c) of matrices; 0.0 when it is empty.
 
     sqrt of the top eigenvalue of each block's smaller Gram matrix, by one
     batched eigvalsh: it agrees with the top singular value to rounding, and
     costs less than batched SVDs of small blocks.  Only blocks that could
-    attain the maximum go through it.  Every column and row norm seen is a
-    lower bound lb on the answer, and a block's Frobenius norm is an upper
-    bound on its spectral norm, so a block whose Frobenius norm is below
-    lb (1 - 1e-8) is provably below the maximum and is dropped.  The margin
-    is far wider than the rounding of either bound, so the block that
-    attains the maximum is always kept and the value is exactly the one the
-    unpruned blocks give.  The stacks are read one at a time against the
-    bound so far, and the survivors are pruned again against the final one:
-    the value over an iterable is exactly the value over the concatenated
-    stacks.
+    attain the maximum go through it.  Every column and row norm is a lower
+    bound lb on the answer, and a block's Frobenius norm is an upper bound on
+    its spectral norm, so a block whose Frobenius norm is below lb (1 - 1e-8)
+    is provably below the maximum and is dropped.  The margin is far wider
+    than the rounding of either bound, so the block that attains the maximum
+    is always kept and the value is exactly the one the unpruned stack gives.
+    The squared norms are per-block reductions, with no temporary the size
+    of the stack.
     """
-    if isinstance(stacks, np.ndarray):
-        stacks = (stacks,)
-    lb2, kept, kept_fro2 = 0.0, [], []
-    for m in stacks:
-        if m.size:
-            sq = m.real**2 + m.imag**2
-            lb2 = max(lb2, sq.sum(axis=-2).max(), sq.sum(axis=-1).max())
-            fro2 = sq.sum(axis=(-2, -1))
-            # "not below" rather than ">=", so NaN blocks stay in and the value is NaN
-            keep = ~(fro2 < lb2 * (1.0 - _BOUND_MARGIN) ** 2)
-            kept.append(m[keep])
-            kept_fro2.append(fro2[keep])
-    if not kept:
-        return 0.0
-    m = np.concatenate(kept)
-    m = m[~(np.concatenate(kept_fro2) < lb2 * (1.0 - _BOUND_MARGIN) ** 2)]
+    m = np.asarray(m)
     if m.size == 0:
         return 0.0
+    m = m.reshape(-1, *m.shape[-2:])
+    parts = (m.real, m.imag) if np.iscomplexobj(m) else (m,)
+    col2 = sum(np.einsum("nij,nij->nj", p, p) for p in parts)
+    row2 = sum(np.einsum("nij,nij->ni", p, p) for p in parts)
+    lb2 = max(col2.max(), row2.max())
+    # "not below" rather than ">=", so NaN blocks stay in and the value is NaN
+    m = m[~(col2.sum(axis=1) < lb2 * (1.0 - _BOUND_MARGIN) ** 2)]
     mh = m.conj().swapaxes(-1, -2)
     gram = m @ mh if m.shape[-2] <= m.shape[-1] else mh @ m
     return float(np.sqrt(max(np.linalg.eigvalsh(gram)[..., -1].max(), 0.0)))
@@ -203,12 +192,15 @@ class Subspace:
 
 
 def _below_psd(w: np.ndarray, rank_tol: float) -> bool:
-    """The PSD gate on ascending eigenvalues w: w[0] < -rank_tol * max(-w[0], w[-1], 1).
+    """The PSD gate on ascending eigenvalues w: w[0] < -rank_tol * max(-w[0], w[-1], 1),
+    or any eigenvalue not finite.
 
     The scale is floored at 1: everything here is built from contractions,
-    and a purely relative test misfires on near-zero defect operators.
+    and a purely relative test misfires on near-zero defect operators.  A
+    Gram matrix that overflows has eigenvalues -inf or NaN, where the
+    comparison alone would read False and pass.
     """
-    return w[0] < -rank_tol * max(-w[0], w[-1], 1.0)
+    return not np.isfinite(w).all() or w[0] < -rank_tol * max(-w[0], w[-1], 1.0)
 
 
 def require_contraction(m) -> None:
@@ -223,10 +215,12 @@ def require_contraction(m) -> None:
     if m.size == 0:
         return
     mh = m.conj().T
-    gram = m @ mh if m.shape[0] <= m.shape[1] else mh @ m
-    w = np.linalg.eigvalsh(np.eye(gram.shape[0]) - gram)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the gate below
+        gram = m @ mh if m.shape[0] <= m.shape[1] else mh @ m
+        w = np.linalg.eigvalsh(np.eye(gram.shape[0]) - gram)
     if _below_psd(w, RANK_TOL):
-        raise NotContraction(f"not contractive (norm {np.sqrt(1.0 - w[0]):.12f})")
+        norm = np.sqrt(1.0 - w[0]) if np.isfinite(w).all() else np.inf
+        raise NotContraction(f"not contractive (norm {norm:.12f})")
 
 
 def psd_root_range(gram, rank_tol: float = RANK_TOL) -> tuple[np.ndarray, Subspace]:

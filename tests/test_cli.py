@@ -4,10 +4,13 @@ import os
 import resource
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liftchar import charfact, cli, gen, lifting, ncfock, numlin, rowcon
 from liftchar.charfact import lifting_char_fn, row_char_fn
@@ -265,6 +268,10 @@ def test_thread_cap_keeps_reports_identical(tmp_path):
     pytest.param(["verify", "{scen}"], {"tolerance": 10**400}, {}, id="tolerance-huge-int"),
     pytest.param(["verify", "{scen}"], {"C": [[[[float("nan"), 0.0]]]]}, {}, id="matrix-nan"),
     pytest.param(["verify", "{scen}"], {"C": [[[[10**400, 0.0]]]]}, {}, id="matrix-huge-int"),
+    # finite entries whose Gram matrix overflows
+    pytest.param(["verify", "{scen}"], {"C": [[[[0.5, 1e300]]]]}, {}, id="C-entry-1e300"),
+    pytest.param(["verify", "{scen}"], {"B": None, "gamma": [[[1e300, 0.0]]]}, {},
+                 id="gamma-entry-1e300"),
     pytest.param(["verify", "{scen}", "--degree", "-1"], {}, {}, id="verify-degree-negative"),
     pytest.param(["verify", "{scen}", "--out", "{tmp}/missing/dir/x.json"], {}, {},
                  id="out-missing-dir"),
@@ -293,6 +300,54 @@ def test_invalid_input_exits_two(tmp_path, argv, scenario, env):
         assert proc.stdout == ""
         assert "error: cannot write" in proc.stderr
         assert not list(tmp_path.rglob("*.tmp-*"))
+
+
+# values no scenario key accepts, or accepts only in a narrow range
+BAD_VALUES = [None, True, "", "x", [], {}, [[[0]]], [[[[0.0, 0.0]]]], 1e308, -1e308, 9, 0, -1,
+              2.5, 10**400]
+
+
+def _number_paths(x, path=()):
+    """Paths to the numbers inside nested lists."""
+    if isinstance(x, list):
+        for i, v in enumerate(x):
+            yield from _number_paths(v, path + (i,))
+    elif isinstance(x, (int, float)) and not isinstance(x, bool):
+        yield path
+
+
+@st.composite
+def mutated_scenarios(draw):
+    """A packaged scenario with one key dropped, one key set to a bad value, or
+    one matrix entry set to 1e300."""
+    with open(_packaged_scenario(draw(st.sampled_from(["example1.json", "example2.json"])))) as fh:
+        doc = json.load(fh)
+    kind = draw(st.sampled_from(["drop", "set", "scale"]))
+    if kind == "drop":
+        del doc[draw(st.sampled_from(sorted(doc)))]
+    elif kind == "set":
+        key = draw(st.sampled_from(sorted(doc) + ["gamma", "gammaprime"]))
+        doc[key] = draw(st.sampled_from(BAD_VALUES))
+    else:
+        key = draw(st.sampled_from(sorted(k for k, v in doc.items() if isinstance(v, list))))
+        *where, last = draw(st.sampled_from(list(_number_paths(doc[key]))))
+        entry = doc[key]
+        for i in where:
+            entry = entry[i]
+        entry[last] = 1e300
+    return doc
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutated_scenarios())
+def test_mutated_scenarios_keep_the_exit_code_contract(doc):
+    # 0 pass, 1 verification failed, 2 invalid input; no exception escapes main
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "scen.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        for argv in (["verify", path, "--degree", "2"], ["charfn", path, "--degree", "2"]):
+            assert main(argv) in (0, 1, 2), argv
 
 
 def test_worked_examples_do_not_import_numpy_random():
@@ -356,6 +411,24 @@ def test_sigmas_memory_stays_small():
         tracemalloc.stop()
     assert all(c.passed for c in checks)
     assert peak < 200e6, f"traced peak {peak / 1e6:.0f} MB"
+
+
+def test_identity_groups_memory_stays_small():
+    # factorization, then minimal, on one d=3, dims (2,2,2) instance at N=6.  The
+    # traced peaks were 11.09 and 18.87 MB with per-degree coefficient tensors
+    # (numpy 2.4.6); the bounds allow 5% more.  The largest operator here, the
+    # symbol of E' over C, holds 3.8 MB, so a full-size temporary more at the
+    # moment of the peak fails.
+    it = random_iterated_lifting(np.random.default_rng([7, 0]), 3, (2, 2, 2))
+    for group, bound in (("factorization", 1.05 * 11.09e6), ("minimal", 1.05 * 18.87e6)):
+        tracemalloc.start()
+        try:
+            checks = run_battery(it.first, it, 6, 1e-8, group)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(c.passed for c in checks)
+        assert peak < bound, f"{group}: traced peak {peak / 1e6:.2f} MB"
 
 
 def _count_calls(monkeypatch, name, *modules):

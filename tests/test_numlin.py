@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from liftchar.numlin import (
     RANK_TOL,
     Subspace,
     SubOperator,
+    _below_psd,
     block_shuffle,
     isometry_residual,
     norm_exceeds,
@@ -253,6 +256,18 @@ class TestRequireContraction:
         assert issubclass(NotContraction, NotPSD)
         require_contraction(np.zeros((0, 3)))
         require_contraction(np.eye(3))
+
+    def test_overflowing_gram_fails(self):
+        # an entry above about 1.3e154 overflows the Gram matrix: its eigenvalues
+        # are -inf or NaN, which the comparison alone would let pass
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for m in (np.array([[1e155]]), np.array([[0.5 + 1e300j]]), np.full((2, 3), 1e300)):
+                with pytest.raises(NotContraction, match=r"not contractive \(norm inf\)"):
+                    require_contraction(m)
+        assert _below_psd(np.array([-np.inf, 0.0]), RANK_TOL)
+        assert _below_psd(np.array([np.nan, np.nan]), RANK_TOL)
+        assert not _below_psd(np.array([0.0, 1.0]), RANK_TOL)
 
 
 def test_suboperator_ambient_roundtrip():
