@@ -57,7 +57,6 @@ from .ncfock import (
     add,
     block_diag_op,
     coeff_diff,
-    coeff_difference,
     const_op,
     fock_basis,
     identity_op,
@@ -180,13 +179,14 @@ def _sandwich(left: np.ndarray | None, flat: np.ndarray, right: np.ndarray | Non
 class CharFn:
     """A characteristic function as a multi-analytic operator.
 
-    `op` acts between defect-space coordinates; `comp` is the same symbol
-    composed with the relevant defect operator, kept on the full ambient
-    space (that is the form the factorization identities are stated in).
+    `op` is the one stored copy of the symbol: its coefficients act between
+    defect-space coordinates, from the domain defect's range to the codomain
+    defect's range.  The factorization identities are stated for the symbol
+    composed with the domain's defect operator; that form is one GEMM away
+    (op Q* D, Q the range basis of D) and is formed where it is compared.
     """
 
     op: MultiAnalyticOp
-    comp: MultiAnalyticOp
     crosscheck_residual: float
     kernel_residual: float = 0.0
 
@@ -208,12 +208,24 @@ def row_char_fn(a: RowContraction, n_deg: int = DEFAULT_DEGREE) -> CharFn:
         n = a.dim
         amb, resid = transfer_coeffs(-a.row, dsa.D, da.D.reshape(a.d, n, a.d * n),
                                      a, n_deg, certify="unitary")
-        comp_coeffs = _sandwich(dsa.space.basis.conj().T, amb, None)
         op = MultiAnalyticOp(basis, da.space, dsa.space,
-                             _sandwich(None, comp_coeffs, da.space.basis))
-        comp = MultiAnalyticOp(basis, Subspace.full(a.d * n), dsa.space, comp_coeffs)
-        return CharFn(op, comp, resid)
+                             _sandwich(dsa.space.basis.conj().T, amb, da.space.basis))
+        return CharFn(op, resid)
     return memo(a, ("row_char_fn", n_deg), compute)
+
+
+def _lifting_colligation(lift: Lifting) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(D, C, B) of the contractive colligation whose transfer function is a
+    lifting's symbol composed with D_E (see `lifting_char_fn`)."""
+    a, d = lift.A, lift.d
+    dc, da, dsa = lift.dC, lift.dA, lift.dstarA
+    q_ch = dc.space.basis.conj().T
+    g = q_ch @ lift.gamma_ambient
+    inv = np.argsort(lift.shuffle)
+    vac = np.hstack([q_ch @ dc.D - g @ dsa.D @ lift.b_row, -g @ a.row @ da.D])[:, inv]
+    b = np.concatenate([-_adjoints(a) @ lift.b_row, (da.D @ da.D).reshape(d, a.dim, d * a.dim)],
+                       axis=2)[:, :, inv]
+    return vac, g @ dsa.D, b
 
 
 def lifting_char_fn(lift: Lifting, n_deg: int = DEFAULT_DEGREE) -> CharFn:
@@ -224,40 +236,28 @@ def lifting_char_fn(lift: Lifting, n_deg: int = DEFAULT_DEGREE) -> CharFn:
     colligation with X_j = A_j*, C = Q_C* gamma D_{*,A},
     D = Q_C* [D_C - gamma D_{*,A} row(B), -gamma row(A) D_A] and
     B_j = [-A_j* row(B), (D_A^2)_j], columns reordered from H_C^d + H_A^d to
-    H_E^d; it is then divided by D_E on its range.  It must vanish on
-    ker D_E: the largest ||T_w K|| over the coefficients, K an orthonormal
-    basis of that kernel, is the kernel residual (exactly 0, and not
-    computed, when D_E is injective) and must not exceed KERNEL_TOL.
-    Computed once per lifting and degree.
+    H_E^d.  That composition must vanish on ker D_E: the largest ||T_w K||
+    over its coefficients, K an orthonormal basis of that kernel, is the
+    kernel residual (exactly 0, and not computed, when D_E is injective) and
+    must not exceed KERNEL_TOL.  It is then divided by D_E on its range, and
+    only the quotient is kept.  Computed once per lifting and degree.
     """
     def compute():
         basis = fock_basis(lift.d, n_deg)
-        a, d = lift.A, lift.d
-        dc, da, dsa = lift.dC, lift.dA, lift.dstarA
-        q_ch = dc.space.basis.conj().T
-        g = q_ch @ lift.gamma_ambient
-        inv = np.argsort(lift.shuffle)
-        x = _adjoints(a)
-        vac = np.hstack([q_ch @ dc.D - g @ dsa.D @ lift.b_row, -g @ a.row @ da.D])[:, inv]
-        b = np.concatenate([-x @ lift.b_row, (da.D @ da.D).reshape(d, a.dim, d * a.dim)],
-                           axis=2)[:, :, inv]
-        comp_coeffs, resid = transfer_coeffs(vac, g @ dsa.D, b, a, n_deg, certify="contractive")
-
-        cols = d * lift.E.dim
+        comp, resid = transfer_coeffs(*_lifting_colligation(lift), lift.A, n_deg,
+                                      certify="contractive")
+        cols = lift.d * lift.E.dim
         q_e = lift.dE.space.basis
         k_res = 0.0
         if lift.dE.rank < cols:
             _, ker = psd_root_range(np.eye(cols) - q_e @ q_e.conj().T)
-            k_res = max_operator_norm(_sandwich(None, comp_coeffs, ker.basis))
+            k_res = max_operator_norm(_sandwich(None, comp, ker.basis))
         if k_res > KERNEL_TOL:
             raise ResidualTooLarge(
                 f"symbol-times-defect does not vanish on ker D_E (residual {k_res:.3e})")
-
-        de_pinv_q = lift.dE.pinv @ q_e
         op = MultiAnalyticOp(basis, lift.dE.space, lift.dC.space,
-                             _sandwich(None, comp_coeffs, de_pinv_q))
-        comp = MultiAnalyticOp(basis, Subspace.full(cols), lift.dC.space, comp_coeffs)
-        return CharFn(op, comp, resid, k_res)
+                             _sandwich(None, comp, lift.dE.pinv @ q_e))
+        return CharFn(op, resid, k_res)
     return memo(lift, ("lifting_char_fn", n_deg), compute)
 
 
@@ -391,13 +391,17 @@ def _assemble(it: IteratedLifting, n_deg: int):
 
 def verify_factorization(it: IteratedLifting, n_deg: int = DEFAULT_DEGREE,
                          tol: float = 1e-8) -> FactorizationReport:
-    """Compare the directly computed symbol of the two-step lifting against its
-    factored form, overall and restricted to the H_C and H_A-hat column groups."""
+    """Compare the directly computed symbol of the two-step lifting, composed
+    with D_E', against its factored form, overall and restricted to the H_C
+    and H_A-hat column groups.  Both sides vanish on ker D_E' by construction,
+    so the comparison covers the range of D_E'; the engine's own component on
+    ker D_E' is the `charfn_kernel` check."""
     cl = it.as_c_lifting
     chf = lifting_char_fn(cl, n_deg)
     rhs, info = _assemble(it, n_deg)
     idx_c, idx_ah = cl.column_split()
-    diff = coeff_difference(chf.comp, rhs)
+    diff = _sandwich(None, chf.op.flat, cl.dE.space.basis.conj().T @ cl.dE.D)
+    diff[:len(rhs.flat)] -= rhs.flat
     residual = max_operator_norm(diff)
     res_c = max_operator_norm(diff[:, :, idx_c])
     res_ah = max_operator_norm(diff[:, :, idx_ah])

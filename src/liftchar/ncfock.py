@@ -41,6 +41,7 @@ from .rowcon import Word, all_words
 DEFAULT_DEGREE = 6
 LANCZOS_TOL = 1e-13  # relative a-posteriori bound at which realized_norm stops
 PROBE_COLS = 2       # columns of the intertwining probe block
+PROBE_CACHE_ENTRIES = 1 << 14  # largest probe kept for reuse (256 KB)
 
 
 @dataclass(frozen=True)
@@ -337,16 +338,30 @@ def coeff_diff(m1: MultiAnalyticOp, m2: MultiAnalyticOp) -> float:
     return max_operator_norm(coeff_difference(m1, m2))
 
 
-def _probe(n: int, cols: int) -> np.ndarray:
+def _weyl_probe(n: int, cols: int) -> np.ndarray:
     """Fixed, generic unit columns with entries exp(2 pi i frac(j g)) (1 + j mod 3).
 
     g is the golden-ratio conjugate, so the Weyl phases never repeat.  No
-    random state is involved, and reports stay deterministic.
+    random state is involved, and reports stay deterministic.  Read-only.
     """
     j = np.arange(n * cols)
     x = np.exp(2j * np.pi * np.modf(j * ((np.sqrt(5.0) - 1.0) / 2.0))[0]) * (1 + j % 3)
     x = x.reshape(n, cols)
-    return x / np.linalg.norm(x, axis=0)
+    return readonly(x / np.linalg.norm(x, axis=0))
+
+
+_cached_probe = lru_cache(maxsize=32)(_weyl_probe)
+
+
+def _probe(n: int, cols: int) -> np.ndarray:
+    """The probe block of the norm and intertwining checks (`_weyl_probe`).
+
+    A battery asks for a handful of shapes, again for every instance, so
+    probes of at most PROBE_CACHE_ENTRIES entries are shared through a
+    cache; larger ones are rebuilt, since their cost is small beside the
+    checks that use them and a cached one would stay held.
+    """
+    return (_cached_probe if n * cols <= PROBE_CACHE_ENTRIES else _weyl_probe)(n, cols)
 
 
 def realized_norm(m: MultiAnalyticOp) -> float:

@@ -233,7 +233,9 @@ def psd_root_range(gram, rank_tol: float = RANK_TOL) -> tuple[np.ndarray, Subspa
     amplified to sqrt(eps).)  The gates take their scale from the same
     eigenvalues, max(|w|, 1): an anti-Hermitian part above rank_tol * scale
     raises NotHermitian, and eigenvalues below -rank_tol * scale raise
-    NotPSD (`_below_psd`, the rule require_contraction shares).  The range
+    NotPSD (`_below_psd`, the rule require_contraction shares).  A matrix
+    with an infinite or NaN entry raises NotPSD before either gate, whose
+    decompositions would not converge on it.  The range
     basis is ordered by descending eigenvalue with the first nonzero
     coordinate of each vector real positive, so it is reproducible for
     identical inputs.
@@ -244,6 +246,8 @@ def psd_root_range(gram, rank_tol: float = RANK_TOL) -> tuple[np.ndarray, Subspa
     n = gram.shape[0]
     if n == 0:
         return gram.copy(), Subspace.zero(0)
+    if not np.isfinite(gram).all():
+        raise NotPSD("matrix has a non-finite entry")
     w, v = np.linalg.eigh((gram + gram.conj().T) / 2.0)
     if norm_exceeds(gram - gram.conj().T, rank_tol * max(-w[0], w[-1], 1.0)):
         raise NotHermitian("matrix is not Hermitian within tolerance")

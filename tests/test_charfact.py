@@ -36,6 +36,7 @@ from liftchar.lifting import (
     star_defect_unitary,
 )
 from liftchar.ncfock import (
+    MultiAnalyticOp,
     _reversal,
     coeff_diff,
     fock_basis,
@@ -43,7 +44,7 @@ from liftchar.ncfock import (
     pair_products,
     realized_norm,
 )
-from liftchar.numlin import SubOperator, max_operator_norm, operator_norm, svd_rank
+from liftchar.numlin import SubOperator, Subspace, max_operator_norm, operator_norm, svd_rank
 from liftchar.rowcon import RowContraction, all_words, defect, star_defect
 
 S2 = 1 / np.sqrt(2)
@@ -52,6 +53,14 @@ S3 = 1 / np.sqrt(3)
 
 def rc(*mats):
     return RowContraction(tuple(np.asarray(m, dtype=complex) for m in mats))
+
+
+def composed(fn, dfct):
+    """fn's symbol composed with its domain's defect operator D, on the ambient
+    space: the coefficients op Q* D, Q the range basis of D."""
+    op = fn.op
+    return MultiAnalyticOp(op.basis, Subspace.full(dfct.D.shape[1]), op.cod,
+                           op.flat @ (dfct.space.basis.conj().T @ dfct.D))
 
 
 def example1_iterated():
@@ -145,11 +154,11 @@ class TestLiftingCharFn:
         g_amb = lift.gamma_ambient
         q_ch = lift.dC.space.basis.conj().T
         q_sa = lift.dstarA.space.basis
-        da = lift.dA.D
+        fn_comp, base_comp = composed(fn, lift.dE), composed(base, defect(a))
         idx_c, idx_a = lift.column_split()
-        for w in set(fn.comp.coeffs) | set(base.comp.coeffs):
-            lhs = fn.comp.coeff(w)[:, idx_a]
-            rhs = q_ch @ g_amb @ q_sa @ (base.comp.coeff(w) @ da)
+        for w in set(fn_comp.coeffs) | set(base_comp.coeffs):
+            lhs = fn_comp.coeff(w)[:, idx_a]
+            rhs = q_ch @ g_amb @ q_sa @ base_comp.coeff(w)
             assert operator_norm(lhs - rhs) < 1e-11
 
     def test_crosscheck_and_kernel(self):
@@ -246,11 +255,13 @@ class TestWordStack:
         assert {"factorization", "minimal-product"} <= failed
 
 
-def _kernel_residual_by_projector(lift, fn):
-    """The kernel check as it was computed before: ||T_w (I - Q_E Q_E*)|| over all words."""
+def _kernel_residual_by_projector(lift, n_deg):
+    """The kernel check as it was computed before: ||T_w (I - Q_E Q_E*)|| over all
+    words of the engine's own output, the symbol composed with D_E."""
     q_e = lift.dE.space.basis
     p_ker = np.eye(q_e.shape[0]) - q_e @ q_e.conj().T
-    return max(max_operator_norm(t @ p_ker) for t in fn.comp.graded)
+    comp, _ = charfact.transfer_coeffs(*charfact._lifting_colligation(lift), lift.A, n_deg)
+    return max_operator_norm(comp @ p_ker)
 
 
 def _worked_example_liftings():
@@ -268,7 +279,7 @@ class TestKernelCheck:
         assert any(lift.dE.rank < lift.d * lift.E.dim for lift in lifts)
         for lift in lifts:
             fn = lifting_char_fn(lift, 3)
-            old = _kernel_residual_by_projector(lift, fn)
+            old = _kernel_residual_by_projector(lift, 3)
             assert fn.kernel_residual <= 1e-15 and old <= 1e-15
             assert abs(fn.kernel_residual - old) <= 1e-15
 
@@ -296,7 +307,7 @@ class TestKernelCheck:
         lift = example2_iterated().second  # fresh: nothing cached on it
         monkeypatch.setattr(charfact, "KERNEL_TOL", 1.0)
         fn = lifting_char_fn(lift, 3)
-        old = _kernel_residual_by_projector(lift, fn)
+        old = _kernel_residual_by_projector(lift, 3)
         assert 0.5e-6 < fn.kernel_residual == pytest.approx(old, rel=1e-12)
 
 
@@ -446,7 +457,7 @@ class TestFactorization:
         a2 = random_row_contraction(rng, 1, 1)
         second = lifting_from_blocks(first.E, a2, [np.zeros((1, 4))])
         it = iterate_liftings(first, second)
-        lhs = lifting_char_fn(it.as_c_lifting, 4).comp
+        lhs = composed(lifting_char_fn(it.as_c_lifting, 4), it.as_c_lifting.dE)
         rhs = verify_factorization(it, 4).rhs
         assert coeff_diff(lhs, rhs) < 1e-10
 

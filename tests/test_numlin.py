@@ -61,6 +61,15 @@ class TestHermitianSqrt:
         with pytest.raises(NotPSD):
             psd_root_range(np.diag([1.0, -0.5]))
 
+    def test_non_finite_refused_without_warning(self):
+        # the Hermitian gate's SVD does not converge on these
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for m in (np.array([[np.inf]]), np.array([[np.nan]]),
+                      np.array([[1.0, np.nan], [np.nan, 1.0]]), np.diag([1.0, -np.inf * 1j])):
+                with pytest.raises(NotPSD, match="non-finite"):
+                    psd_root_range(m)
+
     def test_small_negative_clamped(self):
         r = psd_root_range(np.diag([1.0, -1e-13]))[0]
         np.testing.assert_allclose(r, np.diag([1.0, 0.0]), atol=1e-6)
