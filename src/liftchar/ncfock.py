@@ -41,7 +41,6 @@ from .rowcon import Word, all_words
 DEFAULT_DEGREE = 6
 LANCZOS_TOL = 1e-13  # relative a-posteriori bound at which realized_norm stops
 PROBE_COLS = 2       # columns of the intertwining probe block
-PROBE_CACHE_ENTRIES = 1 << 14  # largest probe kept for reuse (256 KB)
 
 
 @dataclass(frozen=True)
@@ -321,24 +320,18 @@ def realize(m: MultiAnalyticOp) -> Realization:
     return Realization(m.basis, m.dom.dim, m.cod.dim, blocks)
 
 
-def coeff_difference(m1: MultiAnalyticOp, m2: MultiAnalyticOp) -> np.ndarray:
-    """Coefficients of m1 - m2 over every word either operand stores, as one
-    (words, k_cod, k_dom) array in graded order."""
+def coeff_diff(m1: MultiAnalyticOp, m2: MultiAnalyticOp) -> float:
+    """Max operator-norm deviation of coefficients over every word either
+    operand stores: one batched norm of their difference."""
     if m1.basis.d != m2.basis.d or m1.dom.dim != m2.dom.dim or m1.cod.dim != m2.cod.dim:
         raise DimMismatch("coefficient shapes differ")
     out = np.zeros((max(len(m1.flat), len(m2.flat)), m1.cod.dim, m1.dom.dim), dtype=np.complex128)
     out[:len(m1.flat)] = m1.flat
     out[:len(m2.flat)] -= m2.flat
-    return out
+    return max_operator_norm(out)
 
 
-def coeff_diff(m1: MultiAnalyticOp, m2: MultiAnalyticOp) -> float:
-    """Max operator-norm deviation of coefficients over all stored words: one
-    batched norm of their difference."""
-    return max_operator_norm(coeff_difference(m1, m2))
-
-
-def _weyl_probe(n: int, cols: int) -> np.ndarray:
+def _probe(n: int, cols: int) -> np.ndarray:
     """Fixed, generic unit columns with entries exp(2 pi i frac(j g)) (1 + j mod 3).
 
     g is the golden-ratio conjugate, so the Weyl phases never repeat.  No
@@ -348,20 +341,6 @@ def _weyl_probe(n: int, cols: int) -> np.ndarray:
     x = np.exp(2j * np.pi * np.modf(j * ((np.sqrt(5.0) - 1.0) / 2.0))[0]) * (1 + j % 3)
     x = x.reshape(n, cols)
     return readonly(x / np.linalg.norm(x, axis=0))
-
-
-_cached_probe = lru_cache(maxsize=32)(_weyl_probe)
-
-
-def _probe(n: int, cols: int) -> np.ndarray:
-    """The probe block of the norm and intertwining checks (`_weyl_probe`).
-
-    A battery asks for a handful of shapes, again for every instance, so
-    probes of at most PROBE_CACHE_ENTRIES entries are shared through a
-    cache; larger ones are rebuilt, since their cost is small beside the
-    checks that use them and a cached one would stay held.
-    """
-    return (_cached_probe if n * cols <= PROBE_CACHE_ENTRIES else _weyl_probe)(n, cols)
 
 
 def realized_norm(m: MultiAnalyticOp) -> float:

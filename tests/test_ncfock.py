@@ -5,9 +5,7 @@ from hypothesis import strategies as st
 
 from liftchar.errors import DimMismatch, IndexOutOfRange
 from liftchar.ncfock import (
-    PROBE_CACHE_ENTRIES,
     MultiAnalyticOp,
-    _probe,
     add,
     block_diag_op,
     coeff_diff,
@@ -263,15 +261,6 @@ def test_realized_norm_contraction():
     u = np.linalg.qr(np.random.default_rng(5).standard_normal((3, 3)))[0]
     m = maop(2, 2, 3, 3, {(): u})
     assert abs(realized_norm(m) - 1) < 1e-12
-
-
-def test_probe_is_read_only_and_small_ones_are_shared():
-    x = _probe(7, 2)
-    assert _probe(7, 2) is x and not x.flags.writeable
-    np.testing.assert_allclose(np.linalg.norm(x, axis=0), 1.0)
-    big = _probe(PROBE_CACHE_ENTRIES, 2)
-    assert _probe(PROBE_CACHE_ENTRIES, 2) is not big and not big.flags.writeable
-    np.testing.assert_array_equal(_probe(PROBE_CACHE_ENTRIES, 2), big)
 
 
 # (k_dom, k_mid, k_cod): m1 maps k_mid -> k_cod, m2 maps k_dom -> k_mid
