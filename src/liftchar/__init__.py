@@ -38,6 +38,7 @@ from .ncfock import (
     realize,
 )
 from .numlin import (
+    DefectData,
     Subspace,
     SubOperator,
     operator_norm,
@@ -45,7 +46,6 @@ from .numlin import (
     unitarity_residual,
 )
 from .rowcon import (
-    DefectData,
     RowContraction,
     defect,
     star_defect,

@@ -332,13 +332,12 @@ def _assemble(it: IteratedLifting, n_deg: int):
     k_sap = lift_ahat.dstarA.rank
 
     g_hat = it.gamma_hat.matrix
-    _, _, dstar_ghat, sg_range = it.gamma_hat.defects
-    q_star_ghat = sg_range.basis
+    star_ghat = it.gamma_hat.star_defect
+    q_star_ghat = star_ghat.space.basis
 
     dl = it.delta.matrix
-    _, d_range, _, ds_range = it.delta.defects
-    q_star_delta = ds_range.basis
-    q_delta = d_range.basis
+    q_star_delta = it.delta.star_defect.space.basis
+    q_delta = it.delta.defect.space.basis
 
     m_a = row_char_fn(it.first.A, n_deg)
     m_ap = row_char_fn(it.second.A, n_deg)
@@ -353,7 +352,7 @@ def _assemble(it: IteratedLifting, n_deg: int):
     # (the report's factorization-leak line judges it)
     proj = np.eye(k_sap) - q_delta @ q_delta.conj().T
     leak = max_operator_norm(_sandwich(proj, core.flat[:, k_sa:, :], None))
-    rhs = add(const_op(basis, dstar_ghat @ m7[:k_c]), product(const_op(basis, g_hat @ m2), core))
+    rhs = add(const_op(basis, star_ghat.D @ m7[:k_c]), product(const_op(basis, g_hat @ m2), core))
 
     info = {
         "checks": {
@@ -372,7 +371,7 @@ def _assemble(it: IteratedLifting, n_deg: int):
             "sigma_star_Ahat": sig_star_ah.op.matrix,
             "julia_core": jh.J,
             "gamma_hat": g_hat,
-            "Dstar_gamma_hat": dstar_ghat,
+            "Dstar_gamma_hat": star_ghat.D,
             "delta": dl,
             "MA_vacuum": m_a.op.coeff(()),
             "MAprime_vacuum": m_ap.op.coeff(()),
@@ -482,14 +481,14 @@ def minimal_part(first: Lifting, second: Lifting) -> MinimalPart:
         raise ResidualTooLarge(f"corner coupling residual {g_res:.3e}")
 
     det, dat = defect(e_tilde), defect(a_tilde)
-    d_gamma, dg_range, _, _ = gamma.defects
+    d_gamma = gamma.defect
     q_at = dat.space.basis
     top = np.hstack([det.D, -e_tilde.row.conj().T @ gamma.as_ambient() @ dat.D])
-    bot = np.hstack([np.zeros((d * (n - t), d * t)), q_at @ d_gamma @ q_at.conj().T @ dat.D])
+    bot = np.hstack([np.zeros((d * (n - t), d * t)), q_at @ d_gamma.D @ q_at.conj().T @ dat.D])
     w_split = np.hstack([q_t, q_p])
     conv = np.eye(n * d)[block_shuffle([t, n - t], d)] @ np.kron(np.eye(d), w_split.conj().T)
     target = np.vstack([top, bot]) @ conv
-    gamma_space = Subspace(d * (n - t), q_at @ dg_range.basis)
+    gamma_space = Subspace(d * (n - t), q_at @ d_gamma.space.basis)
     cod = Subspace(d * t + d * (n - t), block_diag(det.space.basis, gamma_space.basis))
     sigma = _certified_sigma(target, defect(ep), cod)
     return MinimalPart(space, complement, gamma, sigma, tilde_lifting, inv_res, g_res,
@@ -599,13 +598,12 @@ def synthesize_lifting(c: RowContraction, a: RowContraction, a2: RowContraction,
             f"vacuum margin {pure_margin:.3e} or rank deficiency of the corner blocks")
 
     delta = SubOperator(dsa2.space, da.space, r_blk.conj().T)
-    d_sr, sr_range, d_r, r_range = delta.defects
-    q_r = r_range.basis
-    q_sr = sr_range.basis
-    u1 = q_r.conj().T @ d_r @ pinv(p_blk)
-    u2 = q_sr.conj().T @ d_sr @ pinv(s_blk.conj().T)
-    u1_res = operator_norm(u1 @ p_blk - q_r.conj().T @ d_r)
-    u2_res = operator_norm(u2 @ s_blk.conj().T - q_sr.conj().T @ d_sr)
+    # with delta = R*, D_R is delta's star defect and D_{R*} its column defect
+    d_r, d_sr = (dd.space.coords(dd.D) for dd in (delta.star_defect, delta.defect))
+    u1 = d_r @ pinv(p_blk)
+    u2 = d_sr @ pinv(s_blk.conj().T)
+    u1_res = operator_norm(u1 @ p_blk - d_r)
+    u2_res = operator_norm(u2 @ s_blk.conj().T - d_sr)
     if unitarity_residual(u1) > BUILD_TOL or unitarity_residual(u2) > BUILD_TOL:
         raise UnitaryExtensionFailure(
             f"isometry extensions not unitary ({unitarity_residual(u1):.3e}, "
@@ -629,7 +627,7 @@ def synthesize_lifting(c: RowContraction, a: RowContraction, a2: RowContraction,
     m_cep = lifting_char_fn(eprime, n_deg)
     sig_ep = defect_unitary(eprime)
     g_hat = gamma_hat.matrix
-    q_star_ghat = gamma_hat.defects[3].basis
+    q_star_ghat = gamma_hat.star_defect.space.basis
     leak = operator_norm(np.eye(k_c) - q_star_ghat @ q_star_ghat.conj().T) if k_c else 0.0
     if leak > BUILD_TOL:
         raise SubspaceLeak(f"first slot leaves the range of the splitting unitary ({leak:.3e})")

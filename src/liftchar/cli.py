@@ -21,7 +21,7 @@ from importlib import resources
 
 import numpy as np
 
-from . import __version__
+from . import __version__, ncfock
 from .charfact import (
     CharFn,
     lifting_char_fn,
@@ -220,9 +220,10 @@ class CheckResult:
 
 
 def _charfn_checks(name: str, fn: CharFn) -> list[CheckResult]:
+    r = ncfock.realize(fn.op)  # shared by both lines; kept, it would copy every coefficient
     return [
-        CheckResult(f"charfn-norm[{name}]", max(0.0, realized_norm(fn.op) - 1.0), NORM_SLACK),
-        CheckResult(f"charfn-intertwine[{name}]", intertwining_residual(fn.op), INTERTWINE_TOL),
+        CheckResult(f"charfn-norm[{name}]", max(0.0, realized_norm(fn.op, r) - 1.0), NORM_SLACK),
+        CheckResult(f"charfn-intertwine[{name}]", intertwining_residual(fn.op, r), INTERTWINE_TOL),
     ]
 
 

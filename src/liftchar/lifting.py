@@ -17,6 +17,7 @@ import numpy as np
 from . import numlin
 from .errors import DimMismatch, Mismatch, ResidualTooLarge
 from .numlin import (
+    DefectData,
     Subspace,
     SubOperator,
     as_complex,
@@ -31,7 +32,7 @@ from .numlin import (
     require_contraction,
     unitarity_residual,
 )
-from .rowcon import DefectData, RowContraction, defect, star_defect
+from .rowcon import RowContraction, defect, star_defect
 
 log = logging.getLogger(__name__)
 
@@ -107,11 +108,18 @@ class Lifting:
         return idx[:nc], idx[nc:]
 
 
-def _lifting_blocks(c: RowContraction, a: RowContraction,
-                    b_row: np.ndarray) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-    """row(B) split into its d blocks B_i, and E_i = [[C_i, 0], [B_i, A_i]]."""
+def _b_blocks(c: RowContraction, b_row: np.ndarray) -> tuple[np.ndarray, ...]:
+    """row(B) split into its d blocks B_i."""
+    nc = c.dim
+    return tuple(b_row[:, i * nc : (i + 1) * nc] for i in range(c.d))
+
+
+def _assemble_lifting(c: RowContraction, a: RowContraction, b_row: np.ndarray,
+                      gamma: SubOperator) -> Lifting:
+    """The lifting with blocks E_i = [[C_i, 0], [B_i, A_i]]; building E validates
+    it as a row contraction (the "if" direction of the factorization)."""
     nc, na = c.dim, a.dim
-    b = tuple(b_row[:, i * nc : (i + 1) * nc] for i in range(c.d))
+    b = _b_blocks(c, b_row)
     mats = []
     for ci, bi, ai in zip(c.ops, b, a.ops):
         e = np.zeros((nc + na, nc + na), dtype=np.complex128)
@@ -119,15 +127,7 @@ def _lifting_blocks(c: RowContraction, a: RowContraction,
         e[nc:, :nc] = bi
         e[nc:, nc:] = ai
         mats.append(e)
-    return b, tuple(mats)
-
-
-def _assemble_lifting(c: RowContraction, a: RowContraction, b_row: np.ndarray,
-                      gamma: SubOperator) -> Lifting:
-    """The lifting with blocks E_i = [[C_i, 0], [B_i, A_i]]; building E validates
-    it as a row contraction (the "if" direction of the factorization)."""
-    b, mats = _lifting_blocks(c, a, b_row)
-    return Lifting(c, a, b, gamma, RowContraction(mats))
+    return Lifting(c, a, b, gamma, RowContraction(tuple(mats)))
 
 
 def make_lifting(c: RowContraction, a: RowContraction, gamma: SubOperator) -> Lifting:
@@ -226,15 +226,15 @@ def defect_unitary(lift: Lifting) -> SigmaUnitary:
     once per lifting.
     """
     def compute():
-        _, _, dstar_delta, sd_range = lift.gamma.defects
+        star_delta = lift.gamma.star_defect
         q_c = lift.dC.space.basis
-        t11 = q_c @ dstar_delta @ q_c.conj().T @ lift.dC.D
+        t11 = q_c @ star_delta.D @ q_c.conj().T @ lift.dC.D
         t21 = -lift.A.row.conj().T @ lift.gamma_ambient.conj().T @ lift.dC.D
         top = np.hstack([t11, np.zeros((t11.shape[0], lift.d * lift.A.dim))])
         bot = np.hstack([t21, lift.dA.D])
         target = np.vstack([top, bot])[:, np.argsort(lift.shuffle)]
         # column permutation: target consumes H_E^d in its native interleaved order
-        star_delta_space = Subspace(lift.d * lift.C.dim, q_c @ sd_range.basis)
+        star_delta_space = Subspace(lift.d * lift.C.dim, q_c @ star_delta.space.basis)
         cod = direct_sum(star_delta_space, lift.dA.space)
         return _certified_sigma(target, lift.dE, cod)
     return memo(lift, "defect_unitary", compute)
@@ -248,15 +248,15 @@ def star_defect_unitary(lift: Lifting) -> SigmaUnitary:
     on H_E = H_C + H_A (no reordering needed).  Computed once per lifting.
     """
     def compute():
-        d_delta, dd_range, _, _ = lift.gamma.defects
+        d_delta = lift.gamma.defect
         q_sa = lift.dstarA.space.basis
         t12 = -lift.C.row @ lift.gamma_ambient @ lift.dstarA.D
-        t22 = q_sa @ d_delta @ q_sa.conj().T @ lift.dstarA.D
+        t22 = q_sa @ d_delta.D @ q_sa.conj().T @ lift.dstarA.D
         target = np.vstack([
             np.hstack([lift.dstarC.D, t12]),
             np.hstack([np.zeros((lift.A.dim, lift.C.dim)), t22]),
         ])
-        delta_space = Subspace(lift.A.dim, q_sa @ dd_range.basis)
+        delta_space = Subspace(lift.A.dim, q_sa @ d_delta.space.basis)
         cod = direct_sum(lift.dstarC.space, delta_space)
         return _certified_sigma(target, lift.dstarE, cod)
     return memo(lift, "star_defect_unitary", compute)
@@ -291,7 +291,9 @@ class IteratedLifting:
 
 def iterate_liftings(first: Lifting, second: Lifting) -> IteratedLifting:
     """Split B' = [B1', B2'], lift A by A' with B2' (that is A-hat), and lift C
-    by A-hat with [B; B1'], whose E is second.E itself once its blocks agree."""
+    by A-hat with [B; B1'].  That E' is second.E restacked (second.C agrees
+    with first.E to 1e-10), so E' over C holds second.E itself and its
+    defects are computed once."""
     if second.C.d != first.E.d or second.C.dim != first.E.dim:
         raise Mismatch("second lifting must lift the first one's E")
     if norm_exceeds(np.hstack(second.C.ops) - np.hstack(first.E.ops), 1e-10):
@@ -301,12 +303,8 @@ def iterate_liftings(first: Lifting, second: Lifting) -> IteratedLifting:
     a_hat = ahat_lifting.E
     b_hat = np.hstack([np.vstack([b, bp[:, :nc]]) for b, bp in zip(first.B, second.B)])
     gamma_hat = _coupling_from_blocks(first.C, a_hat, b_hat)
-    b, mats = _lifting_blocks(first.C, a_hat, b_hat)
-    if norm_exceeds(np.hstack(mats) - np.hstack(second.E.ops), 1e-12):
-        raise Mismatch("reassembled E' disagrees with the given one")
-    # the given E' itself, so that its defects are computed once
     return IteratedLifting(first, second, ahat_lifting,
-                           Lifting(first.C, a_hat, b, gamma_hat, second.E))
+                           Lifting(first.C, a_hat, _b_blocks(first.C, b_hat), gamma_hat, second.E))
 
 
 # ---------------------------------------------------------------------------
@@ -324,8 +322,7 @@ def julia_halmos(op: SubOperator) -> JuliaHalmos:
     def compute():
         m = op.matrix
         require_contraction(m)
-        d_l, _, d_star, _ = op.defects
-        j = np.block([[d_star, m], [-m.conj().T, d_l]])
+        j = np.block([[op.star_defect.D, m], [-m.conj().T, op.defect.D]])
         return JuliaHalmos(readonly(j), unitarity_residual(j))
     return memo(op, "julia_halmos", compute)
 

@@ -343,15 +343,16 @@ def _probe(n: int, cols: int) -> np.ndarray:
     return readonly(x / np.linalg.norm(x, axis=0))
 
 
-def realized_norm(m: MultiAnalyticOp) -> float:
-    """Spectral norm of the truncated realization, by Lanczos on R*R.
+def realized_norm(m: MultiAnalyticOp, r: Realization | None = None) -> float:
+    """Spectral norm of the truncated realization r of m (realize(m) when not
+    given), by Lanczos on R*R.
 
     Full reorthogonalization; stops when the a-posteriori residual bound
     beta_k |s_k| of the largest Ritz value is <= LANCZOS_TOL * max(theta, 1)
     or the Krylov space is exhausted.  In exact arithmetic a Ritz value never
     exceeds the top eigenvalue, so the estimate converges from below.
     """
-    r = realize(m)
+    r = realize(m) if r is None else r
     n = r.shape[1]
     if r.shape[0] == 0 or n == 0:
         return 0.0
@@ -386,14 +387,15 @@ def _left_creation(basis: FockBasis, i: int, v: np.ndarray, k: int) -> np.ndarra
     return out
 
 
-def intertwining_residual(m: MultiAnalyticOp) -> float:
-    """Max entry of R (L_i (x) I) X - (L_i (x) I) R X over the letters i.
+def intertwining_residual(m: MultiAnalyticOp, r: Realization | None = None) -> float:
+    """Max entry of R (L_i (x) I) X - (L_i (x) I) R X over the letters i, with
+    R the realization r of m (realize(m) when not given).
 
     X is a fixed probe block.  Both sides go through the same matvec whose
     norm realized_norm certifies, so a realization that misplaces the
     coefficient word (prepends instead of appends it) fails.
     """
-    r = realize(m)
+    r = realize(m) if r is None else r
     basis = m.basis
     x = _probe(r.shape[1], PROBE_COLS)
     rx = r.matvec(x)

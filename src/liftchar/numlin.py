@@ -263,12 +263,35 @@ def psd_root_range(gram, rank_tol: float = RANK_TOL) -> tuple[np.ndarray, Subspa
     return root, Subspace(n, basis)
 
 
-def contraction_defects(m) -> tuple[np.ndarray, Subspace, np.ndarray, Subspace]:
-    """(D, range D, D_*, range D_*) of a contraction matrix, clamped roots."""
-    m = as_complex(m)
-    d, d_space = psd_root_range(np.eye(m.shape[1]) - m.conj().T @ m)
-    ds, ds_space = psd_root_range(np.eye(m.shape[0]) - m @ m.conj().T)
-    return d, d_space, ds, ds_space
+@dataclass(frozen=True)
+class DefectData:
+    """The defect D_M = (I - M*M)^{1/2} of a contraction M, the closure of its
+    range, and its pseudo-inverse, computed once.
+
+    The one representation of a defect, for row contractions and couplings
+    alike.  The star defect D_{M*} = (I - MM*)^{1/2} is `of(M*)`.
+    """
+
+    D: np.ndarray
+    space: Subspace
+
+    def __post_init__(self):
+        object.__setattr__(self, "D", readonly(self.D))
+
+    @classmethod
+    def of(cls, m) -> "DefectData":
+        """D_M and its range, by one psd_root_range call."""
+        m = as_complex(m)
+        return cls(*psd_root_range(np.eye(m.shape[1]) - m.conj().T @ m))
+
+    @property
+    def rank(self) -> int:
+        return self.space.dim
+
+    @cached_property
+    def pinv(self) -> np.ndarray:
+        """The pseudo-inverse of D (read-only), the inverse of D on its range."""
+        return readonly(pinv(self.D))  # the module function, not this property
 
 
 def svd_rank(m, rank_tol: float = RANK_TOL) -> tuple[int, np.ndarray]:
@@ -286,7 +309,8 @@ class SubOperator:
     """An operator between two subspaces, in their basis coordinates.
 
     The matrix is stored as a read-only copy, so its cached defects cannot
-    go stale.
+    go stale.  `defect` and `star_defect` are each built on first use, so a
+    side nobody reads is never decomposed.
     """
 
     domain: Subspace
@@ -302,9 +326,14 @@ class SubOperator:
         object.__setattr__(self, "matrix", m)
 
     @cached_property
-    def defects(self) -> tuple[np.ndarray, Subspace, np.ndarray, Subspace]:
-        """(D, range D, D_*, range D_*) of the matrix, computed once."""
-        return contraction_defects(self.matrix)
+    def defect(self) -> DefectData:
+        """(I - M*M)^{1/2} on the domain coordinates, computed once."""
+        return DefectData.of(self.matrix)
+
+    @cached_property
+    def star_defect(self) -> DefectData:
+        """(I - MM*)^{1/2} on the codomain coordinates, computed once."""
+        return DefectData.of(self.matrix.conj().T)
 
     def as_ambient(self) -> np.ndarray:
         """The operator as a map between the two ambient spaces."""

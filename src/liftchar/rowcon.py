@@ -3,14 +3,14 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import product as iter_product
 
 import numpy as np
 
 from . import numlin
 from .errors import DimMismatch
-from .numlin import Subspace, frozen, memo, readonly
+from .numlin import DefectData, frozen, memo
 
 Word = tuple[int, ...]
 
@@ -73,27 +73,6 @@ class RowContraction:
         return np.hstack(self.ops)
 
 
-@dataclass(frozen=True)
-class DefectData:
-    """Positive square root D together with the closure of its range, and its
-    pseudo-inverse, computed once."""
-
-    D: np.ndarray
-    space: Subspace
-
-    def __post_init__(self):
-        object.__setattr__(self, "D", readonly(self.D))
-
-    @property
-    def rank(self) -> int:
-        return self.space.dim
-
-    @cached_property
-    def pinv(self) -> np.ndarray:
-        """The pseudo-inverse of D (read-only), the inverse of D on its range."""
-        return readonly(numlin.pinv(self.D))
-
-
 def defect(s: RowContraction) -> DefectData:
     """Column defect: PSD root of I - [S_i* S_j] on H^d, and its range.
 
@@ -101,18 +80,10 @@ def defect(s: RowContraction) -> DefectData:
     matrix, so rank decisions are made where roundoff sits at eps rather
     than sqrt(eps).  Computed once per row contraction.
     """
-    def compute():
-        row = s.row
-        m = np.eye(s.d * s.dim) - row.conj().T @ row
-        return DefectData(*numlin.psd_root_range(m))
-    return memo(s, "defect", compute)
+    return memo(s, "defect", lambda: DefectData.of(s.row))
 
 
 def star_defect(s: RowContraction) -> DefectData:
     """Star defect: PSD root of I - sum S_i S_i* on H, and its range, computed
     once per row contraction."""
-    def compute():
-        row = s.row
-        m = np.eye(s.dim) - row @ row.conj().T
-        return DefectData(*numlin.psd_root_range(m))
-    return memo(s, "star_defect", compute)
+    return memo(s, "star_defect", lambda: DefectData.of(s.row.conj().T))

@@ -502,7 +502,17 @@ def test_no_duplicate_work(monkeypatch, capsys):
     for s in range(5):
         it = random_iterated_lifting(np.random.default_rng(s), 2, (2, 2, 2))
         run_battery(it.first, it, 5, 1e-8, "all")
-    assert len(roots) <= 175
+    assert len(roots) <= 135
+
+
+def test_one_realization_per_symbol(monkeypatch):
+    # the sigmas group realizes each of a two-level scenario's five symbols once,
+    # for both its norm and its intertwining line
+    realized = _count_calls(monkeypatch, "realize", ncfock)
+    it = random_iterated_lifting(np.random.default_rng(3), 2, (1, 2, 1))
+    checks = run_battery(it.first, it, 4, 1e-8, "sigmas")
+    assert all(c.passed for c in checks)
+    assert len(realized) == 5
 
 
 def test_each_defect_unitary_built_once(monkeypatch, capsys):

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from liftchar import lifting
+from liftchar.cli import run_battery
 from liftchar.errors import DimMismatch, Mismatch, NotContraction, NotPSD
 from liftchar.gen import random_lifting, random_row_contraction
 from liftchar.lifting import (
@@ -219,6 +221,28 @@ class TestSigmaUnitaries:
                 m = s.op.matrix
                 assert unitarity_residual(m) < 1e-10
                 assert s.defining_residual < 1e-10
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_polar_polishing_near_the_rank_boundary(self, monkeypatch, seed):
+        # row(A) rescaled to norm 1 - 1e-4: I - AA* has an eigenvalue near 2e-4, so
+        # target pinv(D) misses unitarity by more than 1e-12 and is polished
+        polished = []
+
+        def counting(m, _fn=lifting.polar_unitary):
+            polished.append(m.shape)
+            return _fn(m)
+
+        monkeypatch.setattr(lifting, "polar_unitary", counting)
+        rng = np.random.default_rng([7, seed])
+        c = random_row_contraction(rng, 2, 2)
+        a = random_row_contraction(rng, 2, 2)
+        a = RowContraction(tuple(m * (1 - 1e-4) / operator_norm(a.row) for m in a.ops))
+        first = random_lifting(rng, c, a)
+        second = random_lifting(rng, first.E, random_row_contraction(rng, 2, 2))
+        it = iterate_liftings(first, second)
+        checks = run_battery(first, it, 3, 1e-8, "all")
+        assert polished
+        assert [ch.name for ch in checks if not ch.passed] == []
 
 
 class TestIterate:

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liftchar import numlin, rowcon
 from liftchar.errors import DimMismatch, NotContraction, NotHermitian, NotPSD, NotSquare
 from liftchar.numlin import (
     ORTH_TOL,
     RANK_TOL,
+    DefectData,
     Subspace,
     SubOperator,
     _below_psd,
@@ -288,6 +290,77 @@ def test_suboperator_ambient_roundtrip():
     op = SubOperator(dom, cod, m)
     amb = op.as_ambient()
     np.testing.assert_allclose(cod.basis.conj().T @ amb @ dom.basis, m, atol=1e-12)
+
+
+def _unitary(rng, n):
+    return np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+
+
+def _degenerate(name):
+    """(M, rank of D_M, rank of D_M*) for a contraction at the rank boundary."""
+    rng = np.random.default_rng(5)
+    if name == "zero":
+        return np.zeros((2, 4)), 4, 2
+    if name == "unitary":
+        return _unitary(rng, 2), 0, 0
+    if name == "isometry":
+        return _unitary(rng, 3)[:, :2], 0, 1
+    if name == "coisometry":
+        return _unitary(rng, 4)[:2, :], 2, 0
+    # norm 1 and rank 2: 1 - s^2 is (0, 0.64, 1) on both sides
+    return _unitary(rng, 3) @ np.diag([1.0, 0.6, 0.0]) @ _unitary(rng, 3), 2, 2
+
+
+DEGENERATE = ["zero", "unitary", "isometry", "coisometry", "rank-deficient"]
+
+
+class TestDefectData:
+    """Both defects of degenerate contractions, as couplings and as row contractions."""
+
+    @staticmethod
+    def _coupling(m):
+        return SubOperator(Subspace.full(m.shape[1]), Subspace.full(m.shape[0]), m)
+
+    @pytest.mark.parametrize("name", DEGENERATE)
+    def test_coupling_defects(self, name):
+        m, rank, star_rank = _degenerate(name)
+        op = self._coupling(m)
+        mh = m.conj().T
+        sides = ((op.defect, np.eye(m.shape[1]) - mh @ m, rank),
+                 (op.star_defect, np.eye(m.shape[0]) - m @ mh, star_rank))
+        for dd, gram, want in sides:
+            np.testing.assert_allclose(dd.D @ dd.D, gram, atol=1e-12)
+            q = dd.space.basis
+            assert dd.rank == want and q.shape == (gram.shape[0], want)
+            np.testing.assert_allclose(q.conj().T @ q, np.eye(want), atol=1e-12)
+            np.testing.assert_allclose(dd.pinv @ dd.D, q @ q.conj().T, atol=1e-12)
+
+    @pytest.mark.parametrize("name", ["zero", "unitary", "coisometry", "rank-deficient"])
+    def test_row_contraction_agrees_with_coupling(self, name):
+        # the same matrix as row(S) of a d-tuple: d = 1 when square, d = 2 when 2 x 4
+        m = _degenerate(name)[0]
+        n = m.shape[0]
+        s = rowcon.RowContraction(tuple(m[:, i * n:(i + 1) * n] for i in range(m.shape[1] // n)))
+        op = self._coupling(m)
+        for row_side, op_side in ((rowcon.defect(s), op.defect),
+                                  (rowcon.star_defect(s), op.star_defect)):
+            assert isinstance(row_side, DefectData)
+            np.testing.assert_array_equal(row_side.D, op_side.D)
+            np.testing.assert_array_equal(row_side.space.basis, op_side.space.basis)
+
+    def test_each_side_built_on_first_use(self, monkeypatch):
+        calls = []
+
+        def recording(m, *args, _fn=numlin.psd_root_range):
+            calls.append(m.shape)
+            return _fn(m, *args)
+
+        monkeypatch.setattr(numlin, "psd_root_range", recording)
+        op = self._coupling(_degenerate("isometry")[0])
+        assert op.star_defect is op.star_defect
+        assert calls == [(3, 3)]
+        assert op.defect.rank == 0
+        assert calls == [(3, 3), (2, 2)]
 
 
 def test_block_shuffle_regroups():
