@@ -40,16 +40,16 @@ from .lifting import (
     Lifting,
     IteratedLifting,
     SigmaUnitary,
-    SPAN_TOL,
     _certified_sigma,
     defect_unitary,
     extract_gamma,
+    head_orbit,
     is_minimal_lifting,
     julia_halmos,
-    krylov_span,
     lifting_from_blocks,
     make_lifting,
     star_defect_unitary,
+    triangular_split,
 )
 from .ncfock import (
     DEFAULT_DEGREE,
@@ -64,6 +64,7 @@ from .ncfock import (
     product,
 )
 from .numlin import (
+    DefectData,
     Subspace,
     SubOperator,
     as_complex,
@@ -73,7 +74,6 @@ from .numlin import (
     memo,
     operator_norm,
     pinv,
-    psd_root_range,
     readonly,
     require_contraction,
     svd_rank,
@@ -246,17 +246,15 @@ def lifting_char_fn(lift: Lifting, n_deg: int = DEFAULT_DEGREE) -> CharFn:
         basis = fock_basis(lift.d, n_deg)
         comp, resid = transfer_coeffs(*_lifting_colligation(lift), lift.A, n_deg,
                                       certify="contractive")
-        cols = lift.d * lift.E.dim
-        q_e = lift.dE.space.basis
+        de = lift.dE
         k_res = 0.0
-        if lift.dE.rank < cols:
-            _, ker = psd_root_range(np.eye(cols) - q_e @ q_e.conj().T)
-            k_res = max_operator_norm(_sandwich(None, comp, ker.basis))
+        if de.rank < de.space.ambient_dim:
+            k_res = max_operator_norm(_sandwich(None, comp, de.space.complement().basis))
         if k_res > KERNEL_TOL:
             raise ResidualTooLarge(
                 f"symbol-times-defect does not vanish on ker D_E (residual {k_res:.3e})")
-        op = MultiAnalyticOp(basis, lift.dE.space, lift.dC.space,
-                             _sandwich(None, comp, lift.dE.pinv @ q_e))
+        op = MultiAnalyticOp(basis, de.space, lift.dC.space,
+                             _sandwich(None, comp, de.pinv @ de.space.basis))
         return CharFn(op, resid, k_res)
     return memo(lift, ("lifting_char_fn", n_deg), compute)
 
@@ -449,12 +447,10 @@ def minimal_part(first: Lifting, second: Lifting) -> MinimalPart:
         log.warning("second lifting is not minimal; the product identity assumes it")
     ep = second.E
     n, nc, d = ep.dim, first.C.dim, first.d
-    seed = np.zeros((n, nc), dtype=np.complex128)
-    seed[:nc, :] = np.eye(nc)
-    q_t = krylov_span(list(ep.ops), seed)
+    q_t = head_orbit(ep, nc)
     t = q_t.shape[1]
     space = Subspace(n, q_t)
-    _, complement = psd_root_range(np.eye(n) - q_t @ q_t.conj().T, SPAN_TOL)
+    complement = space.complement()
     q_p = complement.basis
 
     inv_res = max(operator_norm(q_p.conj().T @ ep.ops[i] @ q_t) for i in range(d))
@@ -480,17 +476,10 @@ def minimal_part(first: Lifting, second: Lifting) -> MinimalPart:
     if g_res > BUILD_TOL * max(1.0, operator_norm(x_row)):
         raise ResidualTooLarge(f"corner coupling residual {g_res:.3e}")
 
-    det, dat = defect(e_tilde), defect(a_tilde)
-    d_gamma = gamma.defect
-    q_at = dat.space.basis
-    top = np.hstack([det.D, -e_tilde.row.conj().T @ gamma.as_ambient() @ dat.D])
-    bot = np.hstack([np.zeros((d * (n - t), d * t)), q_at @ d_gamma.D @ q_at.conj().T @ dat.D])
+    split, cod = triangular_split(defect(e_tilde), e_tilde.row.conj().T, gamma, defect(a_tilde))
     w_split = np.hstack([q_t, q_p])
     conv = np.eye(n * d)[block_shuffle([t, n - t], d)] @ np.kron(np.eye(d), w_split.conj().T)
-    target = np.vstack([top, bot]) @ conv
-    gamma_space = Subspace(d * (n - t), q_at @ d_gamma.space.basis)
-    cod = Subspace(d * t + d * (n - t), block_diag(det.space.basis, gamma_space.basis))
-    sigma = _certified_sigma(target, defect(ep), cod)
+    sigma = _certified_sigma(split @ conv, defect(ep), cod)
     return MinimalPart(space, complement, gamma, sigma, tilde_lifting, inv_res, g_res,
                        is_minimal_lifting(tilde_lifting))
 
@@ -586,11 +575,9 @@ def synthesize_lifting(c: RowContraction, a: RowContraction, a2: RowContraction,
     s_blk = ust[f_dim:, k_a:]
     r_blk = ust[f_dim:, :k_a]
 
-    m_a = row_char_fn(a, n_deg)
-    m_ap = row_char_fn(a2, n_deg)
-    vac = block_diag(m_a.op.coeff(()), np.eye(f_star)) @ u @ block_diag(np.eye(f_dim), m_ap.op.coeff(()))
-    sv_top = operator_norm(vac)
-    pure_margin = 1.0 - sv_top
+    basis = fock_basis(c.d, n_deg)
+    cascade = _cascade(basis, row_char_fn(a, n_deg).op, u, row_char_fn(a2, n_deg).op)
+    pure_margin = 1.0 - operator_norm(cascade.coeff(()))
 
     if not (pure_margin > PURE_MARGIN and svd_rank(p_blk)[0] == f_dim
             and svd_rank(s_blk.conj().T)[0] == f_star):
@@ -604,10 +591,9 @@ def synthesize_lifting(c: RowContraction, a: RowContraction, a2: RowContraction,
     u2 = d_sr @ pinv(s_blk.conj().T)
     u1_res = operator_norm(u1 @ p_blk - d_r)
     u2_res = operator_norm(u2 @ s_blk.conj().T - d_sr)
-    if unitarity_residual(u1) > BUILD_TOL or unitarity_residual(u2) > BUILD_TOL:
-        raise UnitaryExtensionFailure(
-            f"isometry extensions not unitary ({unitarity_residual(u1):.3e}, "
-            f"{unitarity_residual(u2):.3e})")
+    u1_un, u2_un = unitarity_residual(u1), unitarity_residual(u2)
+    if u1_un > BUILD_TOL or u2_un > BUILD_TOL:
+        raise UnitaryExtensionFailure(f"isometry extensions not unitary ({u1_un:.3e}, {u2_un:.3e})")
 
     ahat_lift = make_lifting(a, a2, delta)
     sig_ah = defect_unitary(ahat_lift)
@@ -617,12 +603,9 @@ def synthesize_lifting(c: RowContraction, a: RowContraction, a2: RowContraction,
     gamma_hat = SubOperator(ahat_lift.dstarE.space, dc.space, lam @ phi)
     eprime = make_lifting(c, ahat_lift.E, gamma_hat)
 
-    basis = fock_basis(c.d, n_deg)
-    dstar_lam, _ = psd_root_range(np.eye(k_c) - lam @ lam.conj().T)
-
+    dstar_lam = DefectData.of(lam.conj().T).D
     target_symbol = product(const_op(basis, np.hstack([dstar_lam, lam])),
-                            block_diag_op(basis, identity_op(basis, k_c),
-                                          _cascade(basis, m_a.op, u, m_ap.op)))
+                            block_diag_op(basis, identity_op(basis, k_c), cascade))
 
     m_cep = lifting_char_fn(eprime, n_deg)
     sig_ep = defect_unitary(eprime)

@@ -345,16 +345,12 @@ def report_json(scen_id: str, degree: int, checks: list[CheckResult],
 def cmd_verify(args) -> int:
     t0 = time.monotonic()
     reports: list = []
-    try:
-        if args.out:
-            check_writable(args.out)
-        scen = parse_scenario(args.scenario)
-        degree = args.degree if args.degree is not None else scen.degree
-        tol = args.tol if args.tol is not None else scen.tolerance
-        checks = run_battery(scen.first, scen.iterated, degree, tol, args.check, reports)
-    except (ParseError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if args.out:
+        check_writable(args.out)
+    scen = parse_scenario(args.scenario)
+    degree = args.degree if args.degree is not None else scen.degree
+    tol = args.tol if args.tol is not None else scen.tolerance
+    checks = run_battery(scen.first, scen.iterated, degree, tol, args.check, reports)
     sys.stdout.write(render_report(scen.id, degree, checks))
     if args.out:
         write_atomic(args.out, json.dumps(report_json(scen.id, degree, checks, reports),
@@ -459,13 +455,9 @@ def char_fns(scen: Scenario, degree: int) -> dict[str, CharFn]:
 
 
 def cmd_charfn(args) -> int:
-    try:
-        if args.out:
-            check_writable(args.out)
-        scen = parse_scenario(args.scenario)
-    except (ParseError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if args.out:
+        check_writable(args.out)
+    scen = parse_scenario(args.scenario)
     degree = args.degree if args.degree is not None else scen.degree
     doc = {
         "schema": 1,
@@ -500,17 +492,8 @@ def _expected_symbols(which: str) -> dict[str, dict[tuple, np.ndarray]]:
 def symbol_matches(fn: CharFn, expected: dict[tuple, np.ndarray]) -> float:
     """Max deviation of the ambient symbol from the expected word -> matrix table."""
     amb = fn.ambient_symbol()
-    words = set(amb) | set(expected)
-    resid = 0.0
-    for w in words:
-        got = amb.get(w)
-        want = expected.get(w)
-        if got is None:
-            got = np.zeros_like(want)
-        if want is None:
-            want = np.zeros_like(got)
-        resid = max(resid, operator_norm(got - want))
-    return resid
+    return max((operator_norm(amb.get(w, 0) - expected.get(w, 0)) for w in set(amb) | set(expected)),
+               default=0.0)
 
 
 def cmd_worked_examples(args) -> int:

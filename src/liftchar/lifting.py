@@ -9,6 +9,7 @@ star-defect space of A to the column-defect space of C.
 from __future__ import annotations
 
 import logging
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -240,24 +241,38 @@ def defect_unitary(lift: Lifting) -> SigmaUnitary:
     return memo(lift, "defect_unitary", compute)
 
 
+def triangular_split(d1: DefectData, x: np.ndarray, g: SubOperator,
+                     d2: DefectData) -> tuple[np.ndarray, Subspace]:
+    """Target and codomain of the unitary that splits the defect of a
+    block upper-triangular contraction whose corner factors through g.
+
+    The target is
+        [[D_1, -x g D_2], [0, Q_2 D_g Q_2* D_2]]
+    (g as an ambient map, Q_2 the range basis of D_2), and the codomain is
+    range(D_1) + Q_2 range(D_g).  `star_defect_unitary` takes
+    (D_{*C}, row(C), delta, D_{*A}); `minimal_part` takes
+    (D_Etilde, row(Etilde)*, gamma, D_Atilde).
+    """
+    q2 = d2.space.basis
+    dg = g.defect
+    t12 = -x @ g.as_ambient() @ d2.D
+    t22 = q2 @ dg.D @ q2.conj().T @ d2.D
+    target = np.vstack([
+        np.hstack([d1.D, t12]),
+        np.hstack([np.zeros((t22.shape[0], d1.D.shape[1])), t22]),
+    ])
+    return target, direct_sum(d1.space, Subspace(q2.shape[0], q2 @ dg.space.basis))
+
+
 def star_defect_unitary(lift: Lifting) -> SigmaUnitary:
     """Unitary from the star-defect space of E onto D_{*,C} + D_delta.
 
-    Defining relation:
+    Defining relation (`triangular_split`):
         sigma' D_{*,E} = [[D_{*,C}, -row(C) delta D_{*,A}], [0, D_delta D_{*,A}]]
     on H_E = H_C + H_A (no reordering needed).  Computed once per lifting.
     """
     def compute():
-        d_delta = lift.gamma.defect
-        q_sa = lift.dstarA.space.basis
-        t12 = -lift.C.row @ lift.gamma_ambient @ lift.dstarA.D
-        t22 = q_sa @ d_delta.D @ q_sa.conj().T @ lift.dstarA.D
-        target = np.vstack([
-            np.hstack([lift.dstarC.D, t12]),
-            np.hstack([np.zeros((lift.A.dim, lift.C.dim)), t22]),
-        ])
-        delta_space = Subspace(lift.A.dim, q_sa @ d_delta.space.basis)
-        cod = direct_sum(lift.dstarC.space, delta_space)
+        target, cod = triangular_split(lift.dstarC, lift.C.row, lift.gamma, lift.dstarA)
         return _certified_sigma(target, lift.dstarE, cod)
     return memo(lift, "star_defect_unitary", compute)
 
@@ -330,45 +345,42 @@ def julia_halmos(op: SubOperator) -> JuliaHalmos:
 # ---------------------------------------------------------------------------
 # span growth and minimality
 
-def krylov_span(mats: list[np.ndarray], seed: np.ndarray) -> np.ndarray:
+def krylov_span(mats: list[np.ndarray] | tuple[np.ndarray, ...],
+                seed: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the smallest invariant subspace containing span(seed).
 
-    Grows by applying every matrix to the newest vectors with two-pass
-    Gram-Schmidt; the increasing chain stabilizes within the ambient dimension.
+    A first-in-first-out queue of candidates, the seed columns first: each
+    candidate is orthogonalized against the basis by two-pass Gram-Schmidt
+    and kept unless its norm is at most SPAN_TOL (the one use of that cut),
+    and every matrix applied to a kept vector joins the queue.  So the orbit
+    grows level by level, each level in the order its vectors were kept,
+    until the queue empties or the basis spans the ambient space.
     """
-    n = mats[0].shape[0] if mats else seed.shape[0]
+    n = seed.shape[0]
     basis: list[np.ndarray] = []
-
-    def absorb(vec: np.ndarray) -> bool:
-        v = vec.astype(np.complex128).copy()
+    queue = deque(seed.T)
+    while queue and len(basis) < n:
+        v = np.array(queue.popleft(), dtype=np.complex128)
         for _ in range(2):
             for b in basis:
                 v -= b * (b.conj() @ v)
         nrm = np.linalg.norm(v)
         if nrm <= SPAN_TOL:
-            return False
+            continue
         basis.append(v / nrm)
-        return True
-
-    fresh: list[np.ndarray] = []
-    for j in range(seed.shape[1]):
-        if absorb(seed[:, j]):
-            fresh.append(basis[-1])
-    while fresh and len(basis) < n:
-        next_fresh = []
-        for v in fresh:
-            for m in mats:
-                if absorb(m @ v):
-                    next_fresh.append(basis[-1])
-        fresh = next_fresh
+        queue.extend(m @ basis[-1] for m in mats)
     return np.column_stack(basis) if basis else np.zeros((n, 0), dtype=np.complex128)
+
+
+def head_orbit(e: RowContraction, k: int) -> np.ndarray:
+    """Orthonormal basis of span{ E_w x : x in the first k coordinates }, whose
+    first k columns are exactly those coordinate vectors: for a lifting of C,
+    the E-orbit of H_C."""
+    seed = np.zeros((e.dim, k), dtype=np.complex128)
+    seed[:k, :] = np.eye(k)
+    return krylov_span(e.ops, seed)
 
 
 def is_minimal_lifting(lift: Lifting) -> bool:
     """Whether span{ E_w x : x in H_C } exhausts H_E."""
-    n = lift.E.dim
-    seed = np.zeros((n, lift.C.dim), dtype=np.complex128)
-    seed[: lift.C.dim, :] = np.eye(lift.C.dim)
-    span = krylov_span(list(lift.E.ops), seed)
-    return span.shape[1] == n
-
+    return head_orbit(lift.E, lift.C.dim).shape[1] == lift.E.dim

@@ -146,7 +146,11 @@ def _fix_phases(v: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Subspace:
-    """A subspace of C^ambient_dim given by an orthonormal column basis."""
+    """A subspace of C^ambient_dim given by an orthonormal column basis.
+
+    `complement()` is the library's one orthogonal complement, so every
+    complement is cut where the defects are, under RANK_TOL.
+    """
 
     ambient_dim: int
     basis: np.ndarray  # ambient_dim x k, orthonormal columns
@@ -181,6 +185,13 @@ class Subspace:
         """||(I - P) V|| measuring how far V's columns leave the subspace."""
         v = as_complex(vectors)
         return operator_norm(v - self.basis @ (self.basis.conj().T @ v))
+
+    def complement(self) -> "Subspace":
+        """The orthogonal complement, as the range of the projector I - QQ*
+        (Q the basis) by psd_root_range under RANK_TOL: on a projector the
+        eigenvalues are 0 or 1 up to rounding, so the cut is far from both."""
+        q = self.basis
+        return psd_root_range(np.eye(self.ambient_dim) - q @ q.conj().T)[1]
 
     def same_basis(self, other: "Subspace") -> bool:
         """Same ambient space and basis vectors, to 1e-10 in operator norm."""
@@ -223,16 +234,17 @@ def require_contraction(m) -> None:
         raise NotContraction(f"not contractive (norm {norm:.12f})")
 
 
-def psd_root_range(gram, rank_tol: float = RANK_TOL) -> tuple[np.ndarray, Subspace]:
+def psd_root_range(gram) -> tuple[np.ndarray, Subspace]:
     """Clamped positive root of a Hermitian PSD Gram matrix plus its range.
 
-    The one PSD eigendecomposition of the library: eigenvalues at or below
-    rank_tol * max eigenvalue are set to exactly zero before taking square
+    The one PSD eigendecomposition of the library, and so the one place a
+    defect or complement rank is decided: eigenvalues at or below
+    RANK_TOL * max eigenvalue are set to exactly zero before taking square
     roots, so the root, its range basis, and pseudo-inverses stay mutually
     consistent.  (Rank decisions on the root itself would see noise
     amplified to sqrt(eps).)  The gates take their scale from the same
-    eigenvalues, max(|w|, 1): an anti-Hermitian part above rank_tol * scale
-    raises NotHermitian, and eigenvalues below -rank_tol * scale raise
+    eigenvalues, max(|w|, 1): an anti-Hermitian part above RANK_TOL * scale
+    raises NotHermitian, and eigenvalues below -RANK_TOL * scale raise
     NotPSD (`_below_psd`, the rule require_contraction shares).  A matrix
     with an infinite or NaN entry raises NotPSD before either gate, whose
     decompositions would not converge on it.  The range
@@ -249,12 +261,12 @@ def psd_root_range(gram, rank_tol: float = RANK_TOL) -> tuple[np.ndarray, Subspa
     if not np.isfinite(gram).all():
         raise NotPSD("matrix has a non-finite entry")
     w, v = np.linalg.eigh((gram + gram.conj().T) / 2.0)
-    if norm_exceeds(gram - gram.conj().T, rank_tol * max(-w[0], w[-1], 1.0)):
+    if norm_exceeds(gram - gram.conj().T, RANK_TOL * max(-w[0], w[-1], 1.0)):
         raise NotHermitian("matrix is not Hermitian within tolerance")
-    if _below_psd(w, rank_tol):
+    if _below_psd(w, RANK_TOL):
         raise NotPSD(f"negative eigenvalue {w[0]:.3e} below -tol*norm")
     lam_max = max(float(w[-1]), 0.0)
-    cut = rank_tol * lam_max if lam_max > rank_tol else np.inf
+    cut = RANK_TOL * lam_max if lam_max > RANK_TOL else np.inf
     w = np.where(w > cut, w, 0.0)
     root = (v * np.sqrt(w)) @ v.conj().T
     root = (root + root.conj().T) / 2.0
@@ -348,18 +360,11 @@ def block_shuffle(dims: list[int], d: int) -> np.ndarray:
 
     Returns idx such that y = x[idx] reorders a stacked vector from the
     interleaved layout (d copies of the direct sum) to the grouped layout
-    (direct sum of d-fold copies).
+    (direct sum of d-fold copies): the interleaved indices as a d x sum(dims)
+    grid, read block of columns by block of columns, each block row by row.
     """
-    n = sum(dims)
-    offs = np.cumsum([0] + list(dims))
-    idx = np.empty(n * d, dtype=np.intp)
-    pos = 0
-    for m, dim in enumerate(dims):
-        for j in range(d):
-            src = j * n + offs[m]
-            idx[pos : pos + dim] = np.arange(src, src + dim)
-            pos += dim
-    return idx
+    grid = np.arange(d * sum(dims)).reshape(d, sum(dims))
+    return np.concatenate([b.ravel() for b in np.split(grid, np.cumsum(dims)[:-1], axis=1)])
 
 
 def block_diag(*mats: np.ndarray) -> np.ndarray:

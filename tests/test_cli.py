@@ -104,7 +104,7 @@ class TestParseScenario:
 
     def test_bad_schema(self, tmp_path):
         path = write_scenario(tmp_path)
-        doc = json.loads(open(path).read())
+        doc = json.loads((tmp_path / "scen.json").read_text())
         doc["schema"] = 2
         (tmp_path / "scen.json").write_text(json.dumps(doc))
         with pytest.raises(ParseError):

@@ -4,13 +4,16 @@ import pytest
 from liftchar import lifting
 from liftchar.cli import run_battery
 from liftchar.errors import DimMismatch, Mismatch, NotContraction, NotPSD
-from liftchar.gen import random_lifting, random_row_contraction
+from liftchar.gen import random_iterated_lifting, random_lifting, random_row_contraction
 from liftchar.lifting import (
+    SPAN_TOL,
     defect_unitary,
     extract_gamma,
+    head_orbit,
     is_minimal_lifting,
     iterate_liftings,
     julia_halmos,
+    krylov_span,
     lifting_from_blocks,
     make_lifting,
     star_defect_unitary,
@@ -365,6 +368,104 @@ class TestResolvingMinimal:
             lift = random_lifting(rng, c, a)
             assert operator_norm(a.row) < 1
             assert is_minimal_lifting(lift) == is_resolving(lift.gamma, a)
+
+
+def krylov_levels(mats, seed):
+    """Reference for krylov_span: the orbit grown level by level, every matrix
+    applied to the vectors the previous level kept, with the same two-pass
+    Gram-Schmidt and SPAN_TOL cut."""
+    n = mats[0].shape[0] if mats else seed.shape[0]
+    basis = []
+
+    def absorb(vec):
+        v = vec.astype(np.complex128).copy()
+        for _ in range(2):
+            for b in basis:
+                v -= b * (b.conj() @ v)
+        nrm = np.linalg.norm(v)
+        if nrm <= SPAN_TOL:
+            return False
+        basis.append(v / nrm)
+        return True
+
+    fresh = []
+    for j in range(seed.shape[1]):
+        if absorb(seed[:, j]):
+            fresh.append(basis[-1])
+    while fresh and len(basis) < n:
+        next_fresh = []
+        for v in fresh:
+            for m in mats:
+                if absorb(m @ v):
+                    next_fresh.append(basis[-1])
+        fresh = next_fresh
+    return np.column_stack(basis) if basis else np.zeros((n, 0), dtype=np.complex128)
+
+
+def complex_normal(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+class TestKrylovSpan:
+    """krylov_span against the level-by-level reference, bit for bit."""
+
+    def assert_same(self, mats, seed):
+        got, want = krylov_span(mats, seed), krylov_levels(mats, seed)
+        assert got.shape == want.shape
+        assert (got == want).all()
+        return got
+
+    def test_random_tuples(self):
+        rng = np.random.default_rng(21)
+        for _ in range(40):
+            d, n = int(rng.integers(1, 4)), int(rng.integers(1, 6))
+            mats = list(random_row_contraction(rng, d, n).ops)
+            self.assert_same(mats, complex_normal(rng, n, int(rng.integers(1, n + 1))))
+
+    def test_invariant_block(self):
+        # upper-triangular matrices leave the first k coordinates invariant, so
+        # a seed there spans only them
+        rng = np.random.default_rng(22)
+        for k, n in ((1, 3), (2, 4), (2, 5)):
+            mats = [np.triu(complex_normal(rng, n, n)) for _ in range(2)]
+            for m in mats:
+                m[k:, :k] = 0
+            seed = np.zeros((n, 1), dtype=complex)
+            seed[:k, 0] = complex_normal(rng, k)
+            assert self.assert_same(mats, seed).shape[1] <= k
+
+    def test_rank_deficient_seed(self):
+        rng = np.random.default_rng(23)
+        v, w = complex_normal(rng, 4), complex_normal(rng, 4)
+        seed = np.column_stack([v, 2 * v, w, v - w, np.zeros(4)])
+        mats = list(random_row_contraction(rng, 2, 4).ops)
+        self.assert_same(mats, seed)
+        assert krylov_span([np.zeros((4, 4))], seed).shape[1] == 2
+
+    def test_zero_matrices(self):
+        rng = np.random.default_rng(24)
+        seed = complex_normal(rng, 5, 3)
+        span = self.assert_same([np.zeros((5, 5))] * 3, seed)
+        assert span.shape[1] == 3
+
+    def test_seed_spans_everything(self):
+        rng = np.random.default_rng(25)
+        mats = list(random_row_contraction(rng, 2, 3).ops)
+        span = self.assert_same(mats, complex_normal(rng, 3, 3))
+        assert span.shape[1] == 3
+        assert self.assert_same(mats, np.eye(3)).shape[1] == 3
+
+    def test_head_orbit_starts_with_the_seed_coordinates(self):
+        # minimal_part reads the orbit's first k columns as H_C itself
+        for s in range(6):
+            d = 1 + s % 2
+            it = random_iterated_lifting(np.random.default_rng([26, s]), d, (d, 2, 1))
+            for e, k in ((it.second.E, it.first.C.dim), (it.first.E, it.first.C.dim),
+                         (it.second.E, it.first.E.dim)):
+                q = head_orbit(e, k)
+                assert (q[:, :k] == np.eye(e.dim)[:, :k]).all()
+                seed = np.eye(e.dim, k, dtype=complex)
+                assert (q == krylov_levels(list(e.ops), seed)).all()
 
 
 def test_coupling_arrays_are_read_only():

@@ -148,6 +148,31 @@ class TestRangeSubspace:
             assert abs(piv.imag) < 1e-12 and piv.real > 0
 
 
+class TestComplement:
+    """Subspace.complement, the range of I - QQ*."""
+
+    @pytest.mark.parametrize("n, k", [(1, 0), (1, 1), (3, 0), (3, 1), (4, 2), (3, 3)])
+    def test_orthonormal_orthogonal_and_dimensions_add_up(self, n, k):
+        rng = np.random.default_rng([n, k])
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        s = Subspace(n, np.linalg.qr(g)[0][:, :k])
+        c = s.complement()
+        assert c.ambient_dim == n
+        assert s.dim + c.dim == n
+        assert isometry_residual(c.basis) < 1e-12
+        assert operator_norm(s.basis.conj().T @ c.basis) < 1e-12
+
+    def test_zero_subspace_has_everything(self):
+        c = Subspace.zero(3).complement()
+        assert c.dim == 3
+        assert c.contains_residual(np.eye(3)) < 1e-12
+
+    def test_full_subspace_has_nothing(self):
+        assert Subspace.full(3).complement().dim == 0
+        h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
+        assert Subspace(2, h).complement().dim == 0
+
+
 class TestUnitarityResidual:
     def test_identity(self):
         assert unitarity_residual(np.eye(2)) == 0
