@@ -79,7 +79,7 @@ from .numlin import (
     svd_rank,
     unitarity_residual,
 )
-from .rowcon import RowContraction, Word, defect, star_defect
+from .rowcon import RowContraction, defect, star_defect
 
 log = logging.getLogger(__name__)
 
@@ -189,10 +189,6 @@ class CharFn:
     op: MultiAnalyticOp
     crosscheck_residual: float
     kernel_residual: float = 0.0
-
-    def ambient_symbol(self) -> dict[Word, np.ndarray]:
-        """Coefficients as ambient-space matrices (zero off the defect spaces)."""
-        return {w: self.op.ambient_coeff(w) for w in self.op.coeffs}
 
 
 def row_char_fn(a: RowContraction, n_deg: int = DEFAULT_DEGREE) -> CharFn:

@@ -490,8 +490,10 @@ def _expected_symbols(which: str) -> dict[str, dict[tuple, np.ndarray]]:
 
 
 def symbol_matches(fn: CharFn, expected: dict[tuple, np.ndarray]) -> float:
-    """Max deviation of the ambient symbol from the expected word -> matrix table."""
-    amb = fn.ambient_symbol()
+    """Max deviation of the ambient symbol, Q_cod theta_w Q_dom* per word w
+    (zero off the defect spaces), from the expected word -> matrix table."""
+    op = fn.op
+    amb = {w: op.cod.basis @ c @ op.dom.basis.conj().T for w, c in op.coeffs.items()}
     return max((operator_norm(amb.get(w, 0) - expected.get(w, 0)) for w in set(amb) | set(expected)),
                default=0.0)
 

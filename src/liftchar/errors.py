@@ -25,8 +25,8 @@ class DimMismatch(LiftcharError, ValueError):
     pass
 
 
-class IndexOutOfRange(LiftcharError, IndexError):
-    pass
+class TruncationTooLarge(LiftcharError):
+    """A Fock truncation with more words than a numpy array can index."""
 
 
 class Mismatch(LiftcharError):

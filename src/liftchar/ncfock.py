@@ -1,12 +1,16 @@
 """Truncated full Fock space over C^d and multi-analytic operators.
 
-A multi-analytic operator is stored by its Fourier coefficients in one
-contiguous (words, k_cod, k_dom) array in graded word order: row g(a) holds
-the coefficient of the word a, g(a) = sum_i a_i d^(|a| - i) being its graded
-index, and the array ends after a whole degree; the degrees past it are
-zero.  Word concatenation is an index identity, g(a + b) = g(a) d^|b| + g(b),
-so composing two operators takes one GEMM per degree of the right factor,
-and every sum, difference, projection and per-word comparison is one numpy
+A word a over the letters 1..d is known by its graded index
+g(a) = sum_i a_i d^(|a| - i), which numbers the words in graded
+lexicographic order; `FockBasis` converts word <-> index by arithmetic and
+stores no word.  A multi-analytic operator is stored by its Fourier
+coefficients in one contiguous (words, k_cod, k_dom) array in that order:
+row g(a) holds the coefficient of the word a, and the array ends after a
+whole degree; the degrees past it are zero.  Words as tuples are built only
+at the boundary, by `MultiAnalyticOp.coeffs` and `coeff`.  Word
+concatenation is an index identity, g(a + b) = g(a) d^|b| + g(b), so
+composing two operators takes one GEMM per degree of the right factor, and
+every sum, difference, projection and per-word comparison is one numpy
 call over all words.  Composition is by coordinates: `product` asks only
 that the inner dimensions agree, and `const_op`, `identity_op` and
 `block_diag_op` label their spaces as plain coordinate spaces.  The dom/cod
@@ -26,7 +30,7 @@ intertwining checks cost O(N d^N k^2) per product and never form the
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import accumulate
@@ -34,9 +38,9 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import DimMismatch, IndexOutOfRange
+from .errors import DimMismatch, TruncationTooLarge
 from .numlin import Subspace, as_complex, max_operator_norm, readonly
-from .rowcon import Word, all_words
+from .rowcon import Word
 
 DEFAULT_DEGREE = 6
 LANCZOS_TOL = 1e-13  # relative a-posteriori bound at which realized_norm stops
@@ -45,33 +49,53 @@ PROBE_COLS = 2       # columns of the intertwining probe block
 
 @dataclass(frozen=True)
 class FockBasis:
-    """Words of length <= N over {1..d} in graded lexicographic order."""
+    """The words of length <= N over {1..d}, known by their graded index.
+
+    The words of degree n take the indices offsets[n] .. offsets[n + 1] - 1.
+    `index` and `word` convert by arithmetic; no word is stored.  A
+    truncation with more words than a numpy array can index is refused
+    before anything is allocated.
+    """
 
     d: int
     N: int
-    words: tuple[Word, ...] = field(init=False)
-    index: dict[Word, int] = field(init=False)
-    offsets: tuple[int, ...] = field(init=False)  # first index of each degree, then len
+    # first index of each degree, then the word count
+    offsets: tuple[int, ...] = field(init=False, compare=False)
 
     def __post_init__(self):
         if self.d < 1:
             raise DimMismatch("need d >= 1")
         if self.N < 0:
             raise DimMismatch("need N >= 0")
-        words = all_words(self.d, self.N)
-        object.__setattr__(self, "words", words)
-        object.__setattr__(self, "index", {w: i for i, w in enumerate(words)})
+        limit = np.iinfo(np.intp).max
+        # for d >= 2 the running count passes the limit within 64 degrees, so the
+        # test stops there and never forms d^N
+        if (self.N + 1 > limit if self.d == 1 else
+                any(n > limit for n in accumulate(self.d**k for k in range(self.N + 1)))):
+            raise TruncationTooLarge(f"d={self.d}, degree {self.N} has more than {limit} words")
         object.__setattr__(self, "offsets",
                            tuple(accumulate((self.d**n for n in range(self.N + 1)), initial=0)))
 
     def __len__(self) -> int:
-        return len(self.words)
+        return self.offsets[-1]
 
-    def __hash__(self):
-        return hash((self.d, self.N))
+    def index(self, w: Sequence[int]) -> int | None:
+        """The graded index g(w), or None when w is not a word of this basis
+        (a letter outside 1..d, or longer than N)."""
+        if len(w) > self.N or not all(1 <= c <= self.d for c in w):
+            return None
+        g = 0
+        for c in w:
+            g = g * self.d + c
+        return g
 
-    def __eq__(self, other):
-        return isinstance(other, FockBasis) and (self.d, self.N) == (other.d, other.N)
+    def word(self, g: int) -> Word:
+        """The word of graded index g >= 0, the inverse of `index`."""
+        letters = []
+        while g > 0:
+            g, r = divmod(g - 1, self.d)
+            letters.append(r + 1)
+        return tuple(reversed(letters))
 
 
 @lru_cache(maxsize=None)
@@ -87,8 +111,8 @@ class MultiAnalyticOp:
     coefficient of the word a, g being the graded word index, for the words
     of the n lowest degrees.  Degrees n and up are zero, so a constant stores
     degree 0 only.  The array is read-only and contiguous.  `graded` views it
-    one degree at a time, `coeffs` as word -> matrix, and `from_words` builds
-    an operator from such a map.
+    one degree at a time.  `coeffs` and `coeff` are the only places that
+    name a coefficient by its word.
     """
 
     basis: FockBasis
@@ -104,24 +128,6 @@ class MultiAnalyticOp:
                               f"with n one of the degree offsets {self.basis.offsets}")
         object.__setattr__(self, "flat", flat)
 
-    @classmethod
-    def from_words(cls, basis: FockBasis, dom: Subspace, cod: Subspace,
-                   coeffs: Mapping[Word, np.ndarray]) -> MultiAnalyticOp:
-        """The operator with the given coefficient per word; absent words are zero."""
-        top = max((len(w) for w in coeffs), default=-1)
-        if top > basis.N:
-            raise DimMismatch(f"coefficient word of length {top} exceeds degree {basis.N}")
-        shape = (cod.dim, dom.dim)
-        flat = np.zeros((basis.offsets[top + 1], *shape), dtype=np.complex128)
-        for w, m in coeffs.items():
-            w, m = tuple(w), as_complex(m)
-            if w not in basis.index:
-                raise IndexOutOfRange(f"coefficient word {w} has a letter outside 1..{basis.d}")
-            if m.shape != shape:
-                raise DimMismatch(f"coefficient shape {m.shape}, expected {shape}")
-            flat[basis.index[w]] = m
-        return cls(basis, dom, cod, flat)
-
     @cached_property
     def graded(self) -> tuple[np.ndarray, ...]:
         """Per-degree views of `flat`: graded[n] has shape (d^n, cod.dim, dom.dim)."""
@@ -131,20 +137,20 @@ class MultiAnalyticOp:
     @cached_property
     def coeffs(self) -> Mapping[Word, np.ndarray]:
         """Read-only map word -> coefficient over the words whose coefficient is
-        not exactly zero, in graded order."""
-        words, flat = self.basis.words, self.flat
-        return MappingProxyType({words[i]: flat[i]
-                                 for i in np.flatnonzero(flat.any(axis=(1, 2)))})
+        not exactly zero, in graded order.  Its words are built from their
+        indices here, for the writers and readers of words; no arithmetic
+        uses this view."""
+        word, flat = self.basis.word, self.flat
+        return MappingProxyType({word(i): flat[i]
+                                 for i in np.flatnonzero(flat.any(axis=(1, 2))).tolist()})
 
-    def coeff(self, w: Word) -> np.ndarray:
-        i = self.basis.index.get(tuple(w))
+    def coeff(self, w: Sequence[int]) -> np.ndarray:
+        """The coefficient of the word w; zero for a word this operator does
+        not store, or one outside its basis."""
+        i = self.basis.index(w)
         if i is not None and i < len(self.flat):
             return self.flat[i]
         return np.zeros((self.cod.dim, self.dom.dim), dtype=np.complex128)
-
-    def ambient_coeff(self, w: Word) -> np.ndarray:
-        """Coefficient as a map between the ambient spaces (zero off the subspaces)."""
-        return self.cod.basis @ self.coeff(w) @ self.dom.basis.conj().T
 
 
 @lru_cache(maxsize=None)

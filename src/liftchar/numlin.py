@@ -202,8 +202,8 @@ class Subspace:
         )
 
 
-def _below_psd(w: np.ndarray, rank_tol: float) -> bool:
-    """The PSD gate on ascending eigenvalues w: w[0] < -rank_tol * max(-w[0], w[-1], 1),
+def _below_psd(w: np.ndarray) -> bool:
+    """The PSD gate on ascending eigenvalues w: w[0] < -RANK_TOL * max(-w[0], w[-1], 1),
     or any eigenvalue not finite.
 
     The scale is floored at 1: everything here is built from contractions,
@@ -211,7 +211,7 @@ def _below_psd(w: np.ndarray, rank_tol: float) -> bool:
     Gram matrix that overflows has eigenvalues -inf or NaN, where the
     comparison alone would read False and pass.
     """
-    return not np.isfinite(w).all() or w[0] < -rank_tol * max(-w[0], w[-1], 1.0)
+    return not np.isfinite(w).all() or w[0] < -RANK_TOL * max(-w[0], w[-1], 1.0)
 
 
 def require_contraction(m) -> None:
@@ -229,7 +229,7 @@ def require_contraction(m) -> None:
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the gate below
         gram = m @ mh if m.shape[0] <= m.shape[1] else mh @ m
         w = np.linalg.eigvalsh(np.eye(gram.shape[0]) - gram)
-    if _below_psd(w, RANK_TOL):
+    if _below_psd(w):
         norm = np.sqrt(1.0 - w[0]) if np.isfinite(w).all() else np.inf
         raise NotContraction(f"not contractive (norm {norm:.12f})")
 
@@ -263,7 +263,7 @@ def psd_root_range(gram) -> tuple[np.ndarray, Subspace]:
     w, v = np.linalg.eigh((gram + gram.conj().T) / 2.0)
     if norm_exceeds(gram - gram.conj().T, RANK_TOL * max(-w[0], w[-1], 1.0)):
         raise NotHermitian("matrix is not Hermitian within tolerance")
-    if _below_psd(w, RANK_TOL):
+    if _below_psd(w):
         raise NotPSD(f"negative eigenvalue {w[0]:.3e} below -tol*norm")
     lam_max = max(float(w[-1]), 0.0)
     cut = RANK_TOL * lam_max if lam_max > RANK_TOL else np.inf

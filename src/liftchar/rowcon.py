@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import product as iter_product
 
 import numpy as np
 
@@ -18,15 +16,6 @@ Word = tuple[int, ...]
 # ---------------------------------------------------------------------------
 # words (letters are 1..d; stored little-endian as written, first letter first;
 # reversal is always an explicit operation)
-
-@lru_cache(maxsize=None)
-def all_words(d: int, max_len: int) -> tuple[Word, ...]:
-    """All words of length <= max_len in graded, then lexicographic order."""
-    out: list[Word] = []
-    for n in range(max_len + 1):
-        out.extend(iter_product(range(1, d + 1), repeat=n))
-    return tuple(out)
-
 
 def word_to_str(w: Word, d: int) -> str:
     if d > 9:

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import os
 import resource
@@ -396,8 +397,7 @@ class TestCharfnChecksCanFail:
         checks = {c.name: c for c in _charfn_checks("M", fn)}
         assert checks["charfn-norm[M]"].passed
         op = fn.op
-        inflated = MultiAnalyticOp.from_words(op.basis, op.dom, op.cod,
-                                              {w: (1 + 1e-8) * c for w, c in op.coeffs.items()})
+        inflated = MultiAnalyticOp(op.basis, op.dom, op.cod, (1 + 1e-8) * op.flat)
         checks = {c.name: c for c in _charfn_checks("M", dataclasses.replace(fn, op=inflated))}
         assert checks["charfn-norm[M]"].residual > NORM_SLACK
         assert not checks["charfn-norm[M]"].passed
@@ -407,11 +407,13 @@ class TestCharfnChecksCanFail:
         op = fn.op
         basis, kd, kc = op.basis, op.dom.dim, op.cod.dim
         n = len(basis)
+        index = {w: i for i, w in enumerate(
+            w for k in range(basis.N + 1) for w in itertools.product((1, 2), repeat=k))}
         wrong = np.zeros((n * kc, n * kd), dtype=complex)
         for a, mat in op.coeffs.items():  # e_b (x) x -> e_{reverse(a) + b} (x) theta_(a) x
-            for b, j in basis.index.items():
+            for b, j in index.items():
                 if len(a) + len(b) <= basis.N:
-                    i = basis.index[a[::-1] + b]
+                    i = index[a[::-1] + b]
                     wrong[i * kc:(i + 1) * kc, j * kd:(j + 1) * kd] += mat
 
         class Prepending:

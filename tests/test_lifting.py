@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ from liftchar.lifting import (
     star_defect_unitary,
 )
 from liftchar.numlin import SubOperator, Subspace, operator_norm, svd_rank, unitarity_residual
-from liftchar.rowcon import RowContraction, all_words, defect, star_defect
+from liftchar.rowcon import RowContraction, defect, star_defect
 
 S2 = 1 / np.sqrt(2)
 S3 = 1 / np.sqrt(3)
@@ -60,7 +62,8 @@ def is_resolving(gamma, a, tol=1e-8):
     g_amb = gamma.as_ambient()
     prev_dim, level = None, 0
     while True:
-        blocks = [dsa.D @ word_product(a, w).conj().T for w in all_words(a.d, level)]
+        blocks = [dsa.D @ word_product(a, w).conj().T for n in range(level + 1)
+                  for w in itertools.product(range(1, a.d + 1), repeat=n)]
         o_stack = np.vstack(blocks)
         ker = null_subspace(np.vstack([g_amb @ blk for blk in blocks]), 1e-12)
         if prev_dim is not None and ker.dim == prev_dim:

@@ -1,10 +1,14 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liftchar.errors import DimMismatch, IndexOutOfRange
+from liftchar.errors import DimMismatch, TruncationTooLarge
 from liftchar.ncfock import (
+    FockBasis,
     MultiAnalyticOp,
     add,
     block_diag_op,
@@ -20,20 +24,43 @@ from liftchar.ncfock import (
 from liftchar.numlin import Subspace, block_diag, max_operator_norm, operator_norm
 
 
+def all_words(d, n):
+    """Reference enumeration: the words of length <= n over 1..d in graded,
+    then lexicographic order."""
+    out = []
+    for k in range(n + 1):
+        out.extend(itertools.product(range(1, d + 1), repeat=k))
+    return tuple(out)
+
+
+def word_index(basis):
+    """Reference map word -> position in the enumeration of `basis`."""
+    return {w: i for i, w in enumerate(all_words(basis.d, basis.N))}
+
+
+def from_words(basis, dom, cod, coeffs):
+    """The operator with the given coefficient per word; absent words are zero."""
+    index = word_index(basis)
+    top = max((len(w) for w in coeffs), default=-1)
+    flat = np.zeros((basis.offsets[top + 1], cod.dim, dom.dim), dtype=np.complex128)
+    for w, m in coeffs.items():
+        flat[index[tuple(w)]] = m
+    return MultiAnalyticOp(basis, dom, cod, flat)
+
+
 def creation(basis, side, i):
     """Dense creation operator: left prepends, right appends the letter; words
     that would exceed degree N map to 0."""
-    if not 1 <= i <= basis.d:
-        raise IndexOutOfRange(f"letter {i} outside 1..{basis.d}")
     if side not in ("left", "right"):
         raise DimMismatch("side must be 'left' or 'right'")
+    index = word_index(basis)
     n = len(basis)
     m = np.zeros((n, n), dtype=np.complex128)
-    for w, j in basis.index.items():
+    for w, j in index.items():
         if len(w) >= basis.N:
             continue
         target = (i,) + w if side == "left" else w + (i,)
-        m[basis.index[target], j] = 1.0
+        m[index[target], j] = 1.0
     return m
 
 
@@ -41,9 +68,10 @@ def extract_coeffs(r):
     """Invert realize by reading the vacuum column block against e_{reverse(a)}."""
     basis, k_dom, k_cod = r.basis, r.k_dom, r.k_cod
     col = r.matvec(np.eye(r.shape[1], k_dom, dtype=np.complex128))
+    index = word_index(basis)
     out = {}
-    for a in basis.words:
-        i = basis.index[a[::-1]]
+    for a in index:
+        i = index[a[::-1]]
         block = col[i * k_cod : (i + 1) * k_cod, :]
         if operator_norm(block) > 0.0:
             out[a] = block
@@ -51,18 +79,18 @@ def extract_coeffs(r):
 
 
 def maop(d, n, dom_k, cod_k, coeffs):
-    return MultiAnalyticOp.from_words(fock_basis(d, n), Subspace.full(dom_k), Subspace.full(cod_k),
-                                      {w: np.asarray(m, dtype=complex) for w, m in coeffs.items()})
+    return from_words(fock_basis(d, n), Subspace.full(dom_k), Subspace.full(cod_k),
+                      {w: np.asarray(m, dtype=complex) for w, m in coeffs.items()})
 
 
 def random_maop(rng, d, n, dom_k, cod_k, density=0.6, top=None):
     """Random coefficients on about `density` of the words of length <= top (default n)."""
     basis = fock_basis(d, n)
     coeffs = {}
-    for w in basis.words:
+    for w in all_words(d, n):
         if len(w) <= (n if top is None else top) and rng.random() < density:
             coeffs[w] = rng.standard_normal((cod_k, dom_k)) + 1j * rng.standard_normal((cod_k, dom_k))
-    return MultiAnalyticOp.from_words(basis, Subspace.full(dom_k), Subspace.full(cod_k), coeffs)
+    return from_words(basis, Subspace.full(dom_k), Subspace.full(cod_k), coeffs)
 
 
 def product_oracle(m1, m2):
@@ -90,14 +118,15 @@ def dense_oracle(m):
     basis = m.basis
     kd, kc = m.dom.dim, m.cod.dim
     nw = len(basis)
+    index = word_index(basis)
     out = np.zeros((nw * kc, nw * kd), dtype=np.complex128)
     for a, mat in m.coeffs.items():
         ra = a[::-1]
         la = len(a)
-        for b, j in basis.index.items():
+        for b, j in index.items():
             if len(b) + la > basis.N:
                 continue
-            i = basis.index[b + ra]
+            i = index[b + ra]
             out[i * kc : (i + 1) * kc, j * kd : (j + 1) * kd] += mat
     return out
 
@@ -105,6 +134,44 @@ def dense_oracle(m):
 def dense(r):
     """The matrix of a matrix-free realization, column by column."""
     return r.matvec(np.eye(r.shape[1]))
+
+
+class TestWordArithmetic:
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", range(7))
+    def test_index_and_word_invert_the_reference_order(self, d, n):
+        basis, words = fock_basis(d, n), all_words(d, n)
+        assert len(basis) == len(words)
+        assert tuple(basis.word(g) for g in range(len(basis))) == words
+        assert all(basis.index(basis.word(g)) == g for g in range(len(basis)))
+        assert basis.offsets == tuple(sum(len(w) < k for w in words) for k in range(n + 2))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_words_outside_the_basis(self, d):
+        m = random_maop(np.random.default_rng([25, d]), d, 3, 2, 1, density=1.0)
+        zero = np.zeros((1, 2))
+        for w in [(0,), (1, d + 1), (d + 1,), (1,) * 4, (d, 1, 1, d)]:
+            assert m.basis.index(w) is None
+            np.testing.assert_array_equal(m.coeff(w), zero)
+
+    def test_deep_basis_holds_no_words(self):
+        tracemalloc.start()
+        try:
+            basis = FockBasis(4, 9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(basis) == 349_525 and basis.word(len(basis) - 1) == (4,) * 9
+        assert peak < 1e6
+
+    def test_more_words_than_an_index_is_refused(self):
+        limit = np.iinfo(np.intp).max
+        with pytest.raises(TruncationTooLarge):
+            fock_basis(2, 64)
+        assert len(FockBasis(2, limit.bit_length() - 1)) == limit  # 2^63 - 1 words: the limit
+        for d, n in [(2, limit.bit_length()), (3, 40), (1, limit)]:
+            with pytest.raises(TruncationTooLarge):
+                FockBasis(d, n)
 
 
 class TestCreation:
@@ -127,7 +194,7 @@ class TestCreation:
     def test_isometry_relation(self):
         b = fock_basis(2, 3)
         proj = np.zeros((len(b), len(b)))
-        for w, i in b.index.items():
+        for w, i in word_index(b).items():
             if len(w) <= 2:
                 proj[i, i] = 1.0
         for i in (1, 2):
@@ -136,10 +203,6 @@ class TestCreation:
                 lj = creation(b, "left", j)
                 expected = proj if i == j else np.zeros_like(proj)
                 np.testing.assert_allclose(li.conj().T @ lj, expected, atol=1e-14)
-
-    def test_bad_letter(self):
-        with pytest.raises(IndexOutOfRange):
-            creation(fock_basis(2, 1), "left", 3)
 
 
 class TestRealize:
@@ -160,7 +223,7 @@ class TestRealize:
         b = fock_basis(1, 2)
         for col, (word, value) in enumerate([((), s3), ((1,), s3), ((1,), s3)]):
             vec = r[:, col]  # e_0 (x) basis vector `col`
-            assert abs(vec[b.index[word]] - value) < 1e-14
+            assert abs(vec[word_index(b)[word]] - value) < 1e-14
 
     def test_extraction_inverts_realize(self):
         rng = np.random.default_rng(0)
@@ -272,11 +335,11 @@ class TestGradedStorage:
     def test_concatenation_is_an_index_product(self, d):
         # the graded index g(a + b) = g(a) d^|b| + g(b), on which `product` places
         # each degree of its right factor in one contiguous run
-        basis = fock_basis(d, 4)
-        for a in basis.words:
-            for b in basis.words:
+        index = word_index(fock_basis(d, 4))
+        for a in index:
+            for b in index:
                 if len(a) + len(b) <= 4:
-                    assert basis.index[a + b] == basis.index[a] * d**len(b) + basis.index[b]
+                    assert index[a + b] == index[a] * d**len(b) + index[b]
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("n", [0, 1, 3, 4])
@@ -302,7 +365,7 @@ class TestGradedStorage:
             want = product_oracle(m1, m2)
             assert (got.dom.dim, got.cod.dim) == (k_dom, k_cod)
             assert len(got.graded) <= n + 1
-            for w in m1.basis.words:
+            for w in all_words(d, n):
                 np.testing.assert_allclose(got.coeff(w), want.get(w, zero), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -323,7 +386,7 @@ class TestGradedStorage:
         m3 = random_maop(rng, 2, 3, 0, 2, top=2)
         total = add(m1, m2)
         diag = block_diag_op(m1.basis, m2, m3, m1)
-        for w in m1.basis.words:
+        for w in all_words(2, 3):
             np.testing.assert_array_equal(total.coeff(w), m1.coeff(w) + m2.coeff(w))
             np.testing.assert_array_equal(
                 diag.coeff(w), block_diag(m2.coeff(w), m3.coeff(w), m1.coeff(w)))
@@ -336,16 +399,17 @@ class TestGradedStorage:
     def test_coeffs_view_contract(self):
         basis = fock_basis(2, 3)
         given = {(2, 1): [[1.0, 2.0]], (): [[0.0, 1j]], (1, 1, 2): [[3.0, 0.0]], (2,): [[0.0, 0.0]]}
-        m = MultiAnalyticOp.from_words(basis, Subspace.full(2), Subspace.full(1), given)
+        m = from_words(basis, Subspace.full(2), Subspace.full(1), given)
         assert list(m.coeffs) == [(), (2, 1), (1, 1, 2)]
+        index = word_index(basis)
         for w, c in m.coeffs.items():
             np.testing.assert_array_equal(c, given[w])
-            np.testing.assert_array_equal(m.graded[len(w)][basis.index[w] - basis.offsets[len(w)]], c)
+            np.testing.assert_array_equal(m.graded[len(w)][index[w] - basis.offsets[len(w)]], c)
         with pytest.raises(TypeError):
             m.coeffs[(1,)] = np.zeros((1, 2))
         with pytest.raises(ValueError):
             m.coeffs[()][0, 0] = 5.0
-        again = MultiAnalyticOp.from_words(basis, m.dom, m.cod, m.coeffs)
+        again = from_words(basis, m.dom, m.cod, m.coeffs)
         assert list(again.coeffs) == list(m.coeffs)
         for a, b in zip(again.graded, m.graded):
             np.testing.assert_array_equal(a, b)
@@ -353,19 +417,13 @@ class TestGradedStorage:
     def test_coeffs_view_round_trips_random(self):
         rng = np.random.default_rng(23)
         m = random_maop(rng, 3, 3, 2, 2, density=0.3)
-        want = [w for w in m.basis.words if m.coeff(w).any()]
+        want = [w for w in all_words(3, 3) if m.coeff(w).any()]
         assert list(m.coeffs) == want
-        again = MultiAnalyticOp.from_words(m.basis, m.dom, m.cod, m.coeffs)
+        again = from_words(m.basis, m.dom, m.cod, m.coeffs)
         assert coeff_diff(again, m) == 0.0
 
-    def test_from_words_rejects_bad_input(self):
+    def test_rejects_misshapen_coefficients(self):
         basis, one = fock_basis(2, 2), Subspace.full(1)
-        with pytest.raises(DimMismatch):
-            MultiAnalyticOp.from_words(basis, one, one, {(1, 1, 1): [[1.0]]})
-        with pytest.raises(IndexOutOfRange):
-            MultiAnalyticOp.from_words(basis, one, one, {(3,): [[1.0]]})
-        with pytest.raises(DimMismatch):
-            MultiAnalyticOp.from_words(basis, one, one, {(1,): [[1.0, 2.0]]})
         with pytest.raises(DimMismatch):
             MultiAnalyticOp(basis, one, one, (np.ones((1, 1, 1)), np.ones((1, 1, 1))))
 
