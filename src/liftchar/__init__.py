@@ -7,7 +7,6 @@ from .charfact import (
     CharFn,
     FactorizationReport,
     MinimalPart,
-    SynthesisReport,
     lifting_char_fn,
     minimal_part,
     resolvent_identity_residual,
@@ -64,7 +63,6 @@ __all__ = [
     "RowContraction",
     "SubOperator",
     "Subspace",
-    "SynthesisReport",
     "coeff_diff",
     "defect",
     "defect_unitary",

@@ -283,7 +283,13 @@ def resolvent_identity_residual(a: RowContraction, n_deg: int = DEFAULT_DEGREE) 
 
 @dataclass
 class FactorizationReport:
-    """Outcome of one verified operator identity, with its recorded pieces."""
+    """Outcome of one verified identity: "factorization", "minimal-product" or
+    "synthesis", with its residuals, diagnostic checks, factors and bases.
+
+    It keeps no operator: each verifier builds its right side, compares it
+    with the left and drops it, so a list of reports holds only these small
+    matrices and numbers.
+    """
 
     name: str
     residual: float
@@ -294,7 +300,6 @@ class FactorizationReport:
     checks: dict[str, float] = field(default_factory=dict)
     factors: dict[str, np.ndarray] = field(default_factory=dict)
     bases: dict[str, np.ndarray] = field(default_factory=dict)
-    rhs: MultiAnalyticOp | None = None
 
 
 def _cascade(basis, m_a: MultiAnalyticOp, u: np.ndarray,
@@ -412,7 +417,6 @@ def verify_factorization(it: IteratedLifting, n_deg: int = DEFAULT_DEGREE,
         checks=checks,
         factors=info["factors"],
         bases=info["bases"],
-        rhs=rhs,
     )
 
 
@@ -515,28 +519,15 @@ def verify_minimal_product(first: Lifting, second: Lifting,
         factors={"sigma": mp.sigma.op.matrix, "corner_gamma": mp.gamma.matrix},
         bases={"orbit": mp.space.basis, "complement": mp.complement.basis,
                "D_Etilde": mp.tilde_lifting.dE.space.basis},
-        rhs=rhs,
     )
 
 
 # ---------------------------------------------------------------------------
 # synthesis: build a lifting whose characteristic function realizes given factors
 
-@dataclass
-class SynthesisReport:
-    residual: float
-    degree: int
-    tolerance: float
-    passed: bool
-    pure_margin: float
-    checks: dict[str, float] = field(default_factory=dict)
-    factors: dict[str, np.ndarray] = field(default_factory=dict)
-    symbol: MultiAnalyticOp | None = None
-
-
 def synthesize_lifting(c: RowContraction, a: RowContraction, a2: RowContraction,
                        lam, u, n_deg: int = DEFAULT_DEGREE,
-                       tol: float = 1e-8) -> tuple[Lifting, SynthesisReport]:
+                       tol: float = 1e-8) -> tuple[Lifting, FactorizationReport]:
     """From a contraction lam and a unitary u, build the two-step lifting whose
     characteristic function coincides with the prescribed factored operator.
 
@@ -548,6 +539,8 @@ def synthesize_lifting(c: RowContraction, a: RowContraction, a2: RowContraction,
     or NotPurelyContractive is raised; then F and F_* are exhausted by the
     defect data and the construction is certified unitary.  Its gates refuse
     above BUILD_TOL; tol only judges the symbol residual (report.passed).
+    The report is named "synthesis"; its checks carry the vacuum margin as
+    `pure_margin`, and it records no bases.
     """
     lam = as_complex(lam)
     u = as_complex(u)
@@ -615,12 +608,12 @@ def synthesize_lifting(c: RowContraction, a: RowContraction, a2: RowContraction,
                                           @ block_diag(q_star_ghat.conj().T, inner)))
 
     residual = coeff_diff(target_symbol, realized)
-    report = SynthesisReport(
+    report = FactorizationReport(
+        name="synthesis",
         residual=residual,
         degree=n_deg,
         tolerance=tol,
         passed=residual <= tol,
-        pure_margin=pure_margin,
         checks={
             "u_unitary": u_res,
             "u1_defining": u1_res,
@@ -631,8 +624,8 @@ def synthesize_lifting(c: RowContraction, a: RowContraction, a2: RowContraction,
             "phi_unitary": unitarity_residual(phi) if phi.shape[0] == phi.shape[1] else float("inf"),
             "projection_leak": leak,
             "charfn_crosscheck": m_cep.crosscheck_residual,
+            "pure_margin": pure_margin,
         },
         factors={"phi": phi, "gamma_hat": g_hat, "u1": u1, "u2": u2, "delta": delta.matrix},
-        symbol=target_symbol,
     )
     return eprime, report

@@ -218,6 +218,10 @@ class CheckResult:
     def passed(self) -> bool:
         return self.residual <= self.tol
 
+    def to_json(self) -> dict:
+        return {"name": self.name, "residual": f"{self.residual:.3e}", "tol": f"{self.tol:.1e}",
+                "pass": self.passed}
+
 
 def _charfn_checks(name: str, fn: CharFn) -> list[CheckResult]:
     r = ncfock.realize(fn.op)  # shared by both lines; kept, it would copy every coefficient
@@ -242,8 +246,9 @@ def run_battery(first: Lifting, iterated: IteratedLifting | None, degree: int, t
                 which: str = "all", reports: list | None = None) -> list[CheckResult]:
     """The named identity checks on one scenario (or generated instance).
 
-    When a list is passed as `reports`, the full factorization reports
-    (with their recorded factors and bases) are appended to it.
+    When a list is passed as `reports`, the factorization and minimal-product
+    reports (`FactorizationReport`: residuals, checks, factors and bases, no
+    operator) are appended to it.
     """
     res: list[CheckResult] = []
     want = lambda k: which in ("all", k)
@@ -306,7 +311,8 @@ def render_report(scen_id: str, degree: int, checks: list[CheckResult]) -> str:
 
 
 def identity_report_dict(rep) -> dict:
-    """Serialize one verified identity with its factors and recorded bases."""
+    """Serialize one verified identity (a `FactorizationReport`) with its
+    factors and recorded bases."""
     return {
         "name": rep.name,
         "residual": f"{rep.residual:.3e}",
@@ -327,16 +333,17 @@ def report_json(scen_id: str, degree: int, checks: list[CheckResult],
         "scenario": scen_id,
         "degree": degree,
         "environment": {"liftchar": __version__, "numpy": np.__version__},
-        "checks": [
-            {"name": c.name, "residual": f"{c.residual:.3e}", "tol": f"{c.tol:.1e}",
-             "pass": c.passed}
-            for c in checks
-        ],
+        "checks": [c.to_json() for c in checks],
         "pass": all(c.passed for c in checks),
     }
     if reports:
         doc["identities"] = [identity_report_dict(r) for r in reports]
     return doc
+
+
+def report_text(doc: dict) -> str:
+    """The text of a JSON report: sorted keys, two-space indent, final newline."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -353,8 +360,7 @@ def cmd_verify(args) -> int:
     checks = run_battery(scen.first, scen.iterated, degree, tol, args.check, reports)
     sys.stdout.write(render_report(scen.id, degree, checks))
     if args.out:
-        write_atomic(args.out, json.dumps(report_json(scen.id, degree, checks, reports),
-                                          indent=2, sort_keys=True) + "\n")
+        write_atomic(args.out, report_text(report_json(scen.id, degree, checks, reports)))
     print(f"wall time: {time.monotonic() - t0:.2f}s", file=sys.stderr)
     return 0 if all(c.passed for c in checks) else 1
 
@@ -418,8 +424,7 @@ def cmd_random_suite(args) -> int:
             "environment": {"liftchar": __version__, "numpy": np.__version__},
             "per_seed": [
                 {"seed": seed, "d": d, "dims": list(dims),
-                 "checks": [{"name": c.name, "residual": f"{c.residual:.3e}",
-                             "tol": f"{c.tol:.1e}", "pass": c.passed} for c in checks],
+                 "checks": [c.to_json() for c in checks],
                  "pass": all(c.passed for c in checks)}
                 for seed, d, dims, checks in results
             ],
@@ -427,7 +432,7 @@ def cmd_random_suite(args) -> int:
                         for k, v in sorted(summary.items())},
             "pass": ok,
         }
-        write_atomic(args.out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        write_atomic(args.out, report_text(doc))
     print(f"wall time: {time.monotonic() - t0:.2f}s", file=sys.stderr)
     return 0 if ok else 1
 
@@ -465,7 +470,7 @@ def cmd_charfn(args) -> int:
         "degree": degree,
         "functions": [_charfn_dump(n, f, scen.d) for n, f in char_fns(scen, degree).items()],
     }
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    text = report_text(doc)
     if args.out:
         write_atomic(args.out, text)
     else:

@@ -169,13 +169,20 @@ def const_op(basis: FockBasis, matrix) -> MultiAnalyticOp:
     return MultiAnalyticOp(basis, _coords(m.shape[1]), _coords(m.shape[0]), m[None])
 
 
-def add(m1: MultiAnalyticOp, m2: MultiAnalyticOp) -> MultiAnalyticOp:
+def _combine(m1: MultiAnalyticOp, m2: MultiAnalyticOp, op) -> np.ndarray:
+    """op(m1, m2) coefficient-wise (np.add or np.subtract), the shorter
+    operand zero-padded; both must share the truncation and the dimensions."""
     if m1.basis != m2.basis or m1.dom.dim != m2.dom.dim or m1.cod.dim != m2.cod.dim:
         raise DimMismatch("incompatible operands")
     out = np.zeros((max(len(m1.flat), len(m2.flat)), m1.cod.dim, m1.dom.dim), dtype=np.complex128)
     out[:len(m1.flat)] = m1.flat
-    out[:len(m2.flat)] += m2.flat
-    return MultiAnalyticOp(m1.basis, m1.dom, m1.cod, out)
+    head = out[:len(m2.flat)]
+    op(head, m2.flat, out=head)
+    return out
+
+
+def add(m1: MultiAnalyticOp, m2: MultiAnalyticOp) -> MultiAnalyticOp:
+    return MultiAnalyticOp(m1.basis, m1.dom, m1.cod, _combine(m1, m2, np.add))
 
 
 def pair_products(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
@@ -335,13 +342,9 @@ def realize(m: MultiAnalyticOp) -> Realization:
 
 def coeff_diff(m1: MultiAnalyticOp, m2: MultiAnalyticOp) -> float:
     """Max operator-norm deviation of coefficients over every word either
-    operand stores: one batched norm of their difference."""
-    if m1.basis.d != m2.basis.d or m1.dom.dim != m2.dom.dim or m1.cod.dim != m2.cod.dim:
-        raise DimMismatch("coefficient shapes differ")
-    out = np.zeros((max(len(m1.flat), len(m2.flat)), m1.cod.dim, m1.dom.dim), dtype=np.complex128)
-    out[:len(m1.flat)] = m1.flat
-    out[:len(m2.flat)] -= m2.flat
-    return max_operator_norm(out)
+    operand stores: one batched norm of their difference.  Both must share
+    the truncation and the dimensions."""
+    return max_operator_norm(_combine(m1, m2, np.subtract))
 
 
 def _probe(n: int, cols: int) -> np.ndarray:

@@ -13,9 +13,11 @@ import numpy as np
 import pytest
 
 from liftchar.charfact import (
+    _cascade,
     lifting_char_fn,
     minimal_part,
     resolvent_identity_residual,
+    row_char_fn,
     synthesize_lifting,
     verify_factorization,
     verify_minimal_product,
@@ -26,6 +28,8 @@ from liftchar.gen import (
     random_row_contraction,
     random_synthesis_data,
 )
+from liftchar.ncfock import block_diag_op, const_op, fock_basis, identity_op, product
+from liftchar.numlin import DefectData
 from liftchar.rowcon import RowContraction
 
 S2 = 1 / np.sqrt(2)
@@ -160,10 +164,17 @@ def test_criterion_7_synthesis_round_trip():
     # the worked-example data reconstructs its lifting and symbol
     c = RowContraction((np.array([[0.5]], dtype=complex),))
     z = RowContraction((np.zeros((1, 1), dtype=complex),))
-    ep, rep = synthesize_lifting(c, z, z, np.array([[S3, S3]]), np.eye(2), 3, 1e-10)
+    lam = np.array([[S3, S3]])
+    ep, rep = synthesize_lifting(c, z, z, lam, np.eye(2), 3, 1e-10)
     recon = float(np.linalg.norm(np.hstack(ep.B) - np.array([[0.5], [0.5]])))
-    sym_dev = max(np.linalg.norm(rep.symbol.coeff(()) - np.array([[S3, 0, 0]])),
-                  np.linalg.norm(rep.symbol.coeff((1,)) - np.array([[0, S3, S3]])))
+    # the prescribed operator [D_{*lam}, lam] (I (+) (M_A (+) I) u (I (+) M_A'))
+    basis = fock_basis(1, 3)
+    m_z = row_char_fn(z, 3).op
+    symbol = product(const_op(basis, np.hstack([DefectData.of(lam.conj().T).D, lam])),
+                     block_diag_op(basis, identity_op(basis, 1),
+                                   _cascade(basis, m_z, np.eye(2), m_z)))
+    sym_dev = max(np.linalg.norm(symbol.coeff(()) - np.array([[S3, 0, 0]])),
+                  np.linalg.norm(symbol.coeff((1,)) - np.array([[0, S3, S3]])))
     ok = ok and recon < 1e-10 and sym_dev < 1e-10 and rep.passed
     announce(7, ok, f"50 data sets, worst residual {worst:.2e}; worked-example "
                     f"reconstruction dev {recon:.2e}, symbol dev {sym_dev:.2e}")

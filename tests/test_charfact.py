@@ -39,13 +39,24 @@ from liftchar.lifting import (
 from liftchar.ncfock import (
     MultiAnalyticOp,
     _reversal,
+    block_diag_op,
     coeff_diff,
+    const_op,
     fock_basis,
+    identity_op,
     intertwining_residual,
     pair_products,
+    product,
     realized_norm,
 )
-from liftchar.numlin import SubOperator, Subspace, max_operator_norm, operator_norm, svd_rank
+from liftchar.numlin import (
+    DefectData,
+    SubOperator,
+    Subspace,
+    max_operator_norm,
+    operator_norm,
+    svd_rank,
+)
 from liftchar.rowcon import RowContraction, defect, star_defect
 
 S2 = 1 / np.sqrt(2)
@@ -445,7 +456,7 @@ class TestFactorization:
             assert checks[name].residual < 1e-14
 
     def test_assembled_symbol_matches_display(self):
-        rhs = verify_factorization(example1_iterated(), 2).rhs
+        rhs = charfact._assemble(example1_iterated(), 2)[0]
         np.testing.assert_allclose(rhs.coeff(()), [[1 / (2 * S3 * 3), 0, 0]], atol=1e-12)
         np.testing.assert_allclose(rhs.coeff((1,)), [[0, S3, S3]], atol=1e-12)
 
@@ -465,7 +476,7 @@ class TestFactorization:
         second = lifting_from_blocks(first.E, a2, [np.zeros((1, 4))])
         it = iterate_liftings(first, second)
         lhs = composed(lifting_char_fn(it.as_c_lifting, 4), it.as_c_lifting.dE)
-        rhs = verify_factorization(it, 4).rhs
+        rhs = charfact._assemble(it, 4)[0]
         assert coeff_diff(lhs, rhs) < 1e-10
 
     def test_scalar_random_at_n5(self):
@@ -559,8 +570,17 @@ class TestSynthesize:
         ep, rep = synthesize_lifting(c, z1, z1, lam, np.eye(2), 3, 1e-10)
         np.testing.assert_allclose(np.hstack(ep.B), [[0.5], [0.5]], atol=1e-12)
         assert rep.passed
-        np.testing.assert_allclose(rep.symbol.coeff(()), [[S3, 0, 0]], atol=1e-12)
-        np.testing.assert_allclose(rep.symbol.coeff((1,)), [[0, S3, S3]], atol=1e-12)
+        # the prescribed operator [D_{*lam}, lam] (I (+) (M_A (+) I) u (I (+) M_A'))
+        basis, m_z = fock_basis(1, 3), row_char_fn(z1, 3).op
+        symbol = product(const_op(basis, np.hstack([DefectData.of(lam.conj().T).D, lam])),
+                         block_diag_op(basis, identity_op(basis, 1),
+                                       charfact._cascade(basis, m_z, np.eye(2), m_z)))
+        np.testing.assert_allclose(symbol.coeff(()), [[S3, 0, 0]], atol=1e-12)
+        np.testing.assert_allclose(symbol.coeff((1,)), [[0, S3, S3]], atol=1e-12)
+        # the synthesized lifting's own symbol shows the same display
+        amb = ambient_symbol(lifting_char_fn(ep, 3))
+        np.testing.assert_allclose(amb[()], [[S3, 0, 0]], atol=1e-12)
+        np.testing.assert_allclose(amb[(1,)], [[0, S3, S3]], atol=1e-12)
 
     def test_swap_data_block_diagonal(self):
         # an off-diagonal unitary puts rank-deficient corner blocks in the

@@ -160,6 +160,17 @@ class TestCommands:
         assert "sigma_Eprime" in doc["identities"][0]["factors"]
         assert not list(tmp_path.glob("*.tmp-*"))
 
+    def test_synthesis_report_serializes_as_an_identity(self):
+        data = gen.random_synthesis_data(np.random.default_rng([11, 0]), 2, (1, 1, 1))
+        _, rep = charfact.synthesize_lifting(*data, 4)
+        entry = json.loads(json.dumps(cli.identity_report_dict(rep)))
+        assert entry["name"] == "synthesis" and entry["pass"] is True
+        assert float(entry["checks"]["pure_margin"]) > charfact.PURE_MARGIN
+        assert sorted(entry["factors"]) == ["delta", "gamma_hat", "phi", "u1", "u2"]
+        np.testing.assert_array_equal(mat_from_json(entry["factors"]["phi"], "phi"),
+                                      rep.factors["phi"])
+        assert entry["column_residuals"] == {} and entry["bases"] == {}
+
     def test_kernel_leak_above_tol_fails_factorization(self, monkeypatch, capsys):
         # example2's D_E' has a one-dimensional kernel.  A 1e-9 component of the
         # engine's output along it is below KERNEL_TOL, so the symbol is built,
@@ -462,18 +473,23 @@ def test_identity_groups_memory_stays_small():
 
 def test_battery_memory_held_stays_small():
     # what the whole battery leaves held on the same instance at N=6: the
-    # memoized symbols and defect data.  It was 8.70 MB with each
+    # memoized symbols and defect data, and with a reports list (as `verify`
+    # passes) the two identity reports too.  It was 8.70 MB with each
     # characteristic function stored once (numpy 2.4.6), and 16.90 MB with an
-    # ambient copy of each; the bound allows 5% more.
-    it = random_iterated_lifting(np.random.default_rng([7, 0]), 3, (2, 2, 2))
-    tracemalloc.start()
-    try:
-        checks = run_battery(it.first, it, 6, 1e-8, "all")
-        held = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    assert all(c.passed for c in checks)
-    assert held < 1.05 * 8.70e6, f"traced memory held {held / 1e6:.2f} MB"
+    # ambient copy of each; the bound allows 5% more.  A report that kept its
+    # truncated-Fock right side held 12.28 MB.  Each input is a fresh instance,
+    # so nothing memoized by the first run is missing from the second's count.
+    for reports in (None, []):
+        it = random_iterated_lifting(np.random.default_rng([7, 0]), 3, (2, 2, 2))
+        tracemalloc.start()
+        try:
+            checks = run_battery(it.first, it, 6, 1e-8, "all", reports)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert all(c.passed for c in checks)
+        assert reports is None or len(reports) == 2
+        assert held < 1.05 * 8.70e6, f"reports={reports is not None}: held {held / 1e6:.2f} MB"
 
 
 def _count_calls(monkeypatch, name, *modules):

@@ -319,6 +319,14 @@ class TestCoeffDiff:
         m2 = maop(1, 2, 1, 1, {})
         assert coeff_diff(m1, m2) == 1.0
 
+    def test_different_truncations_are_refused(self):
+        # as `add` and `product` refuse them: equal d alone does not make the
+        # two coefficient arrays comparable
+        m3, m5 = identity_op(fock_basis(2, 3), 2), identity_op(fock_basis(2, 5), 2)
+        for combine in (coeff_diff, add):
+            with pytest.raises(DimMismatch, match="incompatible operands"):
+                combine(m3, m5)
+
 
 def test_realized_norm_contraction():
     u = np.linalg.qr(np.random.default_rng(5).standard_normal((3, 3)))[0]
