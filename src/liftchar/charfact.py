@@ -31,8 +31,6 @@ from .errors import (
     NotPurelyContractive,
     OracleMismatch,
     ResidualTooLarge,
-    SubspaceLeak,
-    UnitaryExtensionFailure,
     ValidationError,
 )
 from .lifting import (
@@ -79,7 +77,7 @@ from .numlin import (
     svd_rank,
     unitarity_residual,
 )
-from .rowcon import RowContraction, defect, star_defect
+from .rowcon import RowContraction, _block_row, defect, star_defect
 
 log = logging.getLogger(__name__)
 
@@ -105,7 +103,7 @@ def word_stack(a: RowContraction, n_deg: int) -> tuple[np.ndarray, float]:
     """
     def compute():
         d, s = a.d, a.dim
-        x = _adjoints(a)
+        x = a.ops.conj().swapaxes(1, 2)
         x_wide = x.reshape(d * s, s)
         off = fock_basis(d, n_deg - 1).offsets
         app = np.empty((off[-1], s, s), dtype=np.complex128)
@@ -140,7 +138,7 @@ def transfer_coeffs(D: np.ndarray, C: np.ndarray, B: np.ndarray, a: RowContracti
     """
     d, s, m = B.shape
     if certify is not None:
-        col = np.block([[D, C], [B.reshape(d * s, m), _adjoints(a).reshape(d * s, s)]])
+        col = np.block([[D, C], [B.reshape(d * s, m), a.row.conj().T]])
         r = unitarity_residual(col) if certify == "unitary" else operator_norm(col) - 1.0
         if r > CROSSCHECK_TOL:
             raise ResidualTooLarge(f"colligation is not {certify} (residual {r:.3e})")
@@ -154,11 +152,6 @@ def transfer_coeffs(D: np.ndarray, C: np.ndarray, B: np.ndarray, a: RowContracti
     out[0] = D
     out[1:].reshape(terms.shape)[...] = terms
     return out, resid
-
-
-def _adjoints(a: RowContraction) -> np.ndarray:
-    """(A_1*, ..., A_d*) stacked, the state operators X_j of every colligation here."""
-    return np.stack([s.conj().T for s in a.ops])
 
 
 def _sandwich(left: np.ndarray | None, flat: np.ndarray, right: np.ndarray | None) -> np.ndarray:
@@ -219,8 +212,8 @@ def _lifting_colligation(lift: Lifting) -> tuple[np.ndarray, np.ndarray, np.ndar
     g = q_ch @ lift.gamma_ambient
     inv = np.argsort(lift.shuffle)
     vac = np.hstack([q_ch @ dc.D - g @ dsa.D @ lift.b_row, -g @ a.row @ da.D])[:, inv]
-    b = np.concatenate([-_adjoints(a) @ lift.b_row, (da.D @ da.D).reshape(d, a.dim, d * a.dim)],
-                       axis=2)[:, :, inv]
+    b = np.concatenate([-a.ops.conj().swapaxes(1, 2) @ lift.b_row,
+                        (da.D @ da.D).reshape(d, a.dim, d * a.dim)], axis=2)[:, :, inv]
     return vac, g @ dsa.D, b
 
 
@@ -267,7 +260,8 @@ def resolvent_identity_residual(a: RowContraction, n_deg: int = DEFAULT_DEGREE) 
     """
     basis = fock_basis(a.d, n_deg)
     dsa = star_defect(a)
-    lhs_full, _ = transfer_coeffs(dsa.D @ dsa.D, dsa.D, _adjoints(a) @ dsa.D, a, n_deg)
+    x = a.ops.conj().swapaxes(1, 2)
+    lhs_full, _ = transfer_coeffs(dsa.D @ dsa.D, dsa.D, x @ dsa.D, a, n_deg)
     q = dsa.space.basis
     lhs = MultiAnalyticOp(basis, dsa.space, dsa.space, _sandwich(q.conj().T, lhs_full, q))
 
@@ -453,21 +447,22 @@ def minimal_part(first: Lifting, second: Lifting) -> MinimalPart:
     complement = space.complement()
     q_p = complement.basis
 
-    inv_res = max(operator_norm(q_p.conj().T @ ep.ops[i] @ q_t) for i in range(d))
+    to_t, to_p = q_t.conj().T @ ep.ops, q_p.conj().T @ ep.ops
+    inv_res = max(operator_norm(m) for m in to_p @ q_t)
     if inv_res > BUILD_TOL:
         raise ResidualTooLarge(f"orbit subspace not invariant (residual {inv_res:.3e})")
 
     # the restriction to the orbit (H_C block first) is a lifting of C; the
     # lifting built from its blocks is the one E-tilde the code uses
-    restricted = [q_t.conj().T @ ep.ops[i] @ q_t for i in range(d)]
-    off = max(operator_norm(r[:nc, nc:]) for r in restricted) if t > nc else 0.0
+    restricted = to_t @ q_t
+    off = max(operator_norm(m) for m in restricted[:, :nc, nc:]) if t > nc else 0.0
     if off > BUILD_TOL:
         raise ResidualTooLarge(f"restriction is not a lifting of C (corner {off:.3e})")
-    a_inner = RowContraction(tuple(r[nc:, nc:] for r in restricted))
-    tilde_lifting = lifting_from_blocks(first.C, a_inner, [r[nc:, :nc] for r in restricted])
+    a_inner = RowContraction(restricted[:, nc:, nc:])
+    tilde_lifting = lifting_from_blocks(first.C, a_inner, restricted[:, nc:, :nc])
     e_tilde = tilde_lifting.E
-    a_tilde = RowContraction(tuple(q_p.conj().T @ ep.ops[i] @ q_p for i in range(d)))
-    x_row = np.hstack([q_t.conj().T @ ep.ops[i] @ q_p for i in range(d)])
+    a_tilde = RowContraction(to_p @ q_p)
+    x_row = _block_row(to_t @ q_p)
 
     # the corner factors as x_row = D_{*,Etilde} gamma D_Atilde: the adjoint of
     # the coupling of a lifting of Atilde by Etilde with blocks x_row
@@ -582,7 +577,7 @@ def synthesize_lifting(c: RowContraction, a: RowContraction, a2: RowContraction,
     u2_res = operator_norm(u2 @ s_blk.conj().T - d_sr)
     u1_un, u2_un = unitarity_residual(u1), unitarity_residual(u2)
     if u1_un > BUILD_TOL or u2_un > BUILD_TOL:
-        raise UnitaryExtensionFailure(f"isometry extensions not unitary ({u1_un:.3e}, {u2_un:.3e})")
+        raise ResidualTooLarge(f"isometry extensions not unitary ({u1_un:.3e}, {u2_un:.3e})")
 
     ahat_lift = make_lifting(a, a2, delta)
     sig_ah = defect_unitary(ahat_lift)
@@ -602,7 +597,7 @@ def synthesize_lifting(c: RowContraction, a: RowContraction, a2: RowContraction,
     q_star_ghat = gamma_hat.star_defect.space.basis
     leak = operator_norm(np.eye(k_c) - q_star_ghat @ q_star_ghat.conj().T) if k_c else 0.0
     if leak > BUILD_TOL:
-        raise SubspaceLeak(f"first slot leaves the range of the splitting unitary ({leak:.3e})")
+        raise ResidualTooLarge(f"first slot leaves the range of the splitting unitary ({leak:.3e})")
     inner = sig_ah.op.matrix.conj().T @ block_diag(u1, np.eye(k_a2))
     realized = product(m_cep.op, const_op(basis, sig_ep.op.matrix.conj().T
                                           @ block_diag(q_star_ghat.conj().T, inner)))

@@ -41,15 +41,7 @@ class OracleMismatch(LiftcharError):
     """Two independent computation routes of the same object disagree."""
 
 
-class SubspaceLeak(LiftcharError):
-    """A composite vector left the subspace where an inverse is defined."""
-
-
 class NotPurelyContractive(LiftcharError):
-    pass
-
-
-class UnitaryExtensionFailure(LiftcharError):
     pass
 
 

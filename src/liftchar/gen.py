@@ -13,7 +13,7 @@ import numpy as np
 from .errors import ValidationError
 from .lifting import Lifting, IteratedLifting, is_minimal_lifting, iterate_liftings, make_lifting
 from .numlin import SubOperator, Subspace, operator_norm
-from .rowcon import RowContraction, defect, star_defect
+from .rowcon import RowContraction, _row_blocks, defect, star_defect
 
 MAX_TRIES = 50            # draws of a minimal iterated lifting before giving up
 MAX_SYNTHESIS_TRIES = 200  # draws of well-conditioned synthesis data before giving up
@@ -27,7 +27,7 @@ def random_row_contraction(rng: np.random.Generator, d: int, dim: int) -> RowCon
     g = _cgauss(rng, dim, d * dim)
     eta = rng.uniform(0.05, 0.5)
     g = g / (operator_norm(g) + eta)
-    return RowContraction(tuple(g[:, i * dim : (i + 1) * dim] for i in range(d)))
+    return RowContraction(_row_blocks(g, d))
 
 
 def random_contraction_between(rng: np.random.Generator, dom: Subspace, cod: Subspace) -> SubOperator:

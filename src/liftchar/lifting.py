@@ -33,7 +33,7 @@ from .numlin import (
     require_contraction,
     unitarity_residual,
 )
-from .rowcon import RowContraction, defect, star_defect
+from .rowcon import RowContraction, _block_row, _row_blocks, defect, star_defect
 
 log = logging.getLogger(__name__)
 
@@ -47,17 +47,17 @@ class Lifting:
     """A contractive lifting E = [[C, 0], [B, A]] with its coupling contraction.
 
     The defects of C, A and E are those of the row contractions, computed
-    once per row contraction; B is stored as read-only copies.
+    once per row contraction; B is a (d, n_A, n_C) view of the stored row(B).
     """
 
     C: RowContraction
     A: RowContraction
-    B: tuple[np.ndarray, ...]
+    b_row: np.ndarray  # row(B): H_C^d -> H_A
     gamma: SubOperator  # star-defect space of A -> column-defect space of C
     E: RowContraction
 
     def __post_init__(self):
-        object.__setattr__(self, "B", tuple(frozen(b) for b in self.B))
+        object.__setattr__(self, "b_row", frozen(self.b_row))
 
     @property
     def d(self) -> int:
@@ -88,9 +88,9 @@ class Lifting:
         return star_defect(self.E)
 
     @property
-    def b_row(self) -> np.ndarray:
-        """row(B): H_C^d -> H_A."""
-        return np.hstack(self.B)
+    def B(self) -> np.ndarray:
+        """The blocks B_i, a read-only (d, n_A, n_C) view of row(B)."""
+        return _row_blocks(self.b_row, self.d)
 
     @cached_property
     def gamma_ambient(self) -> np.ndarray:
@@ -109,26 +109,16 @@ class Lifting:
         return idx[:nc], idx[nc:]
 
 
-def _b_blocks(c: RowContraction, b_row: np.ndarray) -> tuple[np.ndarray, ...]:
-    """row(B) split into its d blocks B_i."""
-    nc = c.dim
-    return tuple(b_row[:, i * nc : (i + 1) * nc] for i in range(c.d))
-
-
 def _assemble_lifting(c: RowContraction, a: RowContraction, b_row: np.ndarray,
                       gamma: SubOperator) -> Lifting:
     """The lifting with blocks E_i = [[C_i, 0], [B_i, A_i]]; building E validates
     it as a row contraction (the "if" direction of the factorization)."""
     nc, na = c.dim, a.dim
-    b = _b_blocks(c, b_row)
-    mats = []
-    for ci, bi, ai in zip(c.ops, b, a.ops):
-        e = np.zeros((nc + na, nc + na), dtype=np.complex128)
-        e[:nc, :nc] = ci
-        e[nc:, :nc] = bi
-        e[nc:, nc:] = ai
-        mats.append(e)
-    return Lifting(c, a, b, gamma, RowContraction(tuple(mats)))
+    e = np.zeros((c.d, nc + na, nc + na), dtype=np.complex128)
+    e[:, :nc, :nc] = c.ops
+    e[:, nc:, :nc] = _row_blocks(b_row, c.d)
+    e[:, nc:, nc:] = a.ops
+    return Lifting(c, a, b_row, gamma, RowContraction(e))
 
 
 def make_lifting(c: RowContraction, a: RowContraction, gamma: SubOperator) -> Lifting:
@@ -146,13 +136,22 @@ def make_lifting(c: RowContraction, a: RowContraction, gamma: SubOperator) -> Li
     return _assemble_lifting(c, a, b_row, gamma)
 
 
+def _as_row(b) -> np.ndarray:
+    """row(B), from B's blocks (a sequence or a (d, m, n) stack) or from row(B)."""
+    try:
+        b = as_complex(b)
+    except ValueError:  # numpy refuses blocks of unequal shapes
+        raise DimMismatch("B blocks must all have one shape") from None
+    return _block_row(b) if b.ndim == 3 else b
+
+
 def extract_gamma(c: RowContraction, a: RowContraction, b) -> tuple[SubOperator, float]:
-    """Solve row(B)* = D_C gamma D_{*,A} by pseudo-inverses; residual reports failure."""
-    b_row = np.hstack([as_complex(m) for m in b]) if isinstance(b, (list, tuple)) else as_complex(b)
+    """Solve row(B)* = D_C gamma D_{*,A} by pseudo-inverses, B given as its
+    blocks or as row(B); the residual reports failure."""
+    b_row = _as_row(b)
     if b_row.shape != (a.dim, c.d * c.dim):
         raise DimMismatch(f"B row has shape {b_row.shape}, expected {(a.dim, c.d * c.dim)}")
-    dc = defect(c)
-    dsa = star_defect(a)
+    dc, dsa = defect(c), star_defect(a)
     g_amb = dc.pinv @ b_row.conj().T @ dsa.pinv
     coords = dc.space.coords(g_amb @ dsa.space.basis)
     op = SubOperator(dsa.space, dc.space, coords)
@@ -174,7 +173,7 @@ def _coupling_from_blocks(c: RowContraction, a: RowContraction,
 
 def lifting_from_blocks(c: RowContraction, a: RowContraction, b) -> Lifting:
     """Build a Lifting from explicit B blocks, verifying the coupling factorization."""
-    b_row = np.hstack([as_complex(m) for m in b])
+    b_row = _as_row(b)
     return _assemble_lifting(c, a, b_row, _coupling_from_blocks(c, a, b_row))
 
 
@@ -311,15 +310,15 @@ def iterate_liftings(first: Lifting, second: Lifting) -> IteratedLifting:
     defects are computed once."""
     if second.C.d != first.E.d or second.C.dim != first.E.dim:
         raise Mismatch("second lifting must lift the first one's E")
-    if norm_exceeds(np.hstack(second.C.ops) - np.hstack(first.E.ops), 1e-10):
+    if norm_exceeds(second.C.row - first.E.row, 1e-10):
         raise Mismatch("second.C differs from first.E")
     nc = first.C.dim
-    ahat_lifting = lifting_from_blocks(first.A, second.A, [bp[:, nc:] for bp in second.B])
+    ahat_lifting = lifting_from_blocks(first.A, second.A, second.B[:, :, nc:])
     a_hat = ahat_lifting.E
-    b_hat = np.hstack([np.vstack([b, bp[:, :nc]]) for b, bp in zip(first.B, second.B)])
+    b_hat = _block_row(np.concatenate([first.B, second.B[:, :, :nc]], axis=1))
     gamma_hat = _coupling_from_blocks(first.C, a_hat, b_hat)
     return IteratedLifting(first, second, ahat_lifting,
-                           Lifting(first.C, a_hat, _b_blocks(first.C, b_hat), gamma_hat, second.E))
+                           Lifting(first.C, a_hat, b_hat, gamma_hat, second.E))
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import numlin
 from .errors import DimMismatch
-from .numlin import DefectData, frozen, memo
+from .numlin import DefectData, as_complex, frozen, memo, readonly
 
 Word = tuple[int, ...]
 
@@ -30,36 +31,48 @@ def word_to_str(w: Word, d: int) -> str:
 class RowContraction:
     """A d-tuple of square matrices S_i on the same space with sum S_i S_i* <= I.
 
-    The matrices are stored as read-only copies, so quantities derived from
-    them (defects, characteristic functions) are computed once and kept on
-    the instance.
+    Built from any d square matrices of one size, checked before they are
+    stacked, it keeps them as one read-only (d, n, n) copy `ops` and its row
+    once; quantities derived from them (defects, characteristic functions)
+    are computed once and kept on the instance.
     """
 
-    ops: tuple[np.ndarray, ...]
+    ops: np.ndarray
 
     def __post_init__(self):
-        ops = tuple(frozen(s) for s in self.ops)
-        if not ops:
+        mats = [as_complex(s) for s in self.ops]
+        if not mats:
             raise DimMismatch("need at least one operator")
-        n = ops[0].shape[0]
-        for s in ops:
-            if s.shape != (n, n):
-                raise DimMismatch("all tuple entries must be square of equal size")
-        object.__setattr__(self, "ops", ops)
+        n = mats[0].shape[0]
+        if any(s.shape != (n, n) for s in mats):
+            raise DimMismatch("all tuple entries must be square of equal size")
+        object.__setattr__(self, "ops", frozen(mats))
         numlin.require_contraction(self.row)
 
     @property
     def d(self) -> int:
-        return len(self.ops)
+        return self.ops.shape[0]
 
     @property
     def dim(self) -> int:
-        return self.ops[0].shape[0]
+        return self.ops.shape[1]
 
-    @property
+    @cached_property
     def row(self) -> np.ndarray:
         """The row matrix [S_1 ... S_d] mapping H^d -> H."""
-        return np.hstack(self.ops)
+        return readonly(_block_row(self.ops))
+
+
+def _block_row(blocks: np.ndarray) -> np.ndarray:
+    """The row [T_1 ... T_d] of a (d, m, n) stack of blocks."""
+    d, m, n = blocks.shape
+    return blocks.swapaxes(0, 1).reshape(m, d * n)
+
+
+def _row_blocks(row: np.ndarray, d: int) -> np.ndarray:
+    """The (d, m, n) blocks of a row [T_1 ... T_d]; a view of a contiguous row."""
+    m = row.shape[0]
+    return row.reshape(m, d, row.shape[1] // d).swapaxes(0, 1)
 
 
 def defect(s: RowContraction) -> DefectData:

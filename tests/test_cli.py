@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -284,6 +285,15 @@ def test_console_entry_point_runs():
     assert "wall time" in proc.stderr
 
 
+def test_readme_library_example_runs():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        code = re.search(r"```python\n(.*?)```", fh.read(), re.S).group(1)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout.splitlines()[-1]) <= 1e-12
+
+
 def test_thread_cap_keeps_reports_identical(tmp_path):
     outs = []
     for threads in ("1", "3"):
@@ -308,6 +318,12 @@ def test_thread_cap_keeps_reports_identical(tmp_path):
     pytest.param(["verify", "{scen}"], {"C": [[[[10**400, 0.0]]]]}, {}, id="matrix-huge-int"),
     # finite entries whose Gram matrix overflows
     pytest.param(["verify", "{scen}"], {"C": [[[[0.5, 1e300]]]]}, {}, id="C-entry-1e300"),
+    # row tuples refused before they are stacked
+    pytest.param(["verify", "{scen}"],
+                 {"d": 2, "C": [[[[0.5, 0.0]]],
+                                [[[0.1, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.1, 0.0]]]]},
+                 {}, id="C-ragged"),
+    pytest.param(["verify", "{scen}"], {"C": [[[[0.5, 0.0], [0.0, 0.0]]]]}, {}, id="C-not-square"),
     pytest.param(["verify", "{scen}"], {"B": None, "gamma": [[[1e300, 0.0]]]}, {},
                  id="gamma-entry-1e300"),
     pytest.param(["verify", "{scen}", "--degree", "-1"], {}, {}, id="verify-degree-negative"),

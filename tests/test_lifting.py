@@ -162,6 +162,12 @@ class TestMakeExtract:
         with pytest.raises(NotContraction):
             make_lifting(c, a, gamma)
 
+    @pytest.mark.parametrize("shapes", [((1, 1), (1, 2)), ((1, 1), (2, 1))], ids=["cols", "rows"])
+    def test_ragged_blocks_raise_dim_mismatch(self, shapes):
+        c, a = rc([[0.5]], [[0.1]]), rc([[0.0]], [[0.0]])
+        with pytest.raises(DimMismatch):
+            lifting_from_blocks(c, a, [np.zeros(sh) for sh in shapes])
+
     def test_round_trip(self):
         rng = np.random.default_rng(0)
         for _ in range(25):
@@ -469,6 +475,15 @@ class TestKrylovSpan:
                 assert (q[:, :k] == np.eye(e.dim)[:, :k]).all()
                 seed = np.eye(e.dim, k, dtype=complex)
                 assert (q == krylov_levels(list(e.ops), seed)).all()
+
+
+def test_b_is_a_read_only_view_of_the_stored_row():
+    rng = np.random.default_rng(5)
+    lift = random_lifting(rng, random_row_contraction(rng, 3, 1), random_row_contraction(rng, 3, 2))
+    assert lift.B.shape == (3, 2, 1) and np.shares_memory(lift.B, lift.b_row)
+    np.testing.assert_array_equal(np.hstack(list(lift.B)), lift.b_row)
+    with pytest.raises(ValueError):
+        lift.b_row[0, 0] = 0.0
 
 
 def test_coupling_arrays_are_read_only():

@@ -82,6 +82,14 @@ class TestDefects:
 
 
 class TestStoredOnce:
+    def test_ops_are_one_stack_and_the_row_is_kept(self):
+        s = random_rc(np.random.default_rng(4), 3, 2)
+        assert s.ops.shape == (3, 2, 2)
+        assert s.row is s.row
+        np.testing.assert_array_equal(s.row, np.hstack(list(s.ops)))
+        with pytest.raises(ValueError):
+            s.row[0, 0] = 0.0
+
     def test_ops_are_read_only_views(self):
         m = np.array([[0.5, 0.0], [0.0, 0.25]], dtype=complex)
         s = RowContraction((m,))
