@@ -20,7 +20,6 @@ word, which is equivalent at a finite truncation.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,8 +77,6 @@ from .numlin import (
     unitarity_residual,
 )
 from .rowcon import RowContraction, _block_row, defect, star_defect
-
-log = logging.getLogger(__name__)
 
 CROSSCHECK_TOL = 1e-10
 KERNEL_TOL = 1e-8  # bound on a lifting symbol's component along ker D_E
@@ -428,17 +425,16 @@ class MinimalPart:
     tilde_lifting: Lifting   # the restriction, in orbit coordinates, as a lifting of C
     invariance_residual: float
     gamma_residual: float
-    minimal: bool
+    minimal: bool            # whether the restriction is a minimal lifting of C
+    first_minimal: bool      # the product identity's preconditions, recorded
+    second_minimal: bool     # and not judged
 
 
 def minimal_part(first: Lifting, second: Lifting) -> MinimalPart:
     """Split H_E' into the E'-orbit of H_C and its complement, extract the
-    corner coupling and the defect-space unitary of the splitting; each gate
-    refuses above BUILD_TOL."""
-    if not is_minimal_lifting(first):
-        log.warning("first lifting is not minimal; the product identity assumes it")
-    if not is_minimal_lifting(second):
-        log.warning("second lifting is not minimal; the product identity assumes it")
+    corner coupling and the defect-space unitary of the splitting.  The orbit,
+    its corner and the coupling refuse above BUILD_TOL; the unitary and whether
+    both liftings are minimal, as the product identity assumes, are reported."""
     ep = second.E
     n, nc, d = ep.dim, first.C.dim, first.d
     q_t = head_orbit(ep, nc)
@@ -473,10 +469,11 @@ def minimal_part(first: Lifting, second: Lifting) -> MinimalPart:
 
     split, cod = triangular_split(defect(e_tilde), e_tilde.row.conj().T, gamma, defect(a_tilde))
     w_split = np.hstack([q_t, q_p])
-    conv = np.eye(n * d)[block_shuffle([t, n - t], d)] @ np.kron(np.eye(d), w_split.conj().T)
+    conv = np.kron(np.eye(d), w_split.conj().T)[block_shuffle([t, n - t], d)]
     sigma = _certified_sigma(split @ conv, defect(ep), cod)
     return MinimalPart(space, complement, gamma, sigma, tilde_lifting, inv_res, g_res,
-                       is_minimal_lifting(tilde_lifting))
+                       is_minimal_lifting(tilde_lifting), is_minimal_lifting(first),
+                       is_minimal_lifting(second))
 
 
 def verify_minimal_product(first: Lifting, second: Lifting,
@@ -503,6 +500,8 @@ def verify_minimal_product(first: Lifting, second: Lifting,
         "charfn_crosscheck": max(m_ce.crosscheck_residual, m_eep.crosscheck_residual,
                                  m_ct.crosscheck_residual),
         "tilde_minimal": 0.0 if mp.minimal else 1.0,
+        "first_minimal": 0.0 if mp.first_minimal else 1.0,
+        "second_minimal": 0.0 if mp.second_minimal else 1.0,
     }
     return FactorizationReport(
         name="minimal-product",

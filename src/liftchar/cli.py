@@ -285,6 +285,9 @@ def run_battery(first: Lifting, iterated: IteratedLifting | None, degree: int, t
             for col, r in rep.residual_columns.items():
                 res.append(CheckResult(f"factorization[{col}]", r, tol))
             res.append(CheckResult("factorization-leak", rep.checks["projection_leak"], tol))
+            res.append(CheckResult("factorization-sigmas", max(
+                rep.checks[k] for k in ("sigma_Eprime_defining", "sigma_Ahat_defining",
+                                        "sigma_star_Ahat_defining")), SIGMA_TOL))
         if want("minimal"):
             rep = verify_minimal_product(iterated.first, iterated.second, degree, tol)
             if reports is not None:
@@ -294,6 +297,8 @@ def run_battery(first: Lifting, iterated: IteratedLifting | None, degree: int, t
                                    rep.checks["tilde_minimal"], 0.5))
             res.append(CheckResult("minimal-sigma-unitary",
                                    rep.checks["sigma_unitary"], SIGMA_TOL))
+            res.append(CheckResult("minimal-sigma-defining",
+                                   rep.checks["sigma_defining"], SIGMA_TOL))
     elif which in ("factorization", "minimal"):
         raise ValidationError(f"--check {which} needs a two-level scenario (Aprime present)")
     return res
@@ -361,6 +366,11 @@ def cmd_verify(args) -> int:
     sys.stdout.write(render_report(scen.id, degree, checks))
     if args.out:
         write_atomic(args.out, report_text(report_json(scen.id, degree, checks, reports)))
+    for rep in reports:
+        for level in ("first", "second"):
+            if rep.checks.get(f"{level}_minimal"):
+                print(f"note: {level} lifting is not minimal; "
+                      "the minimal-product identity assumes it", file=sys.stderr)
     print(f"wall time: {time.monotonic() - t0:.2f}s", file=sys.stderr)
     return 0 if all(c.passed for c in checks) else 1
 

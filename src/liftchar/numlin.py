@@ -125,12 +125,6 @@ def unitarity_residual(m) -> float:
     return max(operator_norm(m.conj().T @ m - eye), operator_norm(m @ m.conj().T - eye))
 
 
-def isometry_residual(m) -> float:
-    """||M*M - I|| for a tall-or-square matrix (columns orthonormal)."""
-    m = as_complex(m)
-    return operator_norm(m.conj().T @ m - np.eye(m.shape[1]))
-
-
 def _fix_phases(v: np.ndarray) -> np.ndarray:
     """Rotate each column so its first nonzero coordinate is real positive."""
     v = v.copy()

@@ -274,6 +274,60 @@ class TestCommands:
         assert main(["random-suite", "--seeds", "1"]) == 2
         assert "could not draw a minimal iterated lifting" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["example1", "example2"])
+    def test_verify_degree_zero_passes_every_line(self, capsys, name):
+        assert main(["verify", _packaged_scenario(f"{name}.json"), "--degree", "0"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1] == "degree: 0" and lines[-1] == "overall: PASS"
+        assert all(ln.endswith("  pass") for ln in lines[2:-1])
+
+    @pytest.mark.parametrize("name", ["example1", "example2"])
+    def test_charfn_degree_zero_keeps_only_the_vacuum(self, capsys, name):
+        assert main(["charfn", _packaged_scenario(f"{name}.json"), "--degree", "0"]) == 0
+        words = [[c["word"] for c in f["coefficients"]]
+                 for f in json.loads(capsys.readouterr().out)["functions"]]
+        # a function between zero-dimensional defect spaces stores no coefficient
+        assert all(w in ([""], []) for w in words) and [""] in words
+
+    def test_random_suite_degree_zero(self, capsys):
+        assert main(["random-suite", "--seeds", "5", "--degree", "0"]) == 0
+        assert "overall: PASS (5 seeds)" in capsys.readouterr().out
+
+    def test_rank_boundary_defect_unitary_fails_lines(self, tmp_path, capsys):
+        # row(A) at norm 1 - 1e-10 is a valid strict row contraction; I - AA*
+        # keeps an eigenvalue near 2e-10, so the defect unitaries of E miss
+        # their defining relations by about 1e-5: failing lines, not an error
+        rng = np.random.default_rng([5, 0])
+        c = random_row_contraction(rng, 2, 2)
+        a = random_row_contraction(rng, 2, 2)
+        a = rowcon.RowContraction(a.ops * ((1 - 1e-10) / numlin.operator_norm(a.row)))
+        g = gen.random_contraction_between(rng, rowcon.star_defect(a).space,
+                                           rowcon.defect(c).space)
+        path = write_scenario(tmp_path, d=2, degree=4, B=None, gamma=mat_to_json(g.matrix),
+                              C=[mat_to_json(m) for m in c.ops],
+                              A=[mat_to_json(m) for m in a.ops])
+        assert main(["verify", path]) == 1
+        out, err = capsys.readouterr()
+        failed = [ln.split()[0] for ln in out.splitlines() if ln.endswith("  FAIL")]
+        assert "sigma-defining[E|C,A]" in failed
+        assert "error:" not in err
+
+    def test_non_minimal_liftings_are_noted_not_judged(self, tmp_path, capsys):
+        # B = B' = 0: E = C (+) A and E' = E (+) A' are not minimal, which the
+        # minimal-product identity assumes; the report records it, verify
+        # notes it on stderr, and no verdict changes
+        path = write_scenario(tmp_path, C=[[[[0.5, 0.0]]]], A=[[[[0.3, 0.0]]]], B=[[[[0.0, 0.0]]]],
+                              Aprime=[[[[0.2, 0.0]]]], Bprime=[[[[0.0, 0.0], [0.0, 0.0]]]])
+        out_file = tmp_path / "report.json"
+        assert main(["verify", path, "--out", str(out_file)]) == 0
+        err = capsys.readouterr().err
+        rep = next(r for r in json.loads(out_file.read_text())["identities"]
+                   if r["name"] == "minimal-product")
+        assert rep["checks"]["first_minimal"] == rep["checks"]["second_minimal"] == "1.000e+00"
+        for level in ("first", "second"):
+            assert (f"note: {level} lifting is not minimal; the minimal-product identity "
+                    "assumes it") in err.splitlines()
+
 
 def test_console_entry_point_runs():
     proc = subprocess.run(

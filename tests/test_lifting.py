@@ -1,4 +1,5 @@
 import itertools
+import logging
 
 import numpy as np
 import pytest
@@ -20,7 +21,9 @@ from liftchar.lifting import (
     make_lifting,
     star_defect_unitary,
 )
-from liftchar.numlin import SubOperator, Subspace, operator_norm, svd_rank, unitarity_residual
+from liftchar.numlin import (
+    DefectData, SubOperator, Subspace, operator_norm, svd_rank, unitarity_residual,
+)
 from liftchar.rowcon import RowContraction, defect, star_defect
 
 S2 = 1 / np.sqrt(2)
@@ -255,6 +258,21 @@ class TestSigmaUnitaries:
         checks = run_battery(first, it, 3, 1e-8, "all")
         assert polished
         assert [ch.name for ch in checks if not ch.passed] == []
+
+    @pytest.mark.parametrize("m, cod", [
+        (np.diag([0.6, 1.0]), Subspace.full(2)),                 # tall: rank 1 onto rank 2
+        (0.6 * np.eye(2), Subspace(2, np.array([[1.0], [0.0]]))),  # wide: rank 2 onto rank 1
+    ], ids=["tall", "wide"])
+    def test_rank_deficit_reads_infinite_unitary_residual(self, caplog, m, cod):
+        # the defining relation holds exactly, but no unitary joins spaces of
+        # different dimensions; the report says so, and nothing is logged
+        dd = DefectData.of(m)
+        target = np.diag([0.8, 0.0])
+        with caplog.at_level(logging.DEBUG):
+            s = lifting._certified_sigma(target, dd, cod)
+        assert s.defining_residual < 1e-15
+        assert s.unitary_residual == np.inf
+        assert not caplog.records
 
 
 class TestIterate:

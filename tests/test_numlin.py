@@ -15,7 +15,6 @@ from liftchar.numlin import (
     SubOperator,
     _below_psd,
     block_shuffle,
-    isometry_residual,
     norm_exceeds,
     operator_norm,
     pinv,
@@ -23,6 +22,12 @@ from liftchar.numlin import (
     require_contraction,
     unitarity_residual,
 )
+
+
+def isometry_residual(m) -> float:
+    """||M*M - I|| for a tall-or-square matrix (columns orthonormal)."""
+    m = np.asarray(m, dtype=np.complex128)
+    return operator_norm(m.conj().T @ m - np.eye(m.shape[1]))
 
 
 def random_psd(rng, n):
