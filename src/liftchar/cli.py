@@ -23,6 +23,7 @@ import numpy as np
 
 from . import __version__, ncfock
 from .charfact import (
+    CROSSCHECK_TOL,
     CharFn,
     lifting_char_fn,
     resolvent_identity_residual,
@@ -187,6 +188,8 @@ def parse_scenario(path: str) -> Scenario:
     if not (_is_int(tol) or isinstance(tol, float)) or not 0 < _float_or_inf(tol) < math.inf:
         raise ParseError(f"{path}: tolerance must be a finite number > 0")
     scen_id = raw.get("id", os.path.splitext(os.path.basename(path))[0])
+    if not isinstance(scen_id, str):
+        raise ParseError(f"{path}: id must be a string")
 
     c = _row_contraction(raw["C"], d, "C")
     a = _row_contraction(raw["A"], d, "A")
@@ -224,22 +227,19 @@ class CheckResult:
 
 
 def _charfn_checks(name: str, fn: CharFn) -> list[CheckResult]:
-    r = ncfock.realize(fn.op)  # shared by both lines; kept, it would copy every coefficient
+    r = ncfock.realize(fn.op)  # shared by the next two lines; kept, it would copy every coefficient
     return [
         CheckResult(f"charfn-norm[{name}]", max(0.0, realized_norm(fn.op, r) - 1.0), NORM_SLACK),
         CheckResult(f"charfn-intertwine[{name}]", intertwining_residual(fn.op, r), INTERTWINE_TOL),
+        CheckResult(f"charfn-crosscheck[{name}]", fn.crosscheck_residual, CROSSCHECK_TOL),
     ]
 
 
 def _sigma_checks(name: str, lift: Lifting) -> list[CheckResult]:
-    s = defect_unitary(lift)
-    st = star_defect_unitary(lift)
-    return [
-        CheckResult(f"sigma-defining[{name}]", s.defining_residual, SIGMA_TOL),
-        CheckResult(f"sigma-unitary[{name}]", s.unitary_residual, SIGMA_TOL),
-        CheckResult(f"sigma-star-defining[{name}]", st.defining_residual, SIGMA_TOL),
-        CheckResult(f"sigma-star-unitary[{name}]", st.unitary_residual, SIGMA_TOL),
-    ]
+    s, st = defect_unitary(lift), star_defect_unitary(lift)
+    return [CheckResult(f"sigma-{kind}[{name}]", r, SIGMA_TOL) for kind, r in (
+        ("defining", s.defining_residual), ("unitary", s.unitary_residual),
+        ("star-defining", st.defining_residual), ("star-unitary", st.unitary_residual))]
 
 
 def run_battery(first: Lifting, iterated: IteratedLifting | None, degree: int, tol: float,
@@ -252,6 +252,11 @@ def run_battery(first: Lifting, iterated: IteratedLifting | None, degree: int, t
     """
     res: list[CheckResult] = []
     want = lambda k: which in ("all", k)
+    if iterated is None and which in ("factorization", "minimal"):
+        raise ValidationError(f"--check {which} needs a two-level scenario (Aprime present)")
+    rows = {"A": first.A}  # the row contractions of the resolvent identities
+    resolvent = lambda name: CheckResult(f"resolvent-identity[{name}]",
+                                         resolvent_identity_residual(rows[name], degree), tol)
 
     if want("sigmas"):
         res += _sigma_checks("E|C,A", first)
@@ -260,10 +265,10 @@ def run_battery(first: Lifting, iterated: IteratedLifting | None, degree: int, t
         res += _charfn_checks("M_A", row_char_fn(first.A, degree))
         res += _charfn_checks("M_CE", lifting_char_fn(first, degree))
     if want("resolvent"):
-        res.append(CheckResult("resolvent-identity[A]",
-                               resolvent_identity_residual(first.A, degree), tol))
+        res.append(resolvent("A"))
     if iterated is not None:
         second = iterated.second
+        rows.update(Aprime=second.A, Ahat=iterated.a_hat)
         if want("sigmas"):
             res += _sigma_checks("Eprime|E,Aprime", second)
             res += _sigma_checks("Eprime|C,Ahat", iterated.as_c_lifting)
@@ -273,34 +278,32 @@ def run_battery(first: Lifting, iterated: IteratedLifting | None, degree: int, t
             res += _charfn_checks("M_EEprime", lifting_char_fn(second, degree))
             res += _charfn_checks("M_CEprime", lifting_char_fn(iterated.as_c_lifting, degree))
         if want("resolvent"):
-            res.append(CheckResult("resolvent-identity[Aprime]",
-                                   resolvent_identity_residual(second.A, degree), tol))
-            res.append(CheckResult("resolvent-identity[Ahat]",
-                                   resolvent_identity_residual(iterated.a_hat, degree), tol))
-        if want("factorization"):
-            rep = verify_factorization(iterated, degree, tol)
-            if reports is not None:
-                reports.append(rep)
-            res.append(CheckResult("factorization", rep.residual, tol))
-            for col, r in rep.residual_columns.items():
-                res.append(CheckResult(f"factorization[{col}]", r, tol))
-            res.append(CheckResult("factorization-leak", rep.checks["projection_leak"], tol))
-            res.append(CheckResult("factorization-sigmas", max(
-                rep.checks[k] for k in ("sigma_Eprime_defining", "sigma_Ahat_defining",
-                                        "sigma_star_Ahat_defining")), SIGMA_TOL))
-        if want("minimal"):
-            rep = verify_minimal_product(iterated.first, iterated.second, degree, tol)
-            if reports is not None:
-                reports.append(rep)
-            res.append(CheckResult("minimal-product", rep.residual, tol))
-            res.append(CheckResult("minimal-tilde-is-minimal",
-                                   rep.checks["tilde_minimal"], 0.5))
-            res.append(CheckResult("minimal-sigma-unitary",
-                                   rep.checks["sigma_unitary"], SIGMA_TOL))
-            res.append(CheckResult("minimal-sigma-defining",
-                                   rep.checks["sigma_defining"], SIGMA_TOL))
-    elif which in ("factorization", "minimal"):
-        raise ValidationError(f"--check {which} needs a two-level scenario (Aprime present)")
+            res += [resolvent("Aprime"), resolvent("Ahat")]
+    if want("resolvent"):
+        res.append(CheckResult("resolvent-crosscheck", max(
+            row_char_fn(a, degree).crosscheck_residual for a in rows.values()), CROSSCHECK_TOL))
+    if iterated is not None and want("factorization"):
+        rep = verify_factorization(iterated, degree, tol)
+        if reports is not None:
+            reports.append(rep)
+        res.append(CheckResult("factorization", rep.residual, tol))
+        res += [CheckResult(f"factorization[{col}]", r, tol) for col, r in rep.residual_columns.items()]
+        res.append(CheckResult("factorization-leak", rep.checks["projection_leak"], tol))
+        res.append(CheckResult("factorization-sigmas", max(
+            rep.checks[k] for k in ("sigma_Eprime_defining", "sigma_Ahat_defining",
+                                    "sigma_star_Ahat_defining")), SIGMA_TOL))
+        res.append(CheckResult("factorization-crosscheck",
+                               rep.checks["charfn_crosscheck"], CROSSCHECK_TOL))
+    if iterated is not None and want("minimal"):
+        rep = verify_minimal_product(iterated.first, iterated.second, degree, tol)
+        if reports is not None:
+            reports.append(rep)
+        res.append(CheckResult("minimal-product", rep.residual, tol))
+        res += [CheckResult(name, rep.checks[key], t) for name, key, t in (
+            ("minimal-tilde-is-minimal", "tilde_minimal", 0.5),
+            ("minimal-sigma-unitary", "sigma_unitary", SIGMA_TOL),
+            ("minimal-sigma-defining", "sigma_defining", SIGMA_TOL),
+            ("minimal-crosscheck", "charfn_crosscheck", CROSSCHECK_TOL))]
     return res
 
 
@@ -386,11 +389,10 @@ def _suite_one(seed: int, base: int, d_max: int, dim_max: int, degree: int, tol:
 
 def cmd_random_suite(args) -> int:
     t0 = time.monotonic()
-    raw_threads = os.environ.get("LIFTCHAR_THREADS", "1")
-    try:
-        threads = max(1, int(raw_threads))
-    except ValueError:
-        raise ValidationError(f"LIFTCHAR_THREADS must be an integer, got {raw_threads!r}") from None
+    try:  # parsed as --seeds is
+        threads = _int_at_least(1)(os.environ.get("LIFTCHAR_THREADS", "1"))
+    except argparse.ArgumentTypeError as exc:
+        raise ValidationError(f"LIFTCHAR_THREADS: {exc}") from None
     if args.out:
         check_writable(args.out)
     seeds = list(range(args.seeds))
@@ -452,6 +454,8 @@ def _charfn_dump(name: str, fn: CharFn, d: int) -> dict:
         "name": name,
         "dom_basis": mat_to_json(fn.op.dom.basis),
         "cod_basis": mat_to_json(fn.op.cod.basis),
+        "crosscheck_residual": f"{fn.crosscheck_residual:.3e}",
+        "kernel_residual": f"{fn.kernel_residual:.3e}",
         "coefficients": [{"word": word_to_str(w, d), "matrix": mat_to_json(m)}
                          for w, m in fn.op.coeffs.items()],
     }

@@ -37,10 +37,6 @@ class ResidualTooLarge(LiftcharError):
     """A defining relation could not be met within tolerance."""
 
 
-class OracleMismatch(LiftcharError):
-    """Two independent computation routes of the same object disagree."""
-
-
 class NotPurelyContractive(LiftcharError):
     pass
 

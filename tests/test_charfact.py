@@ -1,11 +1,13 @@
 import dataclasses
 import itertools
+import json
 
 import numpy as np
 import pytest
 
 from liftchar import charfact
 from liftchar.charfact import (
+    CROSSCHECK_TOL,
     lifting_char_fn,
     minimal_part,
     resolvent_identity_residual,
@@ -19,8 +21,6 @@ from liftchar.errors import (
     Mismatch,
     NotContraction,
     NotPurelyContractive,
-    OracleMismatch,
-    ResidualTooLarge,
 )
 from liftchar.gen import (
     random_iterated_lifting,
@@ -28,7 +28,7 @@ from liftchar.gen import (
     random_row_contraction,
     random_synthesis_data,
 )
-from liftchar.cli import _packaged_scenario, parse_scenario, run_battery
+from liftchar.cli import _packaged_scenario, main, mat_to_json, parse_scenario, run_battery
 from liftchar.lifting import (
     defect_unitary,
     iterate_liftings,
@@ -79,6 +79,27 @@ def ambient_symbol(fn):
     """fn's coefficients as ambient-space matrices (zero off the defect spaces)."""
     op = fn.op
     return {w: op.cod.basis @ c @ op.dom.basis.conj().T for w, c in op.coeffs.items()}
+
+
+def scenario_file(tmp_path, it, degree=3):
+    """`it` as a two-level scenario file, each level given by its B blocks."""
+    first, second = it.first, it.second
+    doc = {"schema": 1, "d": first.d, "degree": degree,
+           **{key: [mat_to_json(m) for m in ops] for key, ops in (
+               ("C", first.C.ops), ("A", first.A.ops), ("B", first.B),
+               ("Aprime", second.A.ops), ("Bprime", second.B))}}
+    path = tmp_path / "scen.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def verify_failures(capsys, path):
+    """`liftchar verify` on a scenario file: its exit code and the names of the
+    lines that read FAIL.  An `error:` line fails the test."""
+    code = main(["verify", path])
+    out, err = capsys.readouterr()
+    assert "error:" not in err
+    return code, {ln.split()[0] for ln in out.splitlines() if ln.endswith("  FAIL")}
 
 
 def example1_iterated():
@@ -192,31 +213,48 @@ class TestLiftingCharFn:
 
 
 class TestColligationEngine:
-    # each test builds its instance after patching, so no symbol cached on it
-    # before the patch can answer in place of the faulty engine
-    def test_reversed_word_route_is_caught(self, monkeypatch):
-        # the word route prepends each letter, at rank (k-1) d^n + idx(w), instead of
-        # appending it; the degree recursion is left alone
-        monkeypatch.setattr(charfact, "pair_products",
-                            lambda t1, t2: pair_products(t1, t2).swapaxes(0, 1))
-        it = random_iterated_lifting(np.random.default_rng(12), 2, (1, 2, 1))
+    # each faulty engine is judged by report lines: `verify` exits 1 with the
+    # named lines failing, and prints no error.  Every instance is built after
+    # patching, so no symbol cached on it before the patch can answer in place
+    # of the faulty engine.
+    def test_reversed_word_route_is_caught(self, monkeypatch, capsys, tmp_path):
+        # the append route of the word stack prepends each letter, at rank
+        # (k-1) d^n + idx(w), instead of appending it; the prepend route and
+        # the assembly from the stack are left alone
+        stack = charfact.word_stack
+
+        def reversed_route(a, n_deg):
+            with monkeypatch.context() as m:
+                m.setattr(charfact, "pair_products",
+                          lambda t1, t2: pair_products(t1, t2).swapaxes(0, 1))
+                return stack(a, n_deg)
+
+        monkeypatch.setattr(charfact, "word_stack", reversed_route)
+        make = lambda: random_iterated_lifting(np.random.default_rng(12), 2, (1, 2, 1))
+        it = make()
         a = it.first.A
         assert operator_norm(a.ops[0] @ a.ops[1] - a.ops[1] @ a.ops[0]) > 1e-3
-        with pytest.raises(OracleMismatch):
-            row_char_fn(a, 3)
-        with pytest.raises(OracleMismatch):
-            lifting_char_fn(it.first, 3)
+        assert row_char_fn(a, 3).crosscheck_residual > CROSSCHECK_TOL
+        assert lifting_char_fn(it.first, 3).crosscheck_residual > CROSSCHECK_TOL
+        code, failed = verify_failures(capsys, scenario_file(tmp_path, make()))
+        assert code == 1
+        assert {"charfn-crosscheck[M_A]", "charfn-crosscheck[M_CE]", "resolvent-crosscheck",
+                "factorization-crosscheck", "minimal-crosscheck"} <= failed
 
-    def test_scaled_colligation_fails_certificate(self, monkeypatch):
-        # both routes see the same faulty C, so only the certificate can object
+    def test_scaled_colligation_fails_certificate(self, monkeypatch, capsys, tmp_path):
+        # both routes see the same faulty C, so only the certificate can object:
+        # the Julia-Halmos colligation is not unitary, the lifting's not contractive
         engine = charfact.transfer_coeffs
         monkeypatch.setattr(charfact, "transfer_coeffs",
                             lambda D, C, B, X, n, **kw: engine(D, 1.01 * C, B, X, n, **kw))
-        it = random_iterated_lifting(np.random.default_rng(12), 2, (1, 2, 1))
-        with pytest.raises(ResidualTooLarge, match="not unitary"):
-            row_char_fn(it.first.A, 3)
-        with pytest.raises(ResidualTooLarge, match="not contractive"):
-            lifting_char_fn(it.first, 3)
+        make = lambda: random_iterated_lifting(np.random.default_rng(12), 2, (1, 2, 1))
+        it = make()
+        assert word_stack(it.first.A, 3)[1] <= CROSSCHECK_TOL
+        assert row_char_fn(it.first.A, 3).crosscheck_residual > CROSSCHECK_TOL
+        assert lifting_char_fn(it.first, 3).crosscheck_residual > CROSSCHECK_TOL
+        code, failed = verify_failures(capsys, scenario_file(tmp_path, make()))
+        assert code == 1
+        assert {"charfn-crosscheck[M_A]", "charfn-crosscheck[M_CE]"} <= failed
 
 
 class TestWordStack:
@@ -306,24 +344,28 @@ class TestKernelCheck:
         assert lift.dE.rank == lift.d * lift.E.dim
         assert lifting_char_fn(lift, 3).kernel_residual == 0.0
 
-    def test_component_on_kernel_is_caught(self, monkeypatch):
-        # example2's E' has a one-dimensional ker D_E
-        rank, vh = svd_rank(example2_iterated().second.dE.space.basis.conj().T)
+    def test_component_on_kernel_is_caught(self, monkeypatch, capsys):
+        # example2's E' has a one-dimensional ker D_E; the symbols over E' (of E'
+        # over E and over C) gain a component along it, which only the kernel
+        # residual sees, and both identities fold it into their residuals
+        scen = _packaged_scenario("example2.json")
+        rank, vh = svd_rank(parse_scenario(scen).second.dE.space.basis.conj().T)
         ker = vh[rank:].conj().T
         assert ker.shape[1] == 1
         engine = charfact.transfer_coeffs
 
         def leaking(D, C, B, X, n, **kw):
             coeffs, resid = engine(D, C, B, X, n, **kw)
-            # add a vacuum component x -> 1e-6 <x, k> (1, ..., 1) along ker D_E
-            coeffs[0] += 1e-6 * np.outer(np.ones(coeffs.shape[1]), ker[:, 0].conj())
+            if coeffs.shape[2] == ker.shape[0]:
+                # add a vacuum component x -> 1e-6 <x, k> (1, ..., 1) along ker D_E
+                coeffs[0] += 1e-6 * np.outer(np.ones(coeffs.shape[1]), ker[:, 0].conj())
             return coeffs, resid
 
         monkeypatch.setattr(charfact, "transfer_coeffs", leaking)
-        with pytest.raises(ResidualTooLarge, match="ker D_E"):
-            lifting_char_fn(example2_iterated().second, 3)
-        lift = example2_iterated().second  # fresh: nothing cached on it
-        monkeypatch.setattr(charfact, "KERNEL_TOL", 1.0)
+        code, failed = verify_failures(capsys, scen)
+        assert code == 1
+        assert {"factorization", "minimal-product"} <= failed
+        lift = example2_iterated().second
         fn = lifting_char_fn(lift, 3)
         old = _kernel_residual_by_projector(lift, 3)
         assert 0.5e-6 < fn.kernel_residual == pytest.approx(old, rel=1e-12)

@@ -33,7 +33,9 @@ from liftchar.lifting import extract_gamma
 from liftchar.ncfock import MultiAnalyticOp
 
 
-def write_scenario(tmp_path, name="scen.json", **overrides):
+def write_scenario(tmp_path, name="scen.json", keep=(), **overrides):
+    """A scenario file: the defaults below with `overrides` applied; a key set
+    to None is left out, unless it is named in `keep` (then it is written as null)."""
     doc = {
         "schema": 1,
         "id": "test",
@@ -45,7 +47,7 @@ def write_scenario(tmp_path, name="scen.json", **overrides):
         "B": [[[[0.5, 0.0]]]],
     }
     doc.update(overrides)
-    doc = {k: v for k, v in doc.items() if v is not None}
+    doc = {k: v for k, v in doc.items() if v is not None or k in keep}
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return str(path)
@@ -174,8 +176,8 @@ class TestCommands:
 
     def test_kernel_leak_above_tol_fails_factorization(self, monkeypatch, capsys):
         # example2's D_E' has a one-dimensional kernel.  A 1e-9 component of the
-        # engine's output along it is below KERNEL_TOL, so the symbol is built,
-        # but above --tol 1e-10 it must fail the factorization line (exit 1).
+        # engine's output along it is judged with the factorization residual:
+        # above --tol 1e-10 it must fail the factorization line (exit 1).
         scen = _packaged_scenario("example2.json")
         q = parse_scenario(scen).iterated.as_c_lifting.dE.space.basis
         rank, vh = numlin.svd_rank(q.conj().T)
@@ -225,6 +227,20 @@ class TestCommands:
         words = [c["word"] for c in mcep["coefficients"]]
         assert words == sorted(words, key=lambda s: (len(s), s))
         assert "" in words and "1" in words
+        # the engine residuals, which `charfn` records and does not judge
+        for f in doc["functions"]:
+            for key in ("crosscheck_residual", "kernel_residual"):
+                assert re.fullmatch(r"\d\.\d{3}e[+-]\d\d", f[key]) and float(f[key]) <= 1e-10
+
+    def test_engine_residuals_have_one_line_per_group(self, capsys):
+        # one line per characteristic function in sigmas, one per other group
+        assert main(["verify", _packaged_scenario("example2.json")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        names = [ln.split()[0] for ln in lines if "crosscheck" in ln]
+        assert names == [f"charfn-crosscheck[{m}]" for m in ("M_A", "M_CE", "M_Aprime",
+                                                              "M_EEprime", "M_CEprime")] + [
+            "resolvent-crosscheck", "factorization-crosscheck", "minimal-crosscheck"]
+        assert all(len(n.split("[")[0]) <= 24 for n in names)
 
     def test_scenario_tolerance_does_not_gate_parsing(self, tmp_path, capsys):
         # B must factor within LIFT_TOL whatever the tolerance, so a tolerance
@@ -312,6 +328,31 @@ class TestCommands:
         assert "sigma-defining[E|C,A]" in failed
         assert "error:" not in err
 
+    def test_rank_boundary_two_level_kernel_residual_fails_lines(self, tmp_path, capsys):
+        # draw 1 of the two-level population with row(A) at norm 1 - 1e-9: the
+        # symbol of E' over E keeps a component of about 3e-6 on ker D_E', which
+        # the minimal-product line judges: failing lines, not an error
+        rng = np.random.default_rng([5, 1])
+        c = random_row_contraction(rng, 2, 2)
+        a = random_row_contraction(rng, 2, 2)
+        a = rowcon.RowContraction(a.ops * ((1 - 1e-9) / numlin.operator_norm(a.row)))
+        g = gen.random_contraction_between(rng, rowcon.star_defect(a).space,
+                                           rowcon.defect(c).space)
+        first = lifting.make_lifting(c, a, g)
+        a2 = random_row_contraction(rng, 2, 2)
+        g2 = gen.random_contraction_between(rng, rowcon.star_defect(a2).space,
+                                            rowcon.defect(first.E).space)
+        path = write_scenario(tmp_path, d=2, degree=4, B=None, gamma=mat_to_json(g.matrix),
+                              gammaprime=mat_to_json(g2.matrix),
+                              C=[mat_to_json(m) for m in c.ops],
+                              A=[mat_to_json(m) for m in a.ops],
+                              Aprime=[mat_to_json(m) for m in a2.ops])
+        assert main(["verify", path]) == 1
+        out, err = capsys.readouterr()
+        failed = [ln.split()[0] for ln in out.splitlines() if ln.endswith("  FAIL")]
+        assert "minimal-product" in failed
+        assert "error:" not in err
+
     def test_non_minimal_liftings_are_noted_not_judged(self, tmp_path, capsys):
         # B = B' = 0: E = C (+) A and E' = E (+) A' are not minimal, which the
         # minimal-product identity assumes; the report records it, verify
@@ -395,6 +436,16 @@ def test_thread_cap_keeps_reports_identical(tmp_path):
     pytest.param(["random-suite", "--seed-base", "-1"], None, {}, id="seed-base-negative"),
     pytest.param(["random-suite", "--seeds", "1", "--degree", "1"], None,
                  {"LIFTCHAR_THREADS": "x"}, id="threads-not-integer"),
+    pytest.param(["random-suite", "--seeds", "1"], None, {"LIFTCHAR_THREADS": "0"},
+                 id="threads-zero"),
+    pytest.param(["random-suite", "--seeds", "1"], None, {"LIFTCHAR_THREADS": "-3"},
+                 id="threads-negative"),
+    pytest.param(["random-suite", "--seeds", "1"], None, {"LIFTCHAR_THREADS": ""},
+                 id="threads-empty"),
+    pytest.param(["verify", "{scen}"], {"id": [1, 2]}, {}, id="id-list"),
+    pytest.param(["verify", "{scen}"], {"id": {}}, {}, id="id-object"),
+    pytest.param(["verify", "{scen}"], {"id": None, "keep": ["id"]}, {}, id="id-null"),
+    pytest.param(["charfn", "{scen}"], {"id": 3.5}, {}, id="id-float"),
 ])
 def test_invalid_input_exits_two(tmp_path, argv, scenario, env):
     path = write_scenario(tmp_path, **scenario) if scenario is not None else ""
@@ -404,6 +455,8 @@ def test_invalid_input_exits_two(tmp_path, argv, scenario, env):
     assert proc.returncode == 2, proc.stdout + proc.stderr
     assert any("error:" in line for line in proc.stderr.splitlines())
     assert "Traceback" not in proc.stderr
+    if "id" in (scenario or {}):
+        assert f"error: {path}: id must be a string" in proc.stderr.splitlines()
     if "--out" in argv:  # refused before any work: no report text, no leftover file
         assert proc.stdout == ""
         assert "error: cannot write" in proc.stderr
