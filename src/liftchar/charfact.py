@@ -38,6 +38,7 @@ from .lifting import (
     IteratedLifting,
     SigmaUnitary,
     _certified_sigma,
+    _unitary_or_inf,
     defect_unitary,
     extract_gamma,
     head_orbit,
@@ -70,7 +71,7 @@ from .numlin import (
     max_operator_norm,
     memo,
     operator_norm,
-    pinv,
+    polar_unitary,
     readonly,
     require_contraction,
     svd_rank,
@@ -527,10 +528,11 @@ def synthesize_lifting(c: RowContraction, a: RowContraction, a2: RowContraction,
     the shapes.  The vacuum coefficient of the inner factored operator must
     be a strict contraction (margin PURE_MARGIN), with full-rank corner blocks,
     or NotPurelyContractive is raised; then F and F_* are exhausted by the
-    defect data and the construction is certified unitary.  Its gates refuse
-    above BUILD_TOL; tol only judges the symbol residual (report.passed).
-    The report is named "synthesis"; its checks carry the vacuum margin as
-    `pure_margin`, and it records no bases.
+    defect data.  The isometry extensions u1 and u2 are polar factors, whose
+    unitarity residuals the checks record (inf when not square).  Its gates
+    refuse above BUILD_TOL; tol only judges the symbol residual
+    (report.passed).  The report is named "synthesis"; its checks carry the
+    vacuum margin as `pure_margin`, and it records no bases.
     """
     lam = as_complex(lam)
     u = as_complex(u)
@@ -566,13 +568,11 @@ def synthesize_lifting(c: RowContraction, a: RowContraction, a2: RowContraction,
     delta = SubOperator(dsa2.space, da.space, r_blk.conj().T)
     # with delta = R*, D_R is delta's star defect and D_{R*} its column defect
     d_r, d_sr = (dd.space.coords(dd.D) for dd in (delta.star_defect, delta.defect))
-    u1 = d_r @ pinv(p_blk)
-    u2 = d_sr @ pinv(s_blk.conj().T)
+    # u1 P = D_R and u2 S* = D_{R*}, solved as the nearest unitaries (Procrustes)
+    u1 = polar_unitary(d_r @ p_blk.conj().T)
+    u2 = polar_unitary(d_sr @ s_blk)
     u1_res = operator_norm(u1 @ p_blk - d_r)
     u2_res = operator_norm(u2 @ s_blk.conj().T - d_sr)
-    u1_un, u2_un = unitarity_residual(u1), unitarity_residual(u2)
-    if u1_un > BUILD_TOL or u2_un > BUILD_TOL:
-        raise ResidualTooLarge(f"isometry extensions not unitary ({u1_un:.3e}, {u2_un:.3e})")
 
     ahat_lift = make_lifting(a, a2, delta)
     sig_ah = defect_unitary(ahat_lift)
@@ -608,10 +608,12 @@ def synthesize_lifting(c: RowContraction, a: RowContraction, a2: RowContraction,
             "u_unitary": u_res,
             "u1_defining": u1_res,
             "u2_defining": u2_res,
+            "u1_unitary": _unitary_or_inf(u1),
+            "u2_unitary": _unitary_or_inf(u2),
             "sigma_Ahat_unitary": sig_ah.unitary_residual,
             "sigma_star_Ahat_unitary": sig_star_ah.unitary_residual,
             "sigma_Eprime_unitary": sig_ep.unitary_residual,
-            "phi_unitary": unitarity_residual(phi) if phi.shape[0] == phi.shape[1] else float("inf"),
+            "phi_unitary": _unitary_or_inf(phi),
             "projection_leak": leak,
             "charfn_crosscheck": m_cep.crosscheck_residual,
             "pure_margin": pure_margin,

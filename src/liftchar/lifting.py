@@ -34,7 +34,7 @@ from .numlin import (
 from .rowcon import RowContraction, _block_row, _row_blocks, defect, star_defect
 
 LIFT_TOL = 1e-10  # relative residual of a coupling factorization extracted from B blocks
-BUILD_TOL = 1e-8  # a construction gate refuses above this; a defect unitary is polished below it
+BUILD_TOL = 1e-8  # a construction gate refuses above this
 SPAN_TOL = 1e-9  # a Krylov vector shorter than this after orthogonalization adds nothing
 
 
@@ -185,29 +185,22 @@ class SigmaUnitary:
     unitary_residual: float
 
 
+def _unitary_or_inf(m: np.ndarray) -> float:
+    """unitarity_residual of a square matrix; inf for a non-square one."""
+    return unitarity_residual(m) if m.shape[0] == m.shape[1] else float("inf")
+
+
 def _certified_sigma(target: np.ndarray, dd: DefectData, cod: Subspace) -> SigmaUnitary:
-    """Unitary s with s (D h) = target h, built as target * pinv(D) on range(D)
-    and replaced by its polar unitary when it misses unitarity by over 1e-12
-    and both meet the relation within BUILD_TOL.  The residuals are reported,
-    not gated; unitary_residual is inf when cod and dom differ in dimension."""
+    """Unitary s with s (D h) = target h, built as the polar factor of
+    target restricted to range(D): that is s Lambda with Lambda = D on its
+    range, positive, so its polar factor is s itself.  The residuals are
+    reported, not gated; unitary_residual is inf when cod and dom differ in
+    dimension."""
     dom = dd.space
-    mat = cod.coords(target @ dd.pinv @ dom.basis)
-    range_resid = cod.contains_residual(target)
-
-    def defining(mm: np.ndarray) -> float:
-        return operator_norm(cod.basis @ mm @ dom.basis.conj().T @ dd.D - target)
-
-    resid = max(defining(mat), range_resid)
-    un = float("inf")
-    if cod.dim == dom.dim:
-        un = unitarity_residual(mat)
-        if un > 1e-12 and resid < BUILD_TOL:
-            polished = polar_unitary(mat)
-            if max(defining(polished), range_resid) <= BUILD_TOL:
-                mat = polished
-                resid = max(defining(mat), range_resid)
-                un = unitarity_residual(mat)
-    return SigmaUnitary(SubOperator(dom, cod, mat), resid, un)
+    mat = polar_unitary(cod.coords(target @ dom.basis))
+    resid = max(operator_norm(cod.basis @ mat @ dom.basis.conj().T @ dd.D - target),
+                cod.contains_residual(target))
+    return SigmaUnitary(SubOperator(dom, cod, mat), resid, _unitary_or_inf(mat))
 
 
 def defect_unitary(lift: Lifting) -> SigmaUnitary:

@@ -644,8 +644,8 @@ class TestSynthesize:
             synthesize_lifting(c, z1, z1, np.array([[1 + 8e-11, 0.0]]), np.eye(2), 2, 1e-8)
 
     def test_tolerance_below_rounding_reports_failure(self):
-        # the tolerance judges the symbol residual only; the u, u1/u2 and
-        # leak gates build under BUILD_TOL
+        # the tolerance judges the symbol residual only; the u and leak
+        # gates build under BUILD_TOL
         data = random_synthesis_data(np.random.default_rng([11, 0]), 2, (1, 1, 1))
         _, rep = synthesize_lifting(*data, 4, tol=1e-18)
         assert rep.passed is False and rep.residual > 1e-18
@@ -658,6 +658,8 @@ class TestSynthesize:
             data = random_synthesis_data(rng, d, dims)
             _, rep = synthesize_lifting(*data, 4, 1e-8)
             assert rep.passed
+            # the isometry extensions are polar factors: recorded, not gated
+            assert max(rep.checks["u1_unitary"], rep.checks["u2_unitary"]) < 1e-14
 
 
 def test_constants_fold_before_products(monkeypatch):

@@ -62,6 +62,20 @@ def _boundary_scenario(tmp_path, key):
     return write_scenario(tmp_path, C=[[[[0.99, 0.0]]]], B=[[[[np.sqrt(1 - 0.99**2) * g, 0.0]]]])
 
 
+def _rank_boundary_scenario(tmp_path, draw, eps):
+    """One-level draw `draw` of the rank-boundary population: d=2, dims 2,
+    degree 4, row(A) rescaled to norm 1 - eps, the coupling given as gamma."""
+    rng = np.random.default_rng([5, draw])
+    c = random_row_contraction(rng, 2, 2)
+    a = random_row_contraction(rng, 2, 2)
+    a = rowcon.RowContraction(a.ops * ((1 - eps) / numlin.operator_norm(a.row)))
+    g = gen.random_contraction_between(rng, rowcon.star_defect(a).space,
+                                       rowcon.defect(c).space)
+    return write_scenario(tmp_path, d=2, degree=4, B=None, gamma=mat_to_json(g.matrix),
+                          C=[mat_to_json(m) for m in c.ops],
+                          A=[mat_to_json(m) for m in a.ops])
+
+
 def test_mat_json_round_trip():
     m = np.array([[1 + 2j, 0.5], [0, -1j]])
     np.testing.assert_allclose(mat_from_json(mat_to_json(m), "m"), m)
@@ -311,21 +325,27 @@ class TestCommands:
 
     def test_rank_boundary_defect_unitary_fails_lines(self, tmp_path, capsys):
         # row(A) at norm 1 - 1e-10 is a valid strict row contraction; I - AA*
-        # keeps an eigenvalue near 2e-10, so the defect unitaries of E miss
-        # their defining relations by about 1e-5: failing lines, not an error
-        rng = np.random.default_rng([5, 0])
-        c = random_row_contraction(rng, 2, 2)
-        a = random_row_contraction(rng, 2, 2)
-        a = rowcon.RowContraction(a.ops * ((1 - 1e-10) / numlin.operator_norm(a.row)))
-        g = gen.random_contraction_between(rng, rowcon.star_defect(a).space,
-                                           rowcon.defect(c).space)
-        path = write_scenario(tmp_path, d=2, degree=4, B=None, gamma=mat_to_json(g.matrix),
-                              C=[mat_to_json(m) for m in c.ops],
-                              A=[mat_to_json(m) for m in a.ops])
+        # keeps an eigenvalue near 2e-10 that the same rank cut drops from
+        # I - E*E, so the defect unitaries of E are not square and miss their
+        # defining relations by about 1e-5: failing lines, not an error
+        path = _rank_boundary_scenario(tmp_path, 0, 1e-10)
         assert main(["verify", path]) == 1
         out, err = capsys.readouterr()
         failed = [ln.split()[0] for ln in out.splitlines() if ln.endswith("  FAIL")]
         assert "sigma-defining[E|C,A]" in failed
+        assert "error:" not in err
+
+    @pytest.mark.parametrize("eps", [1e-8, 1e-9])
+    @pytest.mark.parametrize("draw", range(5))
+    def test_rank_boundary_defect_unitary_passes_where_ranks_agree(self, tmp_path, capsys,
+                                                                  draw, eps):
+        # at 1e-8 and 1e-9 every rank cut agrees, but D_E keeps an eigenvalue
+        # near eps: each defect unitary, the polar factor of its target T =
+        # sigma D_E, still meets its defining relation and unitarity to rounding
+        path = _rank_boundary_scenario(tmp_path, draw, eps)
+        assert main(["verify", path]) == 0
+        out, err = capsys.readouterr()
+        assert "  FAIL" not in out
         assert "error:" not in err
 
     def test_rank_boundary_two_level_kernel_residual_fails_lines(self, tmp_path, capsys):
@@ -560,6 +580,28 @@ class TestCharfnChecksCanFail:
         check = {c.name: c for c in _charfn_checks("M", fn)}["charfn-intertwine[M]"]
         assert check.residual > INTERTWINE_TOL
         assert not check.passed
+
+
+def test_wrong_sigma_target_fails_a_sigma_line(monkeypatch):
+    # a defect unitary solved against a target with its last row off by 1%
+    # cannot meet both its defining relation and unitarity: each of the six
+    # unitaries of the sigmas group fails one of its two lines
+    certified = lifting._certified_sigma
+
+    def wrong_target(target, dd, cod):
+        target = np.array(target)
+        target[-1] *= 1.01
+        return certified(target, dd, cod)
+
+    monkeypatch.setattr(lifting, "_certified_sigma", wrong_target)
+    it = random_iterated_lifting(np.random.default_rng(12), 2, (1, 2, 1))
+    failed = {}
+    for c in run_battery(it.first, it, 3, 1e-8, "sigmas"):
+        m = re.fullmatch(r"sigma-(star-)?(?:defining|unitary)(\[.*\])", c.name)
+        if m:
+            failed.setdefault(m.groups(), []).append(not c.passed)
+    assert len(failed) == 6
+    assert all(any(v) for v in failed.values())
 
 
 def test_sigmas_memory_stays_small():
