@@ -1,8 +1,10 @@
 """Scenario-driven verification commands.
 
 Subcommands: verify, random-suite, charfn, worked-examples.  Scenario files
-and reports are JSON with complex scalars as [re, im] pairs; schemas are
-documented in docs/formats.md and versioned with a "schema" field.
+and reports are JSON; schemas are documented in docs/formats.md and
+versioned with a "schema" field.  Scenario files give complex scalars as
+[re, im] pairs; reports and coefficient dumps write each matrix packed, as
+its shape and the base64 of its complex128 bytes.
 Reports are written atomically and contain no timing data, so identical
 inputs and seeds produce byte-identical output; wall time goes to stderr.
 """
@@ -10,6 +12,7 @@ inputs and seeds produce byte-identical output; wall time goes to stderr.
 from __future__ import annotations
 
 import argparse
+import base64
 import concurrent.futures
 import json
 import math
@@ -71,6 +74,28 @@ def mat_from_json(data, what: str) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ParseError(f"{what}: entries must be finite")
     return arr[:, :, 0] + 1j * arr[:, :, 1]
+
+
+def mat_to_packed(m: np.ndarray) -> dict:
+    """A matrix as {"shape": [r, c], "data": base64}: `data` is the standard
+    base64 of its row-major, little-endian complex128 bytes, so every bit
+    (signed zeros too) survives the round trip."""
+    m = np.atleast_2d(np.asarray(m, dtype="<c16"))
+    return {"shape": list(m.shape), "data": base64.b64encode(m.tobytes()).decode("ascii")}
+
+
+def mat_from_packed(data, what: str) -> np.ndarray:
+    """The (read-only) matrix that `mat_to_packed` wrote."""
+    try:
+        shape, payload = data["shape"], base64.b64decode(data["data"], validate=True)
+    except (TypeError, KeyError, ValueError) as exc:
+        raise ParseError(f"{what}: malformed packed matrix ({exc})") from None
+    if not (isinstance(shape, list) and len(shape) == 2
+            and all(_is_int(n) and n >= 0 for n in shape)):
+        raise ParseError(f"{what}: shape must be two integers >= 0, got {shape!r}")
+    if len(payload) != 16 * shape[0] * shape[1]:
+        raise ParseError(f"{what}: {len(payload)} bytes of data for shape {shape}")
+    return np.frombuffer(payload, dtype="<c16").reshape(shape)
 
 
 def tuple_from_json(data, d: int, what: str) -> tuple[np.ndarray, ...]:
@@ -329,15 +354,15 @@ def identity_report_dict(rep) -> dict:
         "pass": rep.passed,
         "column_residuals": {k: f"{v:.3e}" for k, v in rep.residual_columns.items()},
         "checks": {k: f"{v:.3e}" for k, v in rep.checks.items()},
-        "factors": {k: mat_to_json(v) for k, v in rep.factors.items()},
-        "bases": {k: mat_to_json(v) for k, v in rep.bases.items()},
+        "factors": {k: mat_to_packed(v) for k, v in rep.factors.items()},
+        "bases": {k: mat_to_packed(v) for k, v in rep.bases.items()},
     }
 
 
 def report_json(scen_id: str, degree: int, checks: list[CheckResult],
                 reports: list | None = None) -> dict:
     doc = {
-        "schema": 1,
+        "schema": 2,
         "scenario": scen_id,
         "degree": degree,
         "environment": {"liftchar": __version__, "numpy": np.__version__},
@@ -452,11 +477,11 @@ def cmd_random_suite(args) -> int:
 def _charfn_dump(name: str, fn: CharFn, d: int) -> dict:
     return {
         "name": name,
-        "dom_basis": mat_to_json(fn.op.dom.basis),
-        "cod_basis": mat_to_json(fn.op.cod.basis),
+        "dom_basis": mat_to_packed(fn.op.dom.basis),
+        "cod_basis": mat_to_packed(fn.op.cod.basis),
         "crosscheck_residual": f"{fn.crosscheck_residual:.3e}",
         "kernel_residual": f"{fn.kernel_residual:.3e}",
-        "coefficients": [{"word": word_to_str(w, d), "matrix": mat_to_json(m)}
+        "coefficients": [{"word": word_to_str(w, d), "matrix": mat_to_packed(m)}
                          for w, m in fn.op.coeffs.items()],
     }
 
@@ -479,7 +504,7 @@ def cmd_charfn(args) -> int:
     scen = parse_scenario(args.scenario)
     degree = args.degree if args.degree is not None else scen.degree
     doc = {
-        "schema": 1,
+        "schema": 2,
         "scenario": scen.id,
         "degree": degree,
         "functions": [_charfn_dump(n, f, scen.d) for n, f in char_fns(scen, degree).items()],

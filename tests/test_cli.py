@@ -23,7 +23,9 @@ from liftchar.cli import (
     _packaged_scenario,
     main,
     mat_from_json,
+    mat_from_packed,
     mat_to_json,
+    mat_to_packed,
     parse_scenario,
     run_battery,
 )
@@ -81,7 +83,7 @@ def test_mat_json_round_trip():
     np.testing.assert_allclose(mat_from_json(mat_to_json(m), "m"), m)
 
 
-@pytest.mark.parametrize("m", [
+MATRIX_CASES = pytest.mark.parametrize("m", [
     np.random.default_rng(0).standard_normal((6, 12))
     + 1j * np.random.default_rng(1).standard_normal((6, 12)),
     np.array([[-0.0, 0.0 - 0.0j], [complex(-0.0, -0.0), 1e-300j]]),
@@ -91,11 +93,44 @@ def test_mat_json_round_trip():
     np.array([1.5, -2.0]),
     np.array(0.25j),
 ], ids=["random", "signed-zeros", "tiny-huge", "0x3", "3x0", "vector", "scalar"])
+
+
+def assert_same_bits(a, b):
+    """Equal shapes and equal bytes, so that -0.0 differs from 0.0."""
+    a, b = np.ascontiguousarray(a, dtype="<c16"), np.ascontiguousarray(b, dtype="<c16")
+    assert a.shape == b.shape
+    np.testing.assert_array_equal(a.view(np.uint8), b.view(np.uint8))
+
+
+@MATRIX_CASES
 def test_mat_json_matches_elementwise_version(m):
     # the per-element comprehension mat_to_json used to be
     ref = [[[float(z.real), float(z.imag)] for z in row]
            for row in np.atleast_2d(np.asarray(m, dtype=complex))]
     assert json.dumps(mat_to_json(m), indent=2) == json.dumps(ref, indent=2)
+
+
+@MATRIX_CASES
+def test_mat_packed_round_trip_keeps_every_bit(m):
+    packed = json.loads(json.dumps(mat_to_packed(m)))
+    assert packed["shape"] == list(np.atleast_2d(m).shape)
+    assert_same_bits(mat_from_packed(packed, "m"), np.atleast_2d(m))
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"shape": [2, 2], "data": mat_to_packed(np.eye(2))["data"][:-8]}, "60 bytes of data"),
+    ({"shape": [3, 2], "data": mat_to_packed(np.eye(2))["data"]}, "64 bytes of data"),
+    ({"shape": [1, 1], "data": "not base64!"}, "malformed packed matrix"),
+    ({"shape": [1, 1], "data": "AAAAAAAAAAAAAAAAAAAAAA"}, "malformed packed matrix"),
+    ({"shape": [-1, -1], "data": mat_to_packed(np.eye(1))["data"]}, "shape must be"),
+    ({"shape": [1, 1, 1], "data": mat_to_packed(np.eye(1))["data"]}, "shape must be"),
+    ({"data": ""}, "malformed packed matrix"),
+    ([[[0.5, 0.0]]], "malformed packed matrix"),
+], ids=["truncated", "shape-product", "not-base64", "unpadded", "negative-shape",
+        "three-dims", "no-shape", "pairs"])
+def test_mat_from_packed_rejects(data, message):
+    with pytest.raises(ParseError, match=f"^m: {message}"):
+        mat_from_packed(data, "m")
 
 
 class TestParseScenario:
@@ -170,12 +205,52 @@ class TestCommands:
         rc = main(["verify", _packaged_scenario("example2.json"), "--out", str(out_file)])
         assert rc == 0
         doc = json.loads(out_file.read_text())
-        assert doc["schema"] == 1 and doc["pass"] is True
+        assert doc["schema"] == 2 and doc["pass"] is True
         names = [r["name"] for r in doc["identities"]]
         assert names == ["factorization", "minimal-product"]
         assert "D_Eprime" in doc["identities"][0]["bases"]
         assert "sigma_Eprime" in doc["identities"][0]["factors"]
         assert not list(tmp_path.glob("*.tmp-*"))
+
+    def test_verify_report_carries_the_reports_matrices(self, tmp_path, capsys):
+        # every factor and basis decodes bit for bit to the in-process value,
+        # and two runs write the same bytes
+        path = _packaged_scenario("example2.json")
+        texts = []
+        for run in ("a", "b"):
+            out_file = tmp_path / f"report-{run}.json"
+            assert main(["verify", path, "--out", str(out_file)]) == 0
+            texts.append(out_file.read_bytes())
+        assert texts[0] == texts[1]
+        scen = parse_scenario(path)
+        reports: list = []
+        run_battery(scen.first, scen.iterated, scen.degree, scen.tolerance, "all", reports)
+        entries = json.loads(texts[0])["identities"]
+        assert [e["name"] for e in entries] == [r.name for r in reports]
+        for entry, rep in zip(entries, reports):
+            for key in ("factors", "bases"):
+                stored = getattr(rep, key)
+                assert sorted(entry[key]) == sorted(stored) and stored
+                for name, m in stored.items():
+                    assert_same_bits(mat_from_packed(entry[key][name], name),
+                                     np.atleast_2d(m))
+
+    def test_charfn_dump_carries_the_coefficients(self, tmp_path, capsys):
+        path = _packaged_scenario("example1.json")
+        out_file = tmp_path / "charfn.json"
+        assert main(["charfn", path, "--out", str(out_file)]) == 0
+        doc = json.loads(out_file.read_text())
+        assert doc["schema"] == 2
+        scen = parse_scenario(path)
+        fns = cli.char_fns(scen, doc["degree"])
+        assert [f["name"] for f in doc["functions"]] == list(fns)
+        for dump, fn in zip(doc["functions"], fns.values()):
+            assert_same_bits(mat_from_packed(dump["dom_basis"], "dom"), fn.op.dom.basis)
+            assert_same_bits(mat_from_packed(dump["cod_basis"], "cod"), fn.op.cod.basis)
+            coeffs = {rowcon.word_to_str(w, scen.d): m for w, m in fn.op.coeffs.items()}
+            assert [c["word"] for c in dump["coefficients"]] == list(coeffs)
+            for c in dump["coefficients"]:
+                assert_same_bits(mat_from_packed(c["matrix"], c["word"]), coeffs[c["word"]])
 
     def test_synthesis_report_serializes_as_an_identity(self):
         data = gen.random_synthesis_data(np.random.default_rng([11, 0]), 2, (1, 1, 1))
@@ -184,7 +259,7 @@ class TestCommands:
         assert entry["name"] == "synthesis" and entry["pass"] is True
         assert float(entry["checks"]["pure_margin"]) > charfact.PURE_MARGIN
         assert sorted(entry["factors"]) == ["delta", "gamma_hat", "phi", "u1", "u2"]
-        np.testing.assert_array_equal(mat_from_json(entry["factors"]["phi"], "phi"),
+        np.testing.assert_array_equal(mat_from_packed(entry["factors"]["phi"], "phi"),
                                       rep.factors["phi"])
         assert entry["column_residuals"] == {} and entry["bases"] == {}
 
