@@ -8,11 +8,13 @@ alone: `word_stack` grows them once per row contraction and degree by two
 routes, one appending letters and one prepending them, that are
 cross-checked; this is the main defense against coefficient-reversal and
 ordering bugs, which the conventions here make easy to commit.  Each
-function is then one assembly, (C X_w) B_k in two GEMMs, and the engine
-certifies its colligation (unitary or contractive), which catches assembly
-errors in D, C or B that the word stack cannot see.  Report lines judge
-both residuals; the engine refuses nothing.  An assembly that misplaces
-whole words is left to the identity checks.
+function is then one pass over the array that stores it: the defect bases
+are folded into D, C and B, and each (C X_w) B_k is written in place.  The
+engine certifies its colligation as given, before that basis change
+(unitary or contractive), which catches assembly errors in D, C or B that
+the word stack cannot see.  Report lines judge both residuals; the engine
+refuses nothing.  An assembly that misplaces whole words is left to the
+identity checks.
 
 Degree language replaces the radial limit r -> 1 throughout: an identity
 X(r) = Y(r) for all r in [0,1) is asserted as coefficient equality per
@@ -115,46 +117,48 @@ def word_stack(a: RowContraction, n_deg: int) -> tuple[np.ndarray, float]:
 
 
 def transfer_coeffs(D: np.ndarray, C: np.ndarray, B: np.ndarray, a: RowContraction, n_deg: int,
-                    *, certify: str | None = None) -> tuple[np.ndarray, float]:
-    """Coefficients of the transfer function D + C (I - sum Z_j X_j)^{-1} sum Z_j B_j
-    of the colligation M = [[D, C], [B, X]] over A, X_j = A_j*, with B stacked
-    per letter in shape (d, s, m).
+                    *, certify: str | None = None, left: np.ndarray | None = None,
+                    right: np.ndarray | None = None) -> tuple[np.ndarray, float]:
+    """Coefficients of left (D + C (I - sum Z_j X_j)^{-1} sum Z_j B_j) right,
+    the transfer function of the colligation M = [[D, C], [B, X]] over A,
+    X_j = A_j*, with B stacked per letter in shape (d, s, m), in the bases
+    that `left` and `right` change to (a side left out when None).
 
     Returns one (offsets[n_deg + 1], c, m) array in graded word order, the
-    layout of `MultiAnalyticOp.flat`, and a residual.  Row g(a) holds the
+    layout of `MultiAnalyticOp.flat`, with c and m the row and column counts
+    after the basis change, and a residual.  Row g(a) holds the
     stored coefficient of the word a = (a_1, ..., a_n):
-    C X_{a_1} ... X_{a_{n-1}} B_{a_n}; row 0 is D.  The products X_w come
-    from `word_stack`, whose cross-check residual this returns; (C X_w) B_k
-    lands at g(w) d + k, two GEMMs written straight after D.  With `certify`
-    ("unitary" or "contractive") the residual is the larger of that and how
-    far M itself misses being so, an assembly error the cross-check cannot see.
+    left C X_{a_1} ... X_{a_{n-1}} B_{a_n} right; row 0 is left D right.  The
+    products X_w come from `word_stack`, whose cross-check residual this
+    returns.  The basis changes are folded into the small blocks, D, C and B,
+    so the output is the one full-size array: (C X_w) B_k is written straight
+    into its slot g(w) d + k, one GEMM per letter and row of C.  With
+    `certify` ("unitary" or "contractive") the residual is the larger of that
+    and how far M itself, as passed and before any basis change, misses being
+    so, an assembly error the cross-check cannot see.
     """
     d, s, m = B.shape
     cert = 0.0
     if certify is not None:
         col = np.block([[D, C], [B.reshape(d * s, m), a.row.conj().T]])
         cert = unitarity_residual(col) if certify == "unitary" else operator_norm(col) - 1.0
+    if left is not None:
+        D, C = left @ D, left @ C
+    if right is not None:
+        D, B = D @ right, B @ right
     if n_deg == 0:
         return D[None], max(cert, 0.0)
     words, resid = word_stack(a, n_deg)
-    c, n_w = C.shape[0], len(words)
-    cx = pair_products(C[None], words).reshape(n_w, c, s)
-    terms = pair_products(cx, B)
-    out = np.empty((1 + n_w * d, c, m), dtype=np.complex128)  # after the GEMM's temporaries
+    (c, m), n_w = D.shape, len(words)
+    # cx[i] = row i of C X_w over all words w, each a contiguous (n_w, s) matrix
+    cx = (C @ words.transpose(1, 0, 2).reshape(s, n_w * s)).reshape(c, n_w, s)
+    out = np.empty((1 + n_w * d, c, m), dtype=np.complex128)
     out[0] = D
-    out[1:].reshape(terms.shape)[...] = terms
+    slots = out[1:].reshape(n_w, d, c, m)
+    for k in range(d):
+        for i in range(c):
+            np.matmul(cx[i], B[k], out=slots[:, k, i])
     return out, max(cert, resid)
-
-
-def _sandwich(left: np.ndarray | None, flat: np.ndarray, right: np.ndarray | None) -> np.ndarray:
-    """left @ t @ right for every coefficient t of a (words, r, c) array, a side
-    left out when None: one reshaped GEMM per side over all words."""
-    if left is not None:
-        flat = np.ascontiguousarray(pair_products(left[None], flat)[0])
-    if right is not None:
-        n, r, c = flat.shape
-        flat = (flat.reshape(n * r, c) @ right).reshape(n, r, right.shape[1])
-    return flat
 
 
 # ---------------------------------------------------------------------------
@@ -188,11 +192,10 @@ def row_char_fn(a: RowContraction, n_deg: int = DEFAULT_DEGREE) -> CharFn:
         basis = fock_basis(a.d, n_deg)
         da, dsa = defect(a), star_defect(a)
         n = a.dim
-        amb, resid = transfer_coeffs(-a.row, dsa.D, da.D.reshape(a.d, n, a.d * n),
-                                     a, n_deg, certify="unitary")
-        op = MultiAnalyticOp(basis, da.space, dsa.space,
-                             _sandwich(dsa.space.basis.conj().T, amb, da.space.basis))
-        return CharFn(op, resid)
+        flat, resid = transfer_coeffs(-a.row, dsa.D, da.D.reshape(a.d, n, a.d * n), a, n_deg,
+                                      certify="unitary", left=dsa.space.basis.conj().T,
+                                      right=da.space.basis)
+        return CharFn(MultiAnalyticOp(basis, da.space, dsa.space, flat), resid)
     return memo(a, ("row_char_fn", n_deg), compute)
 
 
@@ -218,23 +221,27 @@ def lifting_char_fn(lift: Lifting, n_deg: int = DEFAULT_DEGREE) -> CharFn:
     colligation with X_j = A_j*, C = Q_C* gamma D_{*,A},
     D = Q_C* [D_C - gamma D_{*,A} row(B), -gamma row(A) D_A] and
     B_j = [-A_j* row(B), (D_A^2)_j], columns reordered from H_C^d + H_A^d to
-    H_E^d.  That composition must vanish on ker D_E: the largest ||T_w K||
-    over its coefficients, K an orthonormal basis of that kernel, is the
-    kernel residual (exactly 0, and not computed, when D_E is injective),
-    which the identities fold into theirs.  It is then divided by D_E on its
-    range, and only the quotient is kept.  Computed once per lifting and degree.
+    H_E^d.  The engine certifies that colligation and writes the symbol
+    straight in its stored coordinates, with pinv(D_E) Q_E as its right factor
+    (Q_E the range basis of D_E): the composition divided by D_E on its range.
+    The composition must vanish on ker D_E: the largest ||T_w K|| over its
+    coefficients, K an orthonormal basis of that kernel, is the kernel
+    residual, a second engine run with K as its right factor (exactly 0, and
+    not computed, when D_E is injective), which the identities fold into
+    theirs.  Computed once per lifting and degree.
     """
     def compute():
         basis = fock_basis(lift.d, n_deg)
-        comp, resid = transfer_coeffs(*_lifting_colligation(lift), lift.A, n_deg,
-                                      certify="contractive")
+        colligation = _lifting_colligation(lift)
         de = lift.dE
+        flat, resid = transfer_coeffs(*colligation, lift.A, n_deg, certify="contractive",
+                                      right=de.pinv @ de.space.basis)
         k_res = 0.0
         if de.rank < de.space.ambient_dim:
-            k_res = max_operator_norm(_sandwich(None, comp, de.space.complement().basis))
-        op = MultiAnalyticOp(basis, de.space, lift.dC.space,
-                             _sandwich(None, comp, de.pinv @ de.space.basis))
-        return CharFn(op, resid, k_res)
+            on_kernel, _ = transfer_coeffs(*colligation, lift.A, n_deg,
+                                           right=de.space.complement().basis)
+            k_res = max_operator_norm(on_kernel)
+        return CharFn(MultiAnalyticOp(basis, de.space, lift.dC.space, flat), resid, k_res)
     return memo(lift, ("lifting_char_fn", n_deg), compute)
 
 
@@ -251,9 +258,10 @@ def resolvent_identity_residual(a: RowContraction, n_deg: int = DEFAULT_DEGREE) 
     basis = fock_basis(a.d, n_deg)
     dsa = star_defect(a)
     x = a.ops.conj().swapaxes(1, 2)
-    lhs_full, _ = transfer_coeffs(dsa.D @ dsa.D, dsa.D, x @ dsa.D, a, n_deg)
     q = dsa.space.basis
-    lhs = MultiAnalyticOp(basis, dsa.space, dsa.space, _sandwich(q.conj().T, lhs_full, q))
+    lhs_flat, _ = transfer_coeffs(dsa.D @ dsa.D, dsa.D, x @ dsa.D, a, n_deg,
+                                  left=q.conj().T, right=q)
+    lhs = MultiAnalyticOp(basis, dsa.space, dsa.space, lhs_flat)
 
     chf = row_char_fn(a, n_deg)
     da = defect(a)
@@ -334,7 +342,7 @@ def _assemble(it: IteratedLifting, n_deg: int):
     # far the A-hat slot's D_*A' block leaves D_delta before m2 projects it
     # (the report's factorization-leak line judges it)
     proj = np.eye(k_sap) - q_delta @ q_delta.conj().T
-    leak = max_operator_norm(_sandwich(proj, core.flat[:, k_sa:, :], None))
+    leak = max_operator_norm(proj @ core.flat[:, k_sa:, :])
     rhs = add(const_op(basis, star_ghat.D @ m7[:k_c]), product(const_op(basis, g_hat @ m2), core))
 
     info = {
@@ -384,7 +392,7 @@ def verify_factorization(it: IteratedLifting, n_deg: int = DEFAULT_DEGREE,
     chf = lifting_char_fn(cl, n_deg)
     rhs, info = _assemble(it, n_deg)
     idx_c, idx_ah = cl.column_split()
-    diff = _sandwich(None, chf.op.flat, cl.dE.space.basis.conj().T @ cl.dE.D)
+    diff = chf.op.flat @ (cl.dE.space.basis.conj().T @ cl.dE.D)
     diff[:len(rhs.flat)] -= rhs.flat
     residual = max(max_operator_norm(diff), chf.kernel_residual)
     res_c = max_operator_norm(diff[:, :, idx_c])

@@ -65,15 +65,17 @@ def mat_to_json(m: np.ndarray) -> list:
 
 
 def mat_from_json(data, what: str) -> np.ndarray:
+    """The inverse of `mat_to_json`: each [re, im] pair read as the two halves
+    of one complex128, so every bit comes back, signed zeros too."""
     try:
-        arr = np.asarray(data, dtype=float)
+        arr = np.array(data, dtype=float, order="C")
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{what}: malformed matrix ({exc})") from None
     if arr.ndim != 3 or arr.shape[2] != 2:
         raise ParseError(f"{what}: expected rows of [re, im] pairs, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise ParseError(f"{what}: entries must be finite")
-    return arr[:, :, 0] + 1j * arr[:, :, 1]
+    return arr.view(np.complex128)[:, :, 0]
 
 
 def mat_to_packed(m: np.ndarray) -> dict:

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -355,11 +356,10 @@ class TestKernelCheck:
         engine = charfact.transfer_coeffs
 
         def leaking(D, C, B, X, n, **kw):
-            coeffs, resid = engine(D, C, B, X, n, **kw)
-            if coeffs.shape[2] == ker.shape[0]:
+            if D.shape[1] == ker.shape[0]:
                 # add a vacuum component x -> 1e-6 <x, k> (1, ..., 1) along ker D_E
-                coeffs[0] += 1e-6 * np.outer(np.ones(coeffs.shape[1]), ker[:, 0].conj())
-            return coeffs, resid
+                D = D + 1e-6 * np.outer(np.ones(D.shape[0]), ker[:, 0].conj())
+            return engine(D, C, B, X, n, **kw)
 
         monkeypatch.setattr(charfact, "transfer_coeffs", leaking)
         code, failed = verify_failures(capsys, scen)
@@ -369,6 +369,95 @@ class TestKernelCheck:
         fn = lifting_char_fn(lift, 3)
         old = _kernel_residual_by_projector(lift, 3)
         assert 0.5e-6 < fn.kernel_residual == pytest.approx(old, rel=1e-12)
+
+
+def _recorded_engine_calls(monkeypatch):
+    """Patch the engine to record, for each call, its left and right factors,
+    its output and the output of the same call with no basis change."""
+    calls = []
+    engine = charfact.transfer_coeffs
+
+    def recording(D, C, B, a, n_deg, **kw):
+        out = engine(D, C, B, a, n_deg, **kw)
+        calls.append((kw.get("left"), kw.get("right"), out[0], engine(D, C, B, a, n_deg)[0]))
+        return out
+
+    monkeypatch.setattr(charfact, "transfer_coeffs", recording)
+    return calls
+
+
+def assert_folded(call, left, right):
+    """The call's factors are exactly left and right, and its output is left T right."""
+    got_left, got_right, folded, t = call
+    for got, want in ((got_left, left), (got_right, right)):
+        assert (got is None) == (want is None)
+        if want is not None:
+            np.testing.assert_array_equal(got, want)
+    want = t if left is None else np.einsum("ij,njk->nik", left, t)
+    want = want if right is None else np.einsum("nij,jk->nik", want, right)
+    assert folded.shape == want.shape
+    assert np.abs(folded - want).max(initial=0.0) <= 1e-14
+
+
+class TestFoldedBases:
+    # the engine applies the basis changes to D, C and B, where its certificate
+    # does not see them, so each output is checked against left T right, T the
+    # engine's output for the same colligation with no basis change
+    @pytest.mark.parametrize("n", [0, 1, 4])
+    def test_row_char_fn(self, monkeypatch, n):
+        calls = _recorded_engine_calls(monkeypatch)
+        for a in (random_row_contraction(np.random.default_rng([9, n]), 2, 3),
+                  example2_iterated().second.A):
+            fn = row_char_fn(a, n)
+            q_sa, q_a = star_defect(a).space.basis, defect(a).space.basis
+            assert_folded(calls[-1], q_sa.conj().T, q_a)
+            np.testing.assert_array_equal(fn.op.flat, calls[-1][2])
+
+    @pytest.mark.parametrize("n", [0, 1, 4])
+    def test_lifting_char_fn_and_its_kernel_residual(self, monkeypatch, n):
+        calls = _recorded_engine_calls(monkeypatch)
+        lifts = [random_iterated_lifting(np.random.default_rng([9, n]), 2, (1, 2, 1)).second,
+                 example2_iterated().second]
+        assert lifts[0].dE.rank == lifts[0].dE.space.ambient_dim
+        assert lifts[1].dE.rank < lifts[1].dE.space.ambient_dim
+        for lift in lifts:
+            first = len(calls)
+            fn = lifting_char_fn(lift, n)
+            de = lift.dE
+            assert_folded(calls[first], None, de.pinv @ de.space.basis)
+            np.testing.assert_array_equal(fn.op.flat, calls[first][2])
+            if de.rank == de.space.ambient_dim:
+                assert len(calls) == first + 1 and fn.kernel_residual == 0.0
+                continue
+            ker = de.space.complement().basis
+            assert len(calls) == first + 2
+            assert_folded(calls[first + 1], None, ker)
+            assert abs(fn.kernel_residual - max_operator_norm(calls[first + 1][3] @ ker)) <= 1e-14
+
+    @pytest.mark.parametrize("n", [0, 1, 4])
+    def test_resolvent_left_side(self, monkeypatch, n):
+        calls = _recorded_engine_calls(monkeypatch)
+        a = random_row_contraction(np.random.default_rng([9, n]), 2, 3)
+        resolvent_identity_residual(a, n)
+        q = star_defect(a).space.basis
+        # the left side, then M_A
+        assert len(calls) == 2
+        assert_folded(calls[0], q.conj().T, q)
+        assert_folded(calls[1], q.conj().T, defect(a).space.basis)
+
+    def test_symbol_is_held_once(self):
+        # with the defects and the word stack in place, building M_EE' holds
+        # no full-size temporary beside the array that stores it
+        lift = random_iterated_lifting(np.random.default_rng(7), 3, (2, 2, 2)).second
+        lift.dE.pinv, lift.dC, lift.dA, lift.dstarA, lift.gamma_ambient, lift.shuffle
+        word_stack(lift.A, 6)
+        tracemalloc.start()
+        try:
+            fn = lifting_char_fn(lift, 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * fn.op.flat.nbytes
 
 
 class TestMemo:
