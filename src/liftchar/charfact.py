@@ -132,10 +132,10 @@ def transfer_coeffs(D: np.ndarray, C: np.ndarray, B: np.ndarray, a: RowContracti
     products X_w come from `word_stack`, whose cross-check residual this
     returns.  The basis changes are folded into the small blocks, D, C and B,
     so the output is the one full-size array: (C X_w) B_k is written straight
-    into its slot g(w) d + k, one GEMM per letter and row of C.  With
-    `certify` ("unitary" or "contractive") the residual is the larger of that
-    and how far M itself, as passed and before any basis change, misses being
-    so, an assembly error the cross-check cannot see.
+    into its slot g(w) d + k, one matmul call per letter (a GEMM per row of
+    C).  With `certify` ("unitary" or "contractive") the residual is the
+    larger of that and how far M itself, as passed and before any basis
+    change, misses being so, an assembly error the cross-check cannot see.
     """
     d, s, m = B.shape
     cert = 0.0
@@ -156,8 +156,7 @@ def transfer_coeffs(D: np.ndarray, C: np.ndarray, B: np.ndarray, a: RowContracti
     out[0] = D
     slots = out[1:].reshape(n_w, d, c, m)
     for k in range(d):
-        for i in range(c):
-            np.matmul(cx[i], B[k], out=slots[:, k, i])
+        np.matmul(cx, B[k], out=slots[:, k].swapaxes(0, 1))
     return out, max(cert, resid)
 
 
@@ -253,21 +252,17 @@ def resolvent_identity_residual(a: RowContraction, n_deg: int = DEFAULT_DEGREE) 
         D_*A (I - R A*)^{-1} D_*A  =  I  +  M_A A*
     on the star-defect space, with both sides expanded to degree N.  The
     left side is the transfer function with D = D_*A^2, C = D_*A,
-    B_j = A_j* D_*A, X_j = A_j*.
+    B_j = A_j* D_*A, X_j = A_j*; the engine's output holds the difference.
     """
-    basis = fock_basis(a.d, n_deg)
     dsa = star_defect(a)
     x = a.ops.conj().swapaxes(1, 2)
     q = dsa.space.basis
-    lhs_flat, _ = transfer_coeffs(dsa.D @ dsa.D, dsa.D, x @ dsa.D, a, n_deg,
-                                  left=q.conj().T, right=q)
-    lhs = MultiAnalyticOp(basis, dsa.space, dsa.space, lhs_flat)
-
-    chf = row_char_fn(a, n_deg)
-    da = defect(a)
-    a_star = const_op(basis, da.space.coords(a.row.conj().T @ q))
-    rhs = add(identity_op(basis, dsa.rank), product(chf.op, a_star))
-    return coeff_diff(lhs, rhs)
+    diff, _ = transfer_coeffs(dsa.D @ dsa.D, dsa.D, x @ dsa.D, a, n_deg,
+                              left=q.conj().T, right=q)
+    diff[0] -= np.eye(dsa.rank)
+    a_star = const_op(fock_basis(a.d, n_deg), defect(a).space.coords(a.row.conj().T @ q))
+    diff -= product(row_char_fn(a, n_deg).op, a_star).flat
+    return max_operator_norm(diff)
 
 
 # ---------------------------------------------------------------------------

@@ -195,11 +195,11 @@ def _certified_sigma(target: np.ndarray, dd: DefectData, cod: Subspace) -> Sigma
     target restricted to range(D): that is s Lambda with Lambda = D on its
     range, positive, so its polar factor is s itself.  The residuals are
     reported, not gated; unitary_residual is inf when cod and dom differ in
-    dimension."""
+    dimension.  Q s Q* D has its range in cod, so the defining residual is
+    at least ||(I - P_cod) target||, how far target leaves cod."""
     dom = dd.space
     mat = polar_unitary(cod.coords(target @ dom.basis))
-    resid = max(operator_norm(cod.basis @ mat @ dom.basis.conj().T @ dd.D - target),
-                cod.contains_residual(target))
+    resid = operator_norm(cod.basis @ mat @ dom.basis.conj().T @ dd.D - target)
     return SigmaUnitary(SubOperator(dom, cod, mat), resid, _unitary_or_inf(mat))
 
 

@@ -116,13 +116,12 @@ def pinv(m) -> np.ndarray:
 
 
 def unitarity_residual(m) -> float:
-    """max(||M*M - I||, ||MM* - I||) for square M; caller compares to a tol."""
+    """||M*M - I|| for square M, equal to ||MM* - I|| as both have the
+    singular values |s_i^2 - 1|, s_i those of M; caller compares to a tol."""
     m = as_complex(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NotSquare(f"expected square matrix, got shape {m.shape}")
-    n = m.shape[0]
-    eye = np.eye(n)
-    return max(operator_norm(m.conj().T @ m - eye), operator_norm(m @ m.conj().T - eye))
+    return operator_norm(m.conj().T @ m - np.eye(m.shape[0]))
 
 
 def _fix_phases(v: np.ndarray) -> np.ndarray:

@@ -379,7 +379,7 @@ def _recorded_engine_calls(monkeypatch):
 
     def recording(D, C, B, a, n_deg, **kw):
         out = engine(D, C, B, a, n_deg, **kw)
-        calls.append((kw.get("left"), kw.get("right"), out[0], engine(D, C, B, a, n_deg)[0]))
+        calls.append((kw.get("left"), kw.get("right"), out[0].copy(), engine(D, C, B, a, n_deg)[0]))
         return out
 
     monkeypatch.setattr(charfact, "transfer_coeffs", recording)
@@ -397,6 +397,27 @@ def assert_folded(call, left, right):
     want = want if right is None else np.einsum("nij,jk->nik", want, right)
     assert folded.shape == want.shape
     assert np.abs(folded - want).max(initial=0.0) <= 1e-14
+
+
+def _per_row_reference(D, C, B, a, n_deg, left=None, right=None):
+    """The engine's output as one matmul per letter and per row of C, each
+    over all words."""
+    if left is not None:
+        D, C = left @ D, left @ C
+    if right is not None:
+        D, B = D @ right, B @ right
+    if n_deg == 0:
+        return D[None]
+    words, _ = word_stack(a, n_deg)
+    (d, s, m), c, n_w = B.shape, C.shape[0], len(words)
+    cx = (C @ words.transpose(1, 0, 2).reshape(s, n_w * s)).reshape(c, n_w, s)
+    out = np.empty((1 + n_w * d, c, m), dtype=np.complex128)
+    out[0] = D
+    slots = out[1:].reshape(n_w, d, c, m)
+    for k in range(d):
+        for i in range(c):
+            np.matmul(cx[i], B[k], out=slots[:, k, i])
+    return out
 
 
 class TestFoldedBases:
@@ -444,6 +465,30 @@ class TestFoldedBases:
         assert len(calls) == 2
         assert_folded(calls[0], q.conj().T, q)
         assert_folded(calls[1], q.conj().T, defect(a).space.basis)
+
+    @pytest.mark.parametrize("n", [0, 1, 4])
+    def test_one_matmul_per_letter_equals_one_per_row(self, monkeypatch, n):
+        # the engine's batched call runs one GEMM per row of C, each the call
+        # the per-row loop makes, so every symbol is the same bit for bit
+        seen = []
+        engine = charfact.transfer_coeffs
+
+        def recording(D, C, B, a, n_deg, **kw):
+            out = engine(D, C, B, a, n_deg, **kw)
+            seen.append((out[0].copy(),
+                         _per_row_reference(D, C, B, a, n_deg, kw.get("left"), kw.get("right"))))
+            return out
+
+        monkeypatch.setattr(charfact, "transfer_coeffs", recording)
+        a = random_row_contraction(np.random.default_rng([9, n]), 2, 3)
+        row_char_fn(a, n)
+        lifting_char_fn(random_iterated_lifting(np.random.default_rng([9, n]), 2, (1, 2, 1)).second, n)
+        lifting_char_fn(example2_iterated().second, n)
+        resolvent_identity_residual(a, n)
+        # M_A, M_CE, example2's M_EE' and its kernel run, the resolvent left side
+        assert len(seen) == 5
+        for got, want in seen:
+            assert np.array_equal(got, want)
 
     def test_symbol_is_held_once(self):
         # with the defects and the word stack in place, building M_EE' holds
@@ -551,6 +596,23 @@ class TestResolventIdentity:
         for _ in range(10):
             a = random_row_contraction(rng, 2, 2)
             assert resolvent_identity_residual(a, 5) < 1e-8
+
+    def test_wrong_degree_two_coefficient_is_caught(self, monkeypatch):
+        # M_A with its degree-2 coefficients scaled by 1 + 1e-6: the right
+        # side I + M_A A* is then off at degree 2, by 1.6e-7 to 2.5e-7 here
+        row_fn = charfact.row_char_fn
+
+        def scaled(a, n_deg):
+            fn = row_fn(a, n_deg)
+            flat, off = np.array(fn.op.flat), fn.op.basis.offsets
+            flat[off[2]:off[3]] *= 1 + 1e-6
+            op = MultiAnalyticOp(fn.op.basis, fn.op.dom, fn.op.cod, flat)
+            return dataclasses.replace(fn, op=op)
+
+        monkeypatch.setattr(charfact, "row_char_fn", scaled)
+        rng = np.random.default_rng(4)
+        for _ in range(10):
+            assert resolvent_identity_residual(random_row_contraction(rng, 2, 2), 5) > 1e-7
 
 
 class TestFactorization:

@@ -689,6 +689,31 @@ def test_wrong_sigma_target_fails_a_sigma_line(monkeypatch):
     assert all(any(v) for v in failed.values())
 
 
+def test_sigma_target_off_its_codomain_fails_the_defining_line(monkeypatch):
+    # example2's four unitaries over E' map onto 2-dimensional codomains in
+    # C^3.  Moving each target 1e-6 out of its codomain fails exactly their
+    # defining lines: the defining residual is at least ||(I - P_cod) target||,
+    # so no containment term of its own is needed
+    certified = lifting._certified_sigma
+    leaks = []
+
+    def leaking(target, dd, cod):
+        r = np.arange(1.0, target.size + 1).reshape(target.shape) / target.size
+        target = target + 1e-6 * (r - cod.basis @ (cod.basis.conj().T @ r))
+        sigma = certified(target, dd, cod)
+        leaks.append((cod.contains_residual(target), sigma.defining_residual))
+        return sigma
+
+    monkeypatch.setattr(lifting, "_certified_sigma", leaking)
+    scen = parse_scenario(_packaged_scenario("example2.json"))
+    checks = run_battery(scen.first, scen.iterated, scen.degree, 1e-8, "sigmas")
+    assert [c.name for c in checks if not c.passed] == [
+        "sigma-defining[Eprime|E,Aprime]", "sigma-star-defining[Eprime|E,Aprime]",
+        "sigma-defining[Eprime|C,Ahat]", "sigma-star-defining[Eprime|C,Ahat]"]
+    assert len(leaks) == 6 and sum(leak > 1e-7 for leak, _ in leaks) == 4
+    assert all(resid >= leak - 1e-15 for leak, resid in leaks)
+
+
 def test_sigmas_memory_stays_small():
     # d=3, dims (2,2,2), N=6: a dense realization would need about 6.2 GB
     it = random_iterated_lifting(np.random.default_rng([7, 0]), 3, (2, 2, 2))

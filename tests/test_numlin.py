@@ -194,6 +194,18 @@ class TestUnitarityResidual:
         with pytest.raises(NotSquare):
             unitarity_residual(np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("n", [1, 2, 5, 9])
+    def test_one_side_equals_both(self, n):
+        # M*M - I and MM* - I share the singular values |s_i^2 - 1| when M is
+        # square, normal or not, so one side gives the maximum over both
+        rng = np.random.default_rng([11, n])
+        g = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2 * n)
+        q = np.linalg.qr(g)[0]
+        eye = np.eye(n)
+        for m in (g, 3.0 * g, np.triu(g), q + 1e-8 * np.triu(g), q @ np.diag(np.linspace(0.5, 1.5, n))):
+            both = max(operator_norm(m.conj().T @ m - eye), operator_norm(m @ m.conj().T - eye))
+            assert abs(unitarity_residual(m) - both) <= 1e-14 * (1 + operator_norm(m) ** 2)
+
 
 def test_operator_norm_is_top_singular_value():
     rng = np.random.default_rng(5)
