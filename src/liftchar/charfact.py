@@ -223,24 +223,23 @@ def lifting_char_fn(lift: Lifting, n_deg: int = DEFAULT_DEGREE) -> CharFn:
     H_E^d.  The engine certifies that colligation and writes the symbol
     straight in its stored coordinates, with pinv(D_E) Q_E as its right factor
     (Q_E the range basis of D_E): the composition divided by D_E on its range.
-    The composition must vanish on ker D_E: the largest ||T_w K|| over its
-    coefficients, K an orthonormal basis of that kernel, is the kernel
-    residual, a second engine run with K as its right factor (exactly 0, and
-    not computed, when D_E is injective), which the identities fold into
-    theirs.  Computed once per lifting and degree.
+    The composition must vanish on ker D_E.  When D_E is not injective, an
+    orthonormal basis K of that kernel follows pinv(D_E) Q_E in the same
+    right factor, so the one engine run also writes each T_w K after the
+    symbol's columns; the largest ||T_w K|| over them is the kernel residual
+    (0.0 when D_E is injective and there are none), which the identities fold
+    into theirs.  Computed once per lifting and degree.
     """
     def compute():
-        basis = fock_basis(lift.d, n_deg)
-        colligation = _lifting_colligation(lift)
         de = lift.dE
-        flat, resid = transfer_coeffs(*colligation, lift.A, n_deg, certify="contractive",
-                                      right=de.pinv @ de.space.basis)
-        k_res = 0.0
+        right = de.pinv @ de.space.basis
         if de.rank < de.space.ambient_dim:
-            on_kernel, _ = transfer_coeffs(*colligation, lift.A, n_deg,
-                                           right=de.space.complement().basis)
-            k_res = max_operator_norm(on_kernel)
-        return CharFn(MultiAnalyticOp(basis, de.space, lift.dC.space, flat), resid, k_res)
+            right = np.hstack([right, de.space.complement().basis])
+        flat, resid = transfer_coeffs(*_lifting_colligation(lift), lift.A, n_deg,
+                                      certify="contractive", right=right)
+        return CharFn(MultiAnalyticOp(fock_basis(lift.d, n_deg), de.space, lift.dC.space,
+                                      flat[..., :de.rank]),
+                      resid, max_operator_norm(flat[..., de.rank:]))
     return memo(lift, ("lifting_char_fn", n_deg), compute)
 
 
@@ -441,14 +440,14 @@ def minimal_part(first: Lifting, second: Lifting) -> MinimalPart:
     q_p = complement.basis
 
     to_t, to_p = q_t.conj().T @ ep.ops, q_p.conj().T @ ep.ops
-    inv_res = max(operator_norm(m) for m in to_p @ q_t)
+    inv_res = max_operator_norm(to_p @ q_t)
     if inv_res > BUILD_TOL:
         raise ResidualTooLarge(f"orbit subspace not invariant (residual {inv_res:.3e})")
 
     # the restriction to the orbit (H_C block first) is a lifting of C; the
     # lifting built from its blocks is the one E-tilde the code uses
     restricted = to_t @ q_t
-    off = max(operator_norm(m) for m in restricted[:, :nc, nc:]) if t > nc else 0.0
+    off = max_operator_norm(restricted[:, :nc, nc:])
     if off > BUILD_TOL:
         raise ResidualTooLarge(f"restriction is not a lifting of C (corner {off:.3e})")
     a_inner = RowContraction(restricted[:, nc:, nc:])

@@ -73,6 +73,9 @@ def mat_from_json(data, what: str) -> np.ndarray:
         raise ParseError(f"{what}: malformed matrix ({exc})") from None
     if arr.ndim != 3 or arr.shape[2] != 2:
         raise ParseError(f"{what}: expected rows of [re, im] pairs, got shape {arr.shape}")
+    # numpy reads "0.5" and true as numbers; a scenario must not
+    if not all(_is_int(x) or isinstance(x, float) for row in data for pair in row for x in pair):
+        raise ParseError(f"{what}: entries must be JSON numbers")
     if not np.isfinite(arr).all():
         raise ParseError(f"{what}: entries must be finite")
     return arr.view(np.complex128)[:, :, 0]
@@ -425,12 +428,8 @@ def cmd_random_suite(args) -> int:
     seeds = list(range(args.seeds))
     work = lambda s: _suite_one(s, args.seed_base, args.d_max, args.dim_max,
                                 args.degree, args.tol)
-    if threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, seeds))
-    else:
-        results = [work(s) for s in seeds]
-    results.sort(key=lambda r: r[0])
+    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
+        results = list(pool.map(work, seeds))
 
     summary: dict[str, tuple[float, float]] = {}
     failing: list[int] = []

@@ -125,16 +125,14 @@ def unitarity_residual(m) -> float:
 
 
 def _fix_phases(v: np.ndarray) -> np.ndarray:
-    """Rotate each column so its first nonzero coordinate is real positive."""
-    v = v.copy()
-    for j in range(v.shape[1]):
-        col = v[:, j]
-        nz = np.flatnonzero(np.abs(col) > 1e-12)
-        if nz.size == 0:
-            continue
-        pivot = col[nz[0]]
-        v[:, j] = col * (abs(pivot) / pivot)
-    return v
+    """Rotate each unit column so its first nonzero coordinate is real positive.
+
+    |pivot| is taken by hypot and each column is scaled by its own scalar, so
+    every bit is that of the scalar abs and of a scalar-times-column product:
+    numpy's array abs of a complex, and a product broadcast along rows, can
+    round differently in the last bit, and these bases reach every report."""
+    pivot = v[np.argmax(np.abs(v) > 1e-12, axis=0), np.arange(v.shape[1])]
+    return (v.T * (np.hypot(pivot.real, pivot.imag) / pivot)[:, None]).T.copy()
 
 
 @dataclass(frozen=True)
@@ -173,11 +171,6 @@ class Subspace:
     def coords(self, vectors: np.ndarray) -> np.ndarray:
         """Coordinates of ambient column vectors in this basis."""
         return self.basis.conj().T @ as_complex(vectors)
-
-    def contains_residual(self, vectors: np.ndarray) -> float:
-        """||(I - P) V|| measuring how far V's columns leave the subspace."""
-        v = as_complex(vectors)
-        return operator_norm(v - self.basis @ (self.basis.conj().T @ v))
 
     def complement(self) -> "Subspace":
         """The orthogonal complement, as the range of the projector I - QQ*
@@ -299,14 +292,14 @@ class DefectData:
         return readonly(pinv(self.D))  # the module function, not this property
 
 
-def svd_rank(m, rank_tol: float = RANK_TOL) -> tuple[int, np.ndarray]:
-    """Numerical rank of m (singular values above rank_tol * s_max) and the
+def svd_rank(m) -> tuple[int, np.ndarray]:
+    """Numerical rank of m (singular values above RANK_TOL * s_max) and the
     right singular vectors as the rows of an n x n unitary."""
     m = as_complex(m)
     if m.size == 0:
         return 0, np.eye(m.shape[1], dtype=np.complex128)
     _, s, vh = np.linalg.svd(m)
-    return int(np.sum(s > rank_tol * max(s[0], 1e-300))), vh
+    return int(np.sum(s > RANK_TOL * max(s[0], 1e-300))), vh
 
 
 @dataclass(frozen=True)

@@ -436,6 +436,10 @@ class TestFoldedBases:
 
     @pytest.mark.parametrize("n", [0, 1, 4])
     def test_lifting_char_fn_and_its_kernel_residual(self, monkeypatch, n):
+        # one engine run per symbol, with or without ker D_E: the right factor
+        # is pinv(D_E) Q_E followed by a basis K of ker D_E (no columns when
+        # D_E is injective); the symbol is the leading rank columns, and the
+        # kernel residual is the largest ||T_w K||
         calls = _recorded_engine_calls(monkeypatch)
         lifts = [random_iterated_lifting(np.random.default_rng([9, n]), 2, (1, 2, 1)).second,
                  example2_iterated().second]
@@ -445,15 +449,13 @@ class TestFoldedBases:
             first = len(calls)
             fn = lifting_char_fn(lift, n)
             de = lift.dE
-            assert_folded(calls[first], None, de.pinv @ de.space.basis)
-            np.testing.assert_array_equal(fn.op.flat, calls[first][2])
-            if de.rank == de.space.ambient_dim:
-                assert len(calls) == first + 1 and fn.kernel_residual == 0.0
-                continue
             ker = de.space.complement().basis
-            assert len(calls) == first + 2
-            assert_folded(calls[first + 1], None, ker)
-            assert abs(fn.kernel_residual - max_operator_norm(calls[first + 1][3] @ ker)) <= 1e-14
+            assert len(calls) == first + 1
+            assert_folded(calls[first], None, np.hstack([de.pinv @ de.space.basis, ker]))
+            np.testing.assert_array_equal(fn.op.flat, calls[first][2][..., :de.rank])
+            assert abs(fn.kernel_residual - max_operator_norm(calls[first][3] @ ker)) <= 1e-14
+            if de.rank == de.space.ambient_dim:
+                assert fn.kernel_residual == 0.0
 
     @pytest.mark.parametrize("n", [0, 1, 4])
     def test_resolvent_left_side(self, monkeypatch, n):
@@ -485,8 +487,8 @@ class TestFoldedBases:
         lifting_char_fn(random_iterated_lifting(np.random.default_rng([9, n]), 2, (1, 2, 1)).second, n)
         lifting_char_fn(example2_iterated().second, n)
         resolvent_identity_residual(a, n)
-        # M_A, M_CE, example2's M_EE' and its kernel run, the resolvent left side
-        assert len(seen) == 5
+        # M_A, M_CE, example2's M_EE' with its kernel columns, the resolvent left side
+        assert len(seen) == 4
         for got, want in seen:
             assert np.array_equal(got, want)
 
@@ -503,6 +505,72 @@ class TestFoldedBases:
         finally:
             tracemalloc.stop()
         assert peak <= 1.5 * fn.op.flat.nbytes
+
+
+def _scaled_colligation_b(monkeypatch):
+    colligation = charfact._lifting_colligation
+
+    def scaled(lift):
+        vac, c, b = colligation(lift)
+        return vac, c, b * 1.001
+
+    monkeypatch.setattr(charfact, "_lifting_colligation", scaled)
+
+
+def _row_left_basis_transposed(monkeypatch):
+    # only the row symbols are certified unitary: their left factor Q* becomes Q^T
+    engine = charfact.transfer_coeffs
+
+    def transposed(*args, **kw):
+        if kw.get("certify") == "unitary":
+            kw["left"] = kw["left"].conj()
+        return engine(*args, **kw)
+
+    monkeypatch.setattr(charfact, "transfer_coeffs", transposed)
+
+
+def _lifting_symbols_scaled(monkeypatch):
+    # only the lifting symbols are certified contractive: each becomes theta (1 + 1e-6)
+    engine = charfact.transfer_coeffs
+
+    def scaled(*args, **kw):
+        out, resid = engine(*args, **kw)
+        return (out * (1 + 1e-6) if kw.get("certify") == "contractive" else out), resid
+
+    monkeypatch.setattr(charfact, "transfer_coeffs", scaled)
+
+
+FACTORIZATION_LINES = ["factorization", "factorization[HC_columns]", "factorization[HAhat_columns]"]
+
+
+@pytest.mark.parametrize("mutate, lines", [
+    pytest.param(_scaled_colligation_b, [
+        "charfn-norm[M_CE]", "charfn-crosscheck[M_CE]",
+        "charfn-norm[M_EEprime]", "charfn-crosscheck[M_EEprime]",
+        "charfn-norm[M_CEprime]", "charfn-crosscheck[M_CEprime]",
+        *FACTORIZATION_LINES, "factorization-crosscheck", "minimal-product", "minimal-crosscheck",
+    ], id="colligation-B-times-1.001"),
+    pytest.param(_row_left_basis_transposed, [
+        "resolvent-identity[A]", "resolvent-identity[Aprime]", "resolvent-identity[Ahat]",
+        *FACTORIZATION_LINES,
+    ], id="row-symbol-left-basis-transposed"),
+    pytest.param(_lifting_symbols_scaled, [
+        "charfn-norm[M_CE]", "charfn-norm[M_EEprime]", "charfn-norm[M_CEprime]",
+        *FACTORIZATION_LINES, "minimal-product",
+    ], id="lifting-symbols-times-1+1e-6"),
+])
+def test_mutation_fails_exactly_these_lines(monkeypatch, mutate, lines):
+    # the lines each fault fails over three d=2 (2,2,2) draws at N=4, in
+    # report order: a replacement of the truncated realization or of the
+    # lifting symbols' route must keep failing all of them
+    mutate(monkeypatch)
+    failed, order = set(), []
+    for s in range(3):
+        it = random_iterated_lifting(np.random.default_rng([13, s]), 2, (2, 2, 2))
+        checks = run_battery(it.first, it, 4, 1e-8, "all")
+        order = [c.name for c in checks]
+        failed |= {c.name for c in checks if not c.passed}
+    assert [name for name in order if name in failed] == lines
 
 
 class TestMemo:
@@ -735,7 +803,8 @@ class TestMinimalPart:
         second = lifting_from_blocks(first.E, a2, [np.zeros((1, 3))])
         mp = minimal_part(first, second)
         assert mp.space.dim == first.E.dim
-        assert mp.space.contains_residual(np.eye(4)[:, :3]) < 1e-9
+        q, v = mp.space.basis, np.eye(4)[:, :3]
+        assert operator_norm(v - q @ (q.conj().T @ v)) < 1e-9
 
     def test_second_lifting_of_another_e_is_refused(self):
         # the two liftings of C by A have defect spaces of one dimension but

@@ -83,6 +83,13 @@ def test_mat_json_round_trip():
     np.testing.assert_allclose(mat_from_json(mat_to_json(m), "m"), m)
 
 
+@pytest.mark.parametrize("entry", ["0.5", True, False, None], ids=repr)
+def test_mat_from_json_refuses_an_entry_that_is_not_a_number(entry):
+    # numpy alone reads "0.5" as 0.5 and true as 1.0
+    with pytest.raises(ParseError, match=r"^C\[0\]: entries must be JSON numbers$"):
+        mat_from_json([[[0.5, 0.0], [entry, 0.0]]], "C[0]")
+
+
 MATRIX_CASES = pytest.mark.parametrize("m", [
     np.random.default_rng(0).standard_normal((6, 12))
     + 1j * np.random.default_rng(1).standard_normal((6, 12)),
@@ -516,6 +523,8 @@ def test_thread_cap_keeps_reports_identical(tmp_path):
     pytest.param(["verify", "{scen}"], {"tolerance": 10**400}, {}, id="tolerance-huge-int"),
     pytest.param(["verify", "{scen}"], {"C": [[[[float("nan"), 0.0]]]]}, {}, id="matrix-nan"),
     pytest.param(["verify", "{scen}"], {"C": [[[[10**400, 0.0]]]]}, {}, id="matrix-huge-int"),
+    pytest.param(["verify", "{scen}"], {"C": [[[["0.5", 0.0]]]]}, {}, id="matrix-string-entry"),
+    pytest.param(["verify", "{scen}"], {"B": [[[[True, 0.0]]]]}, {}, id="matrix-bool-entry"),
     # finite entries whose Gram matrix overflows
     pytest.param(["verify", "{scen}"], {"C": [[[[0.5, 1e300]]]]}, {}, id="C-entry-1e300"),
     # row tuples refused before they are stacked
@@ -701,7 +710,8 @@ def test_sigma_target_off_its_codomain_fails_the_defining_line(monkeypatch):
         r = np.arange(1.0, target.size + 1).reshape(target.shape) / target.size
         target = target + 1e-6 * (r - cod.basis @ (cod.basis.conj().T @ r))
         sigma = certified(target, dd, cod)
-        leaks.append((cod.contains_residual(target), sigma.defining_residual))
+        leak = numlin.operator_norm(target - cod.basis @ (cod.basis.conj().T @ target))
+        leaks.append((leak, sigma.defining_residual))
         return sigma
 
     monkeypatch.setattr(lifting, "_certified_sigma", leaking)

@@ -23,7 +23,7 @@ from liftchar.lifting import (
     star_defect_unitary,
 )
 from liftchar.numlin import (
-    DefectData, SubOperator, Subspace, operator_norm, svd_rank, unitarity_residual,
+    DefectData, SubOperator, Subspace, operator_norm, unitarity_residual,
 )
 from liftchar.rowcon import RowContraction, defect, star_defect
 
@@ -48,8 +48,9 @@ def word_product(a, w):
 
 
 def null_subspace(m, rank_tol):
-    """Null space of m from its SVD."""
-    rank, vh = svd_rank(m, rank_tol)
+    """Null space of m from its SVD, cut at rank_tol * s_max."""
+    _, s, vh = np.linalg.svd(m)
+    rank = int(np.sum(s > rank_tol * s.max(initial=0.0)))
     return Subspace(vh.shape[0], vh[rank:].conj().T)
 
 

@@ -122,7 +122,8 @@ class TestRangeSubspace:
         # diag(0, 1, 1) from the worked minimal-part example
         s = psd_root_range(np.diag([0.0, 1.0, 1.0]))[1]
         assert s.dim == 2
-        assert s.contains_residual(np.array([[0.0, 0], [1, 0], [0, 1]])) < 1e-12
+        v = np.array([[0.0, 0], [1, 0], [0, 1]])
+        assert operator_norm(v - s.basis @ (s.basis.conj().T @ v)) < 1e-12
 
     def test_rank_one_star_defect_of_coupling(self):
         g = np.array([[1 / np.sqrt(3), 1 / np.sqrt(3)]])
@@ -152,6 +153,27 @@ class TestRangeSubspace:
             piv = col[np.flatnonzero(np.abs(col) > 1e-12)[0]]
             assert abs(piv.imag) < 1e-12 and piv.real > 0
 
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_phase_fix_matches_the_per_column_loop_bit_for_bit(self, n):
+        # reference: one scalar abs and one column product per column
+        def per_column(v):
+            v = v.copy()
+            for j in range(v.shape[1]):
+                col = v[:, j]
+                pivot = col[np.flatnonzero(np.abs(col) > 1e-12)[0]]
+                v[:, j] = col * (abs(pivot) / pivot)
+            return v
+
+        rng = np.random.default_rng(n)
+        for k in range(n + 1):
+            for _ in range(20):
+                g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                v = np.linalg.qr(g)[0][:, :k]
+                v[0, :k // 2] = 0.0  # some pivots below the first row
+                got, want = numlin._fix_phases(v), per_column(v)
+                assert got.shape == want.shape and got.flags.c_contiguous
+                assert got.tobytes() == want.tobytes()
+
 
 class TestComplement:
     """Subspace.complement, the range of I - QQ*."""
@@ -170,7 +192,7 @@ class TestComplement:
     def test_zero_subspace_has_everything(self):
         c = Subspace.zero(3).complement()
         assert c.dim == 3
-        assert c.contains_residual(np.eye(3)) < 1e-12
+        assert operator_norm(np.eye(3) - c.basis @ c.basis.conj().T) < 1e-12
 
     def test_full_subspace_has_nothing(self):
         assert Subspace.full(3).complement().dim == 0
