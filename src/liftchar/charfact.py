@@ -476,7 +476,9 @@ def verify_minimal_product(first: Lifting, second: Lifting,
                            n_deg: int = DEFAULT_DEGREE, tol: float = 1e-8) -> FactorizationReport:
     """Check that the symbol of the minimal part equals the product of the two
     constituent symbols composed with the splitting unitary's inverse on D_Etilde;
-    the residual is the larger of that and the three symbols' `charfn_kernel`."""
+    the residual is the larger of that and the three symbols' `charfn_kernel`.
+    `coeff_diff` judges the product against its three factors one block of
+    words at a time, so neither product is formed."""
     mp = minimal_part(first, second)
     m_ce = lifting_char_fn(first, n_deg)
     m_eep = lifting_char_fn(second, n_deg)
@@ -487,10 +489,9 @@ def verify_minimal_product(first: Lifting, second: Lifting,
     basis = fock_basis(first.d, n_deg)
     # adjoint-of-isometry convention for the inverse, restricted to D_Etilde
     sig_inv = const_op(basis, mp.sigma.op.matrix.conj().T[:, :k_t])
-    rhs = product(product(m_ce.op, m_eep.op), sig_inv)
     fns = (m_ce, m_eep, m_ct)
     kernel = max(fn.kernel_residual for fn in fns)
-    residual = max(coeff_diff(m_ct.op, rhs), kernel)
+    residual = max(coeff_diff(m_ct.op, m_ce.op, m_eep.op, sig_inv), kernel)
     checks = {
         "sigma_unitary": mp.sigma.unitary_residual,
         "sigma_defining": mp.sigma.defining_residual,
@@ -596,10 +597,9 @@ def synthesize_lifting(c: RowContraction, a: RowContraction, a2: RowContraction,
     if leak > BUILD_TOL:
         raise ResidualTooLarge(f"first slot leaves the range of the splitting unitary ({leak:.3e})")
     inner = sig_ah.op.matrix.conj().T @ block_diag(u1, np.eye(k_a2))
-    realized = product(m_cep.op, const_op(basis, sig_ep.op.matrix.conj().T
-                                          @ block_diag(q_star_ghat.conj().T, inner)))
-
-    residual = coeff_diff(target_symbol, realized)
+    # M_CE' composed with the constant back to the target's slots, never formed
+    to_slots = const_op(basis, sig_ep.op.matrix.conj().T @ block_diag(q_star_ghat.conj().T, inner))
+    residual = coeff_diff(target_symbol, m_cep.op, to_slots)
     report = FactorizationReport(
         name="synthesis",
         residual=residual,

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import base64
-import concurrent.futures
 import json
 import math
 import os
@@ -428,6 +427,7 @@ def cmd_random_suite(args) -> int:
     seeds = list(range(args.seeds))
     work = lambda s: _suite_one(s, args.seed_base, args.d_max, args.dim_max,
                                 args.degree, args.tol)
+    import concurrent.futures  # here, not at module level: it loads logging and queue
     with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
         results = list(pool.map(work, seeds))
 

@@ -9,13 +9,14 @@ row g(a) holds the coefficient of the word a, and the array ends after a
 whole degree; the degrees past it are zero.  Words as tuples are built only
 at the boundary, by `MultiAnalyticOp.coeffs` and `coeff`.  Word
 concatenation is an index identity, g(a + b) = g(a) d^|b| + g(b), so
-composing two operators takes one GEMM per degree of the right factor, and
-every sum, difference, projection and per-word comparison is one numpy
-call over all words.  Composition is by coordinates: `product` asks only
-that the inner dimensions agree, and `const_op`, `identity_op` and
-`block_diag_op` label their spaces as plain coordinate spaces.  The dom/cod
-subspaces record where an operator came from; no arithmetic here compares
-them.  The pairing convention is
+composing two operators takes one GEMM per degree of the right factor.
+Every sum and projection is one numpy call over all words, and
+`coeff_diff` compares an operator with a composition one block of words at
+a time, without forming the composition.  Composition is by coordinates:
+`product` asks only that the inner dimensions agree, and `const_op`,
+`identity_op` and `block_diag_op` label their spaces as plain coordinate
+spaces.  The dom/cod subspaces record where an operator came from; no
+arithmetic here compares them.  The pairing convention is
 
     theta x = sum_a  e_{reverse(a)} (x) theta_(a) x,
 
@@ -32,14 +33,14 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from itertools import accumulate
 from types import MappingProxyType
 
 import numpy as np
 
 from .errors import DimMismatch, TruncationTooLarge
-from .numlin import Subspace, as_complex, max_operator_norm, readonly
+from .numlin import Subspace, as_complex, max_operator_norm, max_operator_norm_of, readonly
 from .rowcon import Word
 
 DEFAULT_DEGREE = 6
@@ -169,20 +170,15 @@ def const_op(basis: FockBasis, matrix) -> MultiAnalyticOp:
     return MultiAnalyticOp(basis, _coords(m.shape[1]), _coords(m.shape[0]), m[None])
 
 
-def _combine(m1: MultiAnalyticOp, m2: MultiAnalyticOp, op) -> np.ndarray:
-    """op(m1, m2) coefficient-wise (np.add or np.subtract), the shorter
-    operand zero-padded; both must share the truncation and the dimensions."""
+def add(m1: MultiAnalyticOp, m2: MultiAnalyticOp) -> MultiAnalyticOp:
+    """m1 + m2 coefficient-wise, the shorter operand zero-padded; both must
+    share the truncation and the dimensions."""
     if m1.basis != m2.basis or m1.dom.dim != m2.dom.dim or m1.cod.dim != m2.cod.dim:
         raise DimMismatch("incompatible operands")
     out = np.zeros((max(len(m1.flat), len(m2.flat)), m1.cod.dim, m1.dom.dim), dtype=np.complex128)
     out[:len(m1.flat)] = m1.flat
-    head = out[:len(m2.flat)]
-    op(head, m2.flat, out=head)
-    return out
-
-
-def add(m1: MultiAnalyticOp, m2: MultiAnalyticOp) -> MultiAnalyticOp:
-    return MultiAnalyticOp(m1.basis, m1.dom, m1.cod, _combine(m1, m2, np.add))
+    out[:len(m2.flat)] += m2.flat
+    return MultiAnalyticOp(m1.basis, m1.dom, m1.cod, out)
 
 
 def pair_products(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
@@ -213,10 +209,11 @@ def product(m1: MultiAnalyticOp, m2: MultiAnalyticOp) -> MultiAnalyticOp:
 
     The constant branch gives the loop's result bit for bit, but the loop
     would hold a zeroed output and the GEMM's copy of all of m1 at once.
-    Every factored side ends in a constant, so the branch sets the memory
-    peak: without it the minimal group at d=3, dims (2,2,2), N=6 peaks at
-    12.76 MB traced instead of 11.50 MB, above the bound of
-    test_identity_groups_memory_stays_small.
+    The resolvent's right side, a symbol times a constant, sets its group's
+    memory peak there: without the branch the resolvent group at d=3, dims
+    (2,2,2), `default_rng(7)` peaks at 6.75 MB traced at N=7 instead of
+    5.91 MB, above the 6.5 MB gate of the tier-1 workflow (2.27 against
+    1.99 MB at N=6).  The factorization group's peak is elsewhere.
     """
     if m1.basis != m2.basis:
         raise DimMismatch("operands live on different Fock truncations")
@@ -340,11 +337,81 @@ def realize(m: MultiAnalyticOp) -> Realization:
     return Realization(m.basis, m.dom.dim, m.cod.dim, blocks)
 
 
-def coeff_diff(m1: MultiAnalyticOp, m2: MultiAnalyticOp) -> float:
-    """Max operator-norm deviation of coefficients over every word either
-    operand stores: one batched norm of their difference.  Both must share
-    the truncation and the dimensions."""
-    return max_operator_norm(_combine(m1, m2, np.subtract))
+def coeff_diff(lhs: MultiAnalyticOp, *factors: MultiAnalyticOp) -> float:
+    """max_w ||lhs_(w) - (F1 F2 ...)_(w)|| over every word either side stores,
+    for the composition of the factors, which is never formed.
+
+    With one factor this compares two stored operators.  At most two factors
+    A, B may store more than degree 0; the constants around them are applied
+    to one block at a time, and with one such factor the constants after it
+    take B's place.  The output words are walked in blocks: each degree below
+    the top whole, and the top degree in d runs of words that share a first
+    letter; a whole degree below the top is no longer than such a run.  As
+    g(a + b) = g(a) d^|b| + g(b), each split degree q fills a block exactly
+    with one `pair_products` GEMM: A's degree n - q words with the block's
+    first letters against all of B's degree q words, and for q = n A's
+    vacuum against B's degree-n rows in the block's range.  lhs's rows are
+    subtracted in place, and `max_operator_norm_of` reads the blocks one at a
+    time, keeping only the matrices that could attain the maximum.  All
+    operands must share the truncation, and the dimensions must chain.
+    """
+    basis = lhs.basis
+    if (not factors or any(f.basis != basis for f in factors)
+            or (lhs.cod.dim, lhs.dom.dim) != (factors[0].cod.dim, factors[-1].dom.dim)):
+        raise DimMismatch("incompatible operands")
+    for f, g in zip(factors, factors[1:]):
+        if f.dom.dim != g.cod.dim:
+            raise DimMismatch(f"a factor's dom has dimension {f.dom.dim}, the next one's cod "
+                              f"{g.cod.dim}")
+    if not all(len(f.flat) for f in factors):  # a factor that stores nothing: the product is 0
+        return max_operator_norm(lhs.flat)
+    deep = [p for p, f in enumerate(factors) if len(f.graded) > 1]
+    if len(deep) > 2:
+        raise DimMismatch("at most two factors may store more than degree 0")
+    a, b = (deep + [None])[:2] if deep else (0, None)
+
+    def consts(fs):  # the matrix of a run of constant factors; None for no factor
+        return reduce(np.matmul, [f.flat[0] for f in fs]) if fs else None
+
+    left, ga = consts(factors[:a]), factors[a].graded
+    if b is None:  # the trailing constants stand in for B, the identity if there are none
+        mid, right, tail = None, None, consts(factors[a + 1:])
+        gb = ((np.eye(factors[a].dom.dim) if tail is None else tail)[None],)
+    else:
+        mid, gb, right = consts(factors[a + 1:b]), factors[b].graded, consts(factors[b + 1:])
+    d, off = basis.d, basis.offsets
+    n_prod = min(len(ga) + len(gb) - 1, basis.N + 1)  # the degrees the product stores
+    top = max(n_prod, len(lhs.graded)) - 1
+
+    def blocks():
+        for n in range(top + 1):
+            w = d**(n - 1) if n else 1  # the degree-n words per first letter
+            # the first letters c0 + 1 .. c1 of each block
+            for c0, c1 in [(c, c + 1) for c in range(d)] if 0 < n == top else [(0, d if n else 1)]:
+                rows = slice(off[n] + c0 * w, off[n] + c1 * w)
+                if n >= n_prod:
+                    yield lhs.flat[rows]
+                    continue
+                acc = np.zeros(((c1 - c0) * w, lhs.cod.dim, gb[0].shape[2]), dtype=np.complex128)
+                for q in reversed(range(max(0, n + 1 - len(ga)), min(n, len(gb) - 1) + 1)):
+                    m = n - q  # A's degree: its words with those first letters, or the vacuum
+                    t1 = ga[m][c0 * d**(m - 1):c1 * d**(m - 1)] if m else ga[0]
+                    if left is not None:
+                        t1 = pair_products(left[None], t1)[0]
+                    if mid is not None:
+                        t1 = pair_products(t1, mid[None])[:, 0]
+                    term = pair_products(t1, gb[q] if m else gb[n][c0 * w:c1 * w])
+                    view = acc.reshape(term.shape)
+                    view += term
+                    del term, view  # freed before the next GEMM
+                if right is not None:
+                    acc = pair_products(acc, right[None])[:, 0]
+                if n < len(lhs.graded):
+                    acc -= lhs.flat[rows]
+                yield acc
+                del acc  # freed before the next block
+
+    return max_operator_norm_of(blocks())
 
 
 def _probe(n: int, cols: int) -> np.ndarray:

@@ -9,6 +9,7 @@ so that defect-space coordinates are reproducible across runs.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -71,26 +72,49 @@ def max_operator_norm(m) -> float:
     costs less than batched SVDs of small blocks.  Only blocks that could
     attain the maximum go through it.  Every column and row norm is a lower
     bound lb on the answer, and a block's Frobenius norm is an upper bound on
-    its spectral norm, so a block whose Frobenius norm is below lb (1 - 1e-8)
-    is provably below the maximum and is dropped.  The margin is far wider
-    than the rounding of either bound, so the block that attains the maximum
-    is always kept and the value is exactly the one the unpruned stack gives.
-    The squared norms are per-block reductions, with no temporary the size
-    of the stack.
+    its spectral norm, so a block whose Frobenius norm is below lb (1 - 1e-8),
+    or zero, is provably below the maximum and is dropped.  The margin is far
+    wider than the rounding of either bound, so the block that attains the
+    maximum is always kept and the value is exactly the one the unpruned stack
+    gives.  The squared norms are per-block reductions, with no temporary the
+    size of the stack.
     """
+    return max_operator_norm_of((m,))
+
+
+def max_operator_norm_of(stacks: Iterable) -> float:
+    """`max_operator_norm` over all the matrices of several stacks that share
+    their (r, c) shape, read one stack at a time: a generator may make each
+    stack as it is read and drop it after.  Each stack is pruned against the
+    lower bound of the stacks read so far, which is at most the final one, and
+    only its kept blocks are held; one eigvalsh runs over them at the end.
+    """
+    lb2, kept = 0.0, []
+    for m in stacks:
+        lb2, top = _norm_candidates(m, lb2)
+        kept.append(top)
+        del m  # freed before the next stack is made
+    m = np.concatenate(kept) if kept else ()
+    if len(m) == 0:
+        return 0.0
+    mh = m.conj().swapaxes(-1, -2)
+    gram = m @ mh if m.shape[-2] <= m.shape[-1] else mh @ m
+    return float(np.sqrt(max(np.linalg.eigvalsh(gram)[..., -1].max(), 0.0)))
+
+
+def _norm_candidates(m, lb2: float) -> tuple[float, np.ndarray]:
+    """The squared lower bound lb2 raised by the column and row norms of the
+    stack m, and m's blocks that are not provably below it (NaN ones stay)."""
     m = np.asarray(m)
     if m.size == 0:
-        return 0.0
+        return lb2, np.empty((0, *m.shape[-2:]), dtype=m.dtype)
     m = m.reshape(-1, *m.shape[-2:])
     parts = (m.real, m.imag) if np.iscomplexobj(m) else (m,)
     col2 = sum(np.einsum("nij,nij->nj", p, p) for p in parts)
     row2 = sum(np.einsum("nij,nij->ni", p, p) for p in parts)
-    lb2 = max(col2.max(), row2.max())
-    # "not below" rather than ">=", so NaN blocks stay in and the value is NaN
-    m = m[~(col2.sum(axis=1) < lb2 * (1.0 - _BOUND_MARGIN) ** 2)]
-    mh = m.conj().swapaxes(-1, -2)
-    gram = m @ mh if m.shape[-2] <= m.shape[-1] else mh @ m
-    return float(np.sqrt(max(np.linalg.eigvalsh(gram)[..., -1].max(), 0.0)))
+    lb2 = max(lb2, col2.max(), row2.max())
+    frob2 = col2.sum(axis=1)
+    return lb2, m[~((frob2 < lb2 * (1.0 - _BOUND_MARGIN) ** 2) | (frob2 == 0.0))]
 
 
 def norm_exceeds(m, bound: float) -> bool:

@@ -21,7 +21,13 @@ from liftchar.ncfock import (
     realize,
     realized_norm,
 )
-from liftchar.numlin import Subspace, block_diag, max_operator_norm, operator_norm
+from liftchar.numlin import (
+    Subspace,
+    block_diag,
+    max_operator_norm,
+    max_operator_norm_of,
+    operator_norm,
+)
 
 
 def all_words(d, n):
@@ -327,6 +333,110 @@ class TestCoeffDiff:
             with pytest.raises(DimMismatch, match="incompatible operands"):
                 combine(m3, m5)
 
+    def test_refuses_what_it_cannot_compose(self):
+        rng = np.random.default_rng(25)
+        deep = [random_maop(rng, 2, 3, 2, 2) for _ in range(4)]
+        with pytest.raises(DimMismatch, match="at most two factors"):
+            coeff_diff(*deep)
+        with pytest.raises(DimMismatch, match="next one's cod"):
+            coeff_diff(random_maop(rng, 2, 3, 3, 2), deep[0], random_maop(rng, 2, 3, 3, 3))
+        with pytest.raises(DimMismatch, match="incompatible operands"):
+            coeff_diff(deep[0])
+
+
+def chain_oracle(factors):
+    """The composition of the factors by the word-pair loop, as an operator."""
+    out = factors[0]
+    for f in factors[1:]:
+        out = from_words(out.basis, f.dom, out.cod, product_oracle(out, f))
+    return out
+
+
+def streamed_cases(d, n):
+    """(m1, factors) pairs for coeff_diff(m1, *factors): two deep factors, each
+    storing fewer degrees than m1 or more, one deep factor alone or between
+    constants, a constant on either side of two deep ones, and zero
+    dimensions."""
+    rng = np.random.default_rng([26, d, n])
+    short = max(n - 2, 0)
+    deep = lambda k_dom, k_cod, top=None: random_maop(rng, d, n, k_dom, k_cod, top=top)
+    const = lambda k_dom, k_cod: random_maop(rng, d, n, k_dom, k_cod, density=1.0, top=0)
+    return {
+        "factors_shorter": (deep(3, 2), [deep(1, 2, short), deep(3, 1, short)]),
+        "factors_longer": (deep(3, 2, short), [deep(2, 2), deep(3, 2)]),
+        "one_factor": (deep(2, 3), [deep(2, 3, short)]),
+        "leading_constant": (deep(2, 2), [const(3, 2), deep(1, 3), deep(2, 1)]),
+        "trailing_constant": (deep(2, 2), [deep(3, 2), deep(1, 3), const(2, 1)]),
+        "constants_around_one": (deep(1, 2), [const(2, 2), const(3, 2), deep(2, 3), const(1, 2)]),
+        "constant_between": (deep(2, 1), [deep(2, 1), const(3, 2), deep(2, 3)]),
+        "constants_only": (deep(2, 2, short), [const(3, 2), const(2, 3)]),
+        "zero_inner": (deep(2, 2), [deep(0, 2), deep(2, 0)]),
+        "zero_outer": (deep(0, 2), [deep(3, 2), const(0, 3)]),
+    }
+
+
+CASES = sorted(streamed_cases(2, 1))
+
+
+class TestStreamedCoeffDiff:
+    """coeff_diff against a factored right side, which it never forms."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("n", [0, 1, 4])
+    @pytest.mark.parametrize("case", CASES)
+    def test_matches_the_formed_product_and_the_per_word_oracle(self, d, n, case):
+        m1, factors = streamed_cases(d, n)[case]
+        formed = factors[0]
+        for f in factors[1:]:
+            formed = product(formed, f)
+        got = coeff_diff(m1, *factors)
+        scale = max(max_operator_norm(m1.flat), max_operator_norm(formed.flat))
+        for want in (coeff_diff(m1, formed), coeff_diff_oracle(m1, chain_oracle(factors))):
+            assert abs(got - want) <= 1e-14 * (1 + scale)
+
+    @pytest.mark.parametrize("where", ["vacuum", "top_first_block", "top_last_block"])
+    @pytest.mark.parametrize("case",
+                             ["trailing_constant", "leading_constant", "constants_around_one"])
+    def test_a_planted_fault_reads_as_itself(self, where, case):
+        d, n = 3, 4
+        _, factors = streamed_cases(d, n)[case]
+        formed = factors[0]
+        for f in factors[1:]:
+            formed = product(formed, f)
+        assert len(formed.graded) == n + 1
+        row = {"vacuum": 0, "top_first_block": formed.basis.offsets[n],
+               "top_last_block": len(formed.flat) - 1}[where]
+        flat = formed.flat.copy()
+        flat[row, 0, 0] += 1e-6
+        m1 = MultiAnalyticOp(formed.basis, formed.dom, formed.cod, flat)
+        scale = max_operator_norm(formed.flat)
+        assert coeff_diff(formed, *factors) <= 1e-14 * scale
+        assert abs(coeff_diff(m1, *factors) - 1e-6) <= 1e-14 * scale
+
+    def test_holds_less_than_one_copy_of_the_left_side(self):
+        # the minimal group's comparison at d=3, dims (2,2,2), N=6: M_CEtilde
+        # (1093 words of 6 x 18, 1.89 MB) against M_CE, M_EE' and the inverse
+        # of sigma.  The call's traced peak above its operands was 1.69 MB
+        # (numpy 2.4.6): a top-degree block, the GEMM's output for it and the
+        # GEMM's copy of M_EE''s degree 5.  Forming the product first peaked
+        # at 4.41 MB.
+        from liftchar.charfact import lifting_char_fn, minimal_part
+        from liftchar.gen import random_iterated_lifting
+
+        it = random_iterated_lifting(np.random.default_rng([7, 0]), 3, (2, 2, 2))
+        mp = minimal_part(it.first, it.second)
+        m_ce, m_eep, m_ct = (lifting_char_fn(x, 6).op for x in (it.first, it.second,
+                                                                mp.tilde_lifting))
+        sig_inv = const_op(m_ct.basis, mp.sigma.op.matrix.conj().T[:, :m_ct.dom.dim])
+        tracemalloc.start()
+        try:
+            residual = coeff_diff(m_ct, m_ce, m_eep, sig_inv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert residual < 1e-8
+        assert peak < m_ct.flat.nbytes, f"traced peak {peak / 1e6:.2f} MB"
+
 
 def test_realized_norm_contraction():
     u = np.linalg.qr(np.random.default_rng(5).standard_normal((3, 3)))[0]
@@ -520,6 +630,20 @@ class TestMaxOperatorNorm:
         assert abs(max_operator_norm(stack) - want) <= 1e-13 * want
         assert abs(max_operator_norm(stack[:5]) - np.linalg.norm(stack[4], 2)) \
             <= 1e-13 * np.linalg.norm(stack[4], 2)
+
+    @pytest.mark.parametrize("name", sorted(pruning_stacks()))
+    def test_a_stack_read_in_parts_gives_the_same_value(self, name):
+        stack = np.asarray(pruning_stacks()[name])
+        flat = stack.reshape(-1, *stack.shape[-2:])
+        parts = (flat[i:i + 7] for i in range(0, len(flat), 7))
+        assert max_operator_norm_of(parts) == max_operator_norm(stack)
+
+    def test_parts_keep_nan_and_empty(self):
+        ok, bad = np.ones((3, 2, 2)), np.full((1, 2, 2), np.nan)
+        assert np.isnan(max_operator_norm_of([ok, bad]))
+        assert np.isnan(max_operator_norm_of([bad, ok]))
+        assert max_operator_norm_of([]) == 0.0
+        assert max_operator_norm_of([np.zeros((0, 2, 2)), np.zeros((3, 2, 2))]) == 0.0
 
     def test_zero_and_empty(self):
         assert max_operator_norm(np.zeros((6, 3, 2))) == 0.0
