@@ -31,6 +31,7 @@ from .lifting import (
 from .ncfock import (
     FockBasis,
     MultiAnalyticOp,
+    TransferOp,
     coeff_diff,
     fock_basis,
     product,
@@ -63,6 +64,7 @@ __all__ = [
     "RowContraction",
     "SubOperator",
     "Subspace",
+    "TransferOp",
     "coeff_diff",
     "defect",
     "defect_unitary",

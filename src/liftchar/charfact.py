@@ -7,14 +7,17 @@ state space H_A and state operators X_j = A_j*, and one engine
 alone: `word_stack` grows them once per row contraction and degree by two
 routes, one appending letters and one prepending them, that are
 cross-checked; this is the main defense against coefficient-reversal and
-ordering bugs, which the conventions here make easy to commit.  Each
-function is then one pass over the array that stores it: the defect bases
-are folded into D, C and B, and each (C X_w) B_k is written in place.  The
-engine certifies its colligation as given, before that basis change
-(unitary or contractive), which catches assembly errors in D, C or B that
-the word stack cannot see.  Report lines judge both residuals; the engine
-refuses nothing.  An assembly that misplaces whole words is left to the
-identity checks.
+ordering bugs, which the conventions here make easy to commit.  The engine
+folds the defect bases into D, C and B and returns the colligation form, a
+`TransferOp`: D, the stack C X_w and B, with no Fock-size array.  Its one
+writer, `TransferOp.rows`, writes each (C X_w) B_k straight into the block
+that asks for it: `CharFn.op` on first use, and `coeff_diff` block by block
+for the minimal-product and synthesis identities, which never hold a whole
+symbol.  The engine certifies its colligation as given, before that basis
+change (unitary or contractive), which catches assembly errors in D, C or B
+that the word stack cannot see.  Report lines judge both residuals; the
+engine refuses nothing.  An assembly that misplaces whole words is left to
+the identity checks.
 
 Degree language replaces the radial limit r -> 1 throughout: an identity
 X(r) = Y(r) for all r in [0,1) is asserted as coefficient equality per
@@ -24,6 +27,7 @@ word, which is equivalent at a finite truncation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -54,6 +58,7 @@ from .lifting import (
 from .ncfock import (
     DEFAULT_DEGREE,
     MultiAnalyticOp,
+    TransferOp,
     add,
     block_diag_op,
     coeff_diff,
@@ -109,7 +114,7 @@ def word_stack(a: RowContraction, n_deg: int) -> tuple[np.ndarray, float]:
         app[0] = pre[0] = np.eye(s)
         for n in range(1, n_deg):
             last, new = slice(off[n - 1], off[n]), slice(off[n], off[n + 1])
-            app[new] = pair_products(app[last], x).reshape(d**n, s, s)
+            app[new] = pair_products(app[last], x.swapaxes(0, 1)).reshape(d**n, s, s)
             pre[new] = (x_wide @ pre[last].transpose(1, 0, 2).reshape(s, d**(n - 1) * s)).reshape(
                 d, s, d**(n - 1), s).transpose(0, 2, 1, 3).reshape(d**n, s, s)
         return readonly(app), max_operator_norm(app - pre)
@@ -118,24 +123,22 @@ def word_stack(a: RowContraction, n_deg: int) -> tuple[np.ndarray, float]:
 
 def transfer_coeffs(D: np.ndarray, C: np.ndarray, B: np.ndarray, a: RowContraction, n_deg: int,
                     *, certify: str | None = None, left: np.ndarray | None = None,
-                    right: np.ndarray | None = None) -> tuple[np.ndarray, float]:
-    """Coefficients of left (D + C (I - sum Z_j X_j)^{-1} sum Z_j B_j) right,
-    the transfer function of the colligation M = [[D, C], [B, X]] over A,
-    X_j = A_j*, with B stacked per letter in shape (d, s, m), in the bases
-    that `left` and `right` change to (a side left out when None).
+                    right: np.ndarray | None = None) -> tuple[TransferOp, float]:
+    """left (D + C (I - sum Z_j X_j)^{-1} sum Z_j B_j) right, the transfer
+    function of the colligation M = [[D, C], [B, X]] over A, X_j = A_j*, with
+    B stacked per letter in shape (d, s, m), in the bases that `left` and
+    `right` change to (a side left out when None), to degree n_deg.
 
-    Returns one (offsets[n_deg + 1], c, m) array in graded word order, the
-    layout of `MultiAnalyticOp.flat`, with c and m the row and column counts
-    after the basis change, and a residual.  Row g(a) holds the
-    stored coefficient of the word a = (a_1, ..., a_n):
-    left C X_{a_1} ... X_{a_{n-1}} B_{a_n} right; row 0 is left D right.  The
-    products X_w come from `word_stack`, whose cross-check residual this
-    returns.  The basis changes are folded into the small blocks, D, C and B,
-    so the output is the one full-size array: (C X_w) B_k is written straight
-    into its slot g(w) d + k, one matmul call per letter (a GEMM per row of
-    C).  With `certify` ("unitary" or "contractive") the residual is the
-    larger of that and how far M itself, as passed and before any basis
-    change, misses being so, an assembly error the cross-check cannot see.
+    Returns it in colligation form, a `TransferOp` whose coefficient at the
+    word a = (a_1, ..., a_n) is left C X_{a_1} ... X_{a_{n-1}} B_{a_n} right
+    and at the empty word left D right, and a residual.  The basis changes
+    are folded into the small blocks, D, C and B, and the stack C X_w is one
+    GEMM over the words |w| < n_deg; no coefficient is written here (see
+    `TransferOp.rows`).  The products X_w come from `word_stack`, whose
+    cross-check residual this returns.  With `certify` ("unitary" or
+    "contractive") the residual is the larger of that and how far M itself,
+    as passed and before any basis change, misses being so, an assembly
+    error the cross-check cannot see.
     """
     d, s, m = B.shape
     cert = 0.0
@@ -146,18 +149,15 @@ def transfer_coeffs(D: np.ndarray, C: np.ndarray, B: np.ndarray, a: RowContracti
         D, C = left @ D, left @ C
     if right is not None:
         D, B = D @ right, B @ right
+    resid, c = 0.0, len(D)
     if n_deg == 0:
-        return D[None], max(cert, 0.0)
-    words, resid = word_stack(a, n_deg)
-    (c, m), n_w = D.shape, len(words)
-    # cx[i] = row i of C X_w over all words w, each a contiguous (n_w, s) matrix
-    cx = (C @ words.transpose(1, 0, 2).reshape(s, n_w * s)).reshape(c, n_w, s)
-    out = np.empty((1 + n_w * d, c, m), dtype=np.complex128)
-    out[0] = D
-    slots = out[1:].reshape(n_w, d, c, m)
-    for k in range(d):
-        np.matmul(cx, B[k], out=slots[:, k].swapaxes(0, 1))
-    return out, max(cert, resid)
+        cx = np.empty((c, 0, s), dtype=np.complex128)
+    else:
+        words, resid = word_stack(a, n_deg)
+        n_w = len(words)
+        # cx[i] = row i of C X_w over all words w, each a contiguous (n_w, s) matrix
+        cx = (C @ words.transpose(1, 0, 2).reshape(s, n_w * s)).reshape(c, n_w, s)
+    return TransferOp(fock_basis(d, n_deg), D, cx, B), max(cert, resid)
 
 
 # ---------------------------------------------------------------------------
@@ -165,19 +165,31 @@ def transfer_coeffs(D: np.ndarray, C: np.ndarray, B: np.ndarray, a: RowContracti
 
 @dataclass(frozen=True)
 class CharFn:
-    """A characteristic function as a multi-analytic operator.
+    """A characteristic function, kept as its colligation.
 
-    `op` is the one stored copy of the symbol: its coefficients act between
-    defect-space coordinates, from the domain defect's range to the codomain
-    defect's range.  The factorization identities are stated for the symbol
-    composed with the domain's defect operator; that form is one GEMM away
-    (op Q* D, Q the range basis of D) and is formed where it is compared.
-    Report lines judge both residuals (see `transfer_coeffs`, `lifting_char_fn`).
+    `form` is the symbol in colligation form (`TransferOp`); its coefficients
+    act between defect-space coordinates, from the domain defect's range
+    `dom` to the codomain defect's range `cod`.  `op`, the symbol as a
+    `MultiAnalyticOp`, is written from `form` on first use and then kept;
+    the minimal-product and synthesis identities read `form` and never ask
+    for it.  The factorization identities are stated for the symbol composed
+    with the domain's defect operator; that form is the constant
+    Q* D (Q the range basis of D) folded into B (`TransferOp.then`).
+    Report lines judge both residuals (see `transfer_coeffs`,
+    `lifting_char_fn`).
     """
 
-    op: MultiAnalyticOp
+    form: TransferOp
+    dom: Subspace
+    cod: Subspace
     crosscheck_residual: float
     kernel_residual: float = 0.0
+
+    @cached_property
+    def op(self) -> MultiAnalyticOp:
+        """The symbol's coefficients, written whole from `form` on first use."""
+        f = self.form
+        return MultiAnalyticOp(f.basis, self.dom, self.cod, f.rows(0, len(f.basis)))
 
 
 def row_char_fn(a: RowContraction, n_deg: int = DEFAULT_DEGREE) -> CharFn:
@@ -188,13 +200,12 @@ def row_char_fn(a: RowContraction, n_deg: int = DEFAULT_DEGREE) -> CharFn:
     Computed once per row contraction and degree.
     """
     def compute():
-        basis = fock_basis(a.d, n_deg)
         da, dsa = defect(a), star_defect(a)
         n = a.dim
-        flat, resid = transfer_coeffs(-a.row, dsa.D, da.D.reshape(a.d, n, a.d * n), a, n_deg,
+        form, resid = transfer_coeffs(-a.row, dsa.D, da.D.reshape(a.d, n, a.d * n), a, n_deg,
                                       certify="unitary", left=dsa.space.basis.conj().T,
                                       right=da.space.basis)
-        return CharFn(MultiAnalyticOp(basis, da.space, dsa.space, flat), resid)
+        return CharFn(form, da.space, dsa.space, resid)
     return memo(a, ("row_char_fn", n_deg), compute)
 
 
@@ -220,26 +231,28 @@ def lifting_char_fn(lift: Lifting, n_deg: int = DEFAULT_DEGREE) -> CharFn:
     colligation with X_j = A_j*, C = Q_C* gamma D_{*,A},
     D = Q_C* [D_C - gamma D_{*,A} row(B), -gamma row(A) D_A] and
     B_j = [-A_j* row(B), (D_A^2)_j], columns reordered from H_C^d + H_A^d to
-    H_E^d.  The engine certifies that colligation and writes the symbol
-    straight in its stored coordinates, with pinv(D_E) Q_E as its right factor
+    H_E^d.  The engine certifies that colligation and returns it in the
+    symbol's stored coordinates, with pinv(D_E) Q_E as its right factor
     (Q_E the range basis of D_E): the composition divided by D_E on its range.
     The composition must vanish on ker D_E.  When D_E is not injective, an
     orthonormal basis K of that kernel follows pinv(D_E) Q_E in the same
-    right factor, so the one engine run also writes each T_w K after the
-    symbol's columns; the largest ||T_w K|| over them is the kernel residual
-    (0.0 when D_E is injective and there are none), which the identities fold
-    into theirs.  Computed once per lifting and degree.
+    right factor, so the one engine run also yields each T_w K as the columns
+    after the symbol's.  The symbol's form keeps the leading rank columns of
+    D and B; only the kernel columns are written here, and the largest
+    ||T_w K|| over them is the kernel residual (0.0 when D_E is injective and
+    there are none), which the identities fold into theirs.  Computed once
+    per lifting and degree.
     """
     def compute():
         de = lift.dE
         right = de.pinv @ de.space.basis
         if de.rank < de.space.ambient_dim:
             right = np.hstack([right, de.space.complement().basis])
-        flat, resid = transfer_coeffs(*_lifting_colligation(lift), lift.A, n_deg,
+        form, resid = transfer_coeffs(*_lifting_colligation(lift), lift.A, n_deg,
                                       certify="contractive", right=right)
-        return CharFn(MultiAnalyticOp(fock_basis(lift.d, n_deg), de.space, lift.dC.space,
-                                      flat[..., :de.rank]),
-                      resid, max_operator_norm(flat[..., de.rank:]))
+        kernel = form.columns(slice(de.rank, None)).rows(0, len(form.basis))
+        return CharFn(form.columns(slice(de.rank)), de.space, lift.dC.space, resid,
+                      max_operator_norm(kernel))
     return memo(lift, ("lifting_char_fn", n_deg), compute)
 
 
@@ -251,15 +264,17 @@ def resolvent_identity_residual(a: RowContraction, n_deg: int = DEFAULT_DEGREE) 
         D_*A (I - R A*)^{-1} D_*A  =  I  +  M_A A*
     on the star-defect space, with both sides expanded to degree N.  The
     left side is the transfer function with D = D_*A^2, C = D_*A,
-    B_j = A_j* D_*A, X_j = A_j*; the engine's output holds the difference.
+    B_j = A_j* D_*A, X_j = A_j*; its rows, written whole, hold the difference.
     """
     dsa = star_defect(a)
     x = a.ops.conj().swapaxes(1, 2)
     q = dsa.space.basis
-    diff, _ = transfer_coeffs(dsa.D @ dsa.D, dsa.D, x @ dsa.D, a, n_deg,
-                              left=q.conj().T, right=q)
+    basis = fock_basis(a.d, n_deg)
+    # only the rows are kept: the form is dropped before M_A is read
+    diff = transfer_coeffs(dsa.D @ dsa.D, dsa.D, x @ dsa.D, a, n_deg,
+                           left=q.conj().T, right=q)[0].rows(0, len(basis))
     diff[0] -= np.eye(dsa.rank)
-    a_star = const_op(fock_basis(a.d, n_deg), defect(a).space.coords(a.row.conj().T @ q))
+    a_star = const_op(basis, defect(a).space.coords(a.row.conj().T @ q))
     diff -= product(row_char_fn(a, n_deg).op, a_star).flat
     return max_operator_norm(diff)
 
@@ -291,16 +306,26 @@ class FactorizationReport:
 def _cascade(basis, m_a: MultiAnalyticOp, u: np.ndarray,
              m_ap: MultiAnalyticOp) -> MultiAnalyticOp:
     """(M_A (+) I) u (I (+) M_A'): the A-hat slot of both factored forms, with
-    the identities sized by u."""
+    the identities sized by u.  Each direct sum is built just before the
+    product that reads it, and I (+) M_A' is dropped once u has met it."""
+    right = product(const_op(basis, u),
+                    block_diag_op(basis, identity_op(basis, u.shape[1] - m_ap.cod.dim), m_ap))
     left = block_diag_op(basis, m_a, identity_op(basis, u.shape[0] - m_a.dom.dim))
-    right = block_diag_op(basis, identity_op(basis, u.shape[1] - m_ap.cod.dim), m_ap)
-    return product(left, product(const_op(basis, u), right))
+    return product(left, right)
+
+
+def _grouped_defect(cl: Lifting) -> np.ndarray:
+    """Q* D_E, Q the range basis of D_E, with its columns reordered from H_E^d
+    to H_C^d + H_A^d (`lift.shuffle`): the back factor of both sides of the
+    factorization, under which each column group is a slice."""
+    return (cl.dE.space.basis.conj().T @ cl.dE.D)[:, cl.shuffle]
 
 
 def _assemble(it: IteratedLifting, n_deg: int):
     """The factored right-hand side for the two-step lifting, plus diagnostics:
     the constant C-slot D_*gamma-hat m7[:k_c] plus the A-hat slot
-    gamma-hat m2 _cascade(J(delta)) m6 m7[k_c:], m7 splitting D_E' in two."""
+    gamma-hat m2 _cascade(J(delta)) m6 m7[k_c:], m7 splitting D_E' in two.
+    Its columns are grouped H_C^d, then H_A-hat^d (`_grouped_defect`)."""
     basis = fock_basis(it.first.d, n_deg)
     cl = it.as_c_lifting
     lift_ahat = it.ahat_lifting
@@ -327,8 +352,7 @@ def _assemble(it: IteratedLifting, n_deg: int):
     m_a = row_char_fn(it.first.A, n_deg)
     m_ap = row_char_fn(it.second.A, n_deg)
 
-    m7 = block_diag(q_star_ghat, np.eye(k_ahat)) @ sig_ep.op.matrix \
-        @ cl.dE.space.basis.conj().T @ cl.dE.D
+    m7 = block_diag(q_star_ghat, np.eye(k_ahat)) @ sig_ep.op.matrix @ _grouped_defect(cl)
     m6 = block_diag(q_star_delta, np.eye(k_ap)) @ sig_ah.op.matrix
     m2 = sig_star_ah.op.matrix.conj().T @ block_diag(np.eye(k_sa), q_delta.conj().T)
     core = product(_cascade(basis, m_a.op, jh.J, m_ap.op), const_op(basis, m6 @ m7[k_c:]))
@@ -381,16 +405,19 @@ def verify_factorization(it: IteratedLifting, n_deg: int = DEFAULT_DEGREE,
     and H_A-hat column groups.  Both sides vanish on ker D_E' by construction,
     so the comparison covers the range of D_E'.  The engine's own component on
     ker D_E' (`charfn_kernel`) is judged with the overall residual, which is
-    the larger of the two."""
+    the larger of the two.  The left side is written whole from the
+    symbol's colligation form, with D_E' folded into its B, and the columns
+    are grouped, so each group is a slice."""
     cl = it.as_c_lifting
     chf = lifting_char_fn(cl, n_deg)
     rhs, info = _assemble(it, n_deg)
-    idx_c, idx_ah = cl.column_split()
-    diff = chf.op.flat @ (cl.dE.space.basis.conj().T @ cl.dE.D)
+    lhs = chf.form.then(_grouped_defect(cl))
+    diff = lhs.rows(0, len(lhs.basis))
     diff[:len(rhs.flat)] -= rhs.flat
     residual = max(max_operator_norm(diff), chf.kernel_residual)
-    res_c = max_operator_norm(diff[:, :, idx_c])
-    res_ah = max_operator_norm(diff[:, :, idx_ah])
+    n_c = cl.d * cl.C.dim
+    res_c = max_operator_norm(diff[:, :, :n_c])
+    res_ah = max_operator_norm(diff[:, :, n_c:])
     checks = dict(info["checks"])
     checks["charfn_crosscheck"] = max(checks["charfn_crosscheck"], chf.crosscheck_residual)
     checks["charfn_kernel"] = chf.kernel_residual
@@ -477,21 +504,20 @@ def verify_minimal_product(first: Lifting, second: Lifting,
     """Check that the symbol of the minimal part equals the product of the two
     constituent symbols composed with the splitting unitary's inverse on D_Etilde;
     the residual is the larger of that and the three symbols' `charfn_kernel`.
-    `coeff_diff` judges the product against its three factors one block of
-    words at a time, so neither product is formed."""
+    `coeff_diff` judges the product against its factors one block of words
+    at a time, and reads all three symbols in colligation form, the inverse
+    folded into M_EE''s B, so neither the product nor any symbol is formed."""
     mp = minimal_part(first, second)
     m_ce = lifting_char_fn(first, n_deg)
     m_eep = lifting_char_fn(second, n_deg)
     m_ct = lifting_char_fn(mp.tilde_lifting, n_deg)
-    if not m_ce.op.dom.same_basis(m_eep.op.cod):
+    if not m_ce.dom.same_basis(m_eep.cod):
         raise Mismatch("second lifting does not lift the first one's E")
-    k_t = mp.tilde_lifting.dE.rank
-    basis = fock_basis(first.d, n_deg)
     # adjoint-of-isometry convention for the inverse, restricted to D_Etilde
-    sig_inv = const_op(basis, mp.sigma.op.matrix.conj().T[:, :k_t])
+    sig_inv = mp.sigma.op.matrix.conj().T[:, :mp.tilde_lifting.dE.rank]
     fns = (m_ce, m_eep, m_ct)
     kernel = max(fn.kernel_residual for fn in fns)
-    residual = max(coeff_diff(m_ct.op, m_ce.op, m_eep.op, sig_inv), kernel)
+    residual = max(coeff_diff(m_ct.form, m_ce.form, m_eep.form.then(sig_inv)), kernel)
     checks = {
         "sigma_unitary": mp.sigma.unitary_residual,
         "sigma_defining": mp.sigma.defining_residual,
@@ -598,8 +624,8 @@ def synthesize_lifting(c: RowContraction, a: RowContraction, a2: RowContraction,
         raise ResidualTooLarge(f"first slot leaves the range of the splitting unitary ({leak:.3e})")
     inner = sig_ah.op.matrix.conj().T @ block_diag(u1, np.eye(k_a2))
     # M_CE' composed with the constant back to the target's slots, never formed
-    to_slots = const_op(basis, sig_ep.op.matrix.conj().T @ block_diag(q_star_ghat.conj().T, inner))
-    residual = coeff_diff(target_symbol, m_cep.op, to_slots)
+    to_slots = sig_ep.op.matrix.conj().T @ block_diag(q_star_ghat.conj().T, inner)
+    residual = coeff_diff(target_symbol, m_cep.form.then(to_slots))
     report = FactorizationReport(
         name="synthesis",
         residual=residual,

@@ -98,12 +98,6 @@ class Lifting:
         """Index array reordering H_E^d into H_C^d + H_A^d."""
         return block_shuffle([self.C.dim, self.A.dim], self.d)
 
-    def column_split(self) -> tuple[np.ndarray, np.ndarray]:
-        """Ambient H_E^d indices belonging to the H_C^d and H_A^d column groups."""
-        idx = self.shuffle
-        nc = self.d * self.C.dim
-        return idx[:nc], idx[nc:]
-
 
 def _assemble_lifting(c: RowContraction, a: RowContraction, b_row: np.ndarray,
                       gamma: SubOperator) -> Lifting:

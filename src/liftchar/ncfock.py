@@ -3,18 +3,22 @@
 A word a over the letters 1..d is known by its graded index
 g(a) = sum_i a_i d^(|a| - i), which numbers the words in graded
 lexicographic order; `FockBasis` converts word <-> index by arithmetic and
-stores no word.  A multi-analytic operator is stored by its Fourier
-coefficients in one contiguous (words, k_cod, k_dom) array in that order:
-row g(a) holds the coefficient of the word a, and the array ends after a
-whole degree; the degrees past it are zero.  Words as tuples are built only
-at the boundary, by `MultiAnalyticOp.coeffs` and `coeff`.  Word
-concatenation is an index identity, g(a + b) = g(a) d^|b| + g(b), so
+stores no word.  A multi-analytic operator is held in one of two forms.
+`MultiAnalyticOp` stores its Fourier coefficients in one contiguous
+(words, k_cod, k_dom) array in that order: row g(a) holds the coefficient of
+the word a, and the array ends after a whole degree; the degrees past it are
+zero.  `TransferOp` holds a transfer function as its colligation, D, the
+stack C X_w and B, and writes any run of coefficient rows on demand, so a
+characteristic function needs no Fock-size array until one is asked for.
+Both forms answer `rows`, which is all `coeff_diff` reads.  Words as tuples
+are built only at the boundary, by `MultiAnalyticOp.coeffs` and `coeff`.
+Word concatenation is an index identity, g(a + b) = g(a) d^|b| + g(b), so
 composing two operators takes one GEMM per degree of the right factor.
-Every sum and projection is one numpy call over all words, and
-`coeff_diff` compares an operator with a composition one block of words at
-a time, without forming the composition.  Composition is by coordinates:
-`product` asks only that the inner dimensions agree, and `const_op`,
-`identity_op` and `block_diag_op` label their spaces as plain coordinate
+Every sum and projection is one numpy call over all words, and `coeff_diff`
+compares an operator with a composition one block of words at a time,
+without forming the composition.  Composition is by coordinates: `product`
+asks only that the inner dimensions agree, and `const_op`, `identity_op`,
+`block_diag_op` and `TransferOp` label their spaces as plain coordinate
 spaces.  The dom/cod subspaces record where an operator came from; no
 arithmetic here compares them.  The pairing convention is
 
@@ -32,7 +36,7 @@ intertwining checks cost O(N d^N k^2) per product and never form the
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache, reduce
 from itertools import accumulate
 from types import MappingProxyType
@@ -129,11 +133,22 @@ class MultiAnalyticOp:
                               f"with n one of the degree offsets {self.basis.offsets}")
         object.__setattr__(self, "flat", flat)
 
+    @property
+    def degrees(self) -> int:
+        """The number of degrees stored, from 0 on."""
+        return self.basis.offsets.index(len(self.flat))
+
     @cached_property
     def graded(self) -> tuple[np.ndarray, ...]:
         """Per-degree views of `flat`: graded[n] has shape (d^n, cod.dim, dom.dim)."""
         off = self.basis.offsets
-        return tuple(self.flat[off[n]:off[n + 1]] for n in range(off.index(len(self.flat))))
+        return tuple(self.flat[off[n]:off[n + 1]] for n in range(self.degrees))
+
+    def rows(self, start: int, stop: int, *, wide: bool = False) -> np.ndarray:
+        """The stored rows start .. stop - 1: a view of `flat`, or with `wide`
+        a (cod.dim, stop - start, dom.dim) copy, as `TransferOp.rows` gives them."""
+        r = self.flat[start:stop]
+        return np.ascontiguousarray(r.swapaxes(0, 1)) if wide else r
 
     @cached_property
     def coeffs(self) -> Mapping[Word, np.ndarray]:
@@ -152,6 +167,77 @@ class MultiAnalyticOp:
         if i is not None and i < len(self.flat):
             return self.flat[i]
         return np.zeros((self.cod.dim, self.dom.dim), dtype=np.complex128)
+
+
+@dataclass(frozen=True)
+class TransferOp:
+    """The transfer function D + C (I - sum Z_j X_j)^{-1} sum Z_j B_j on the
+    truncation `basis`, held as its colligation: D (c, m), the stack
+    cx[i, g(w)] = row i of C X_w over the words |w| < N, shape
+    (c, offsets[N], s), and B per letter, shape (d, s, m).  Its coefficient
+    at the word w + (k) is C X_w B_k, and at the empty word D.
+
+    `rows` is its one writer: any run of graded rows, in the layout of
+    `MultiAnalyticOp.flat` or in the one a right-hand `pair_products` reads.
+    It stores every degree; dom and cod are coordinate spaces.  The arrays
+    are read-only.
+    """
+
+    basis: FockBasis
+    D: np.ndarray
+    cx: np.ndarray
+    B: np.ndarray
+
+    def __post_init__(self):
+        (c, m), off = self.D.shape, self.basis.offsets
+        if self.cx.shape[:2] != (c, off[-2]) or self.B.shape != (self.basis.d, self.cx.shape[2], m):
+            raise DimMismatch(f"colligation blocks D {self.D.shape}, C X {self.cx.shape} and "
+                              f"B {self.B.shape} do not fit d={self.basis.d}, N={self.basis.N}")
+        for name in ("D", "cx", "B"):
+            object.__setattr__(self, name, readonly(getattr(self, name)))
+
+    @property
+    def dom(self) -> Subspace:
+        return _coords(self.D.shape[1])
+
+    @property
+    def cod(self) -> Subspace:
+        return _coords(self.D.shape[0])
+
+    @property
+    def degrees(self) -> int:
+        return self.basis.N + 1
+
+    def then(self, right: np.ndarray) -> TransferOp:
+        """This operator after the constant `right`, folded into D and B."""
+        return replace(self, D=self.D @ right, B=self.B @ right)
+
+    def columns(self, cols: slice) -> TransferOp:
+        """This operator restricted to the domain coordinates `cols`."""
+        return replace(self, D=self.D[:, cols], B=self.B[..., cols])
+
+    def rows(self, start: int, stop: int, *, wide: bool = False) -> np.ndarray:
+        """The coefficients of the graded indices start .. stop - 1, as a
+        (stop - start, cod.dim, dom.dim) array, or with `wide` as
+        (cod.dim, stop - start, dom.dim).
+
+        Row g(w) d + k (k = 1..d) is (C X_w) B_k: the rows of one last letter
+        are every d-th row of the run, and each is written by one matmul call
+        (a GEMM per row of C) straight into its slot.
+        """
+        (c, m), d, n = self.D.shape, self.basis.d, stop - start
+        out = np.empty((c, n, m) if wide else (n, c, m), dtype=np.complex128)
+        t = out if wide else out.swapaxes(0, 1)  # (c, n, m) either way
+        if start == 0 < n:
+            t[:, 0] = self.D
+        first = max(start, 1)
+        for k in range(d):
+            r = first + (k + 1 - first) % d  # the run's first row ending in letter k + 1
+            if r < stop:
+                i = (r - 1) // d
+                np.matmul(self.cx[:, i:i + (stop - r + d - 1) // d], self.B[k],
+                          out=t[:, r - start::d])
+        return out
 
 
 @lru_cache(maxsize=None)
@@ -182,15 +268,18 @@ def add(m1: MultiAnalyticOp, m2: MultiAnalyticOp) -> MultiAnalyticOp:
 
 
 def pair_products(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
-    """All products t1[a] @ t2[b] of two matrix stacks, shape (len(t1), len(t2), i, k).
+    """All products t1[a] @ t2[:, b] of a matrix stack t1 (na, i, j) and the
+    matrices side by side in t2 (j, nb, k), shape (na, nb, i, k).
 
+    t2 is in the layout `rows(..., wide=True)` writes, which the GEMM reads
+    in place; a stack s (nb, j, k) is passed as s.swapaxes(0, 1) and copied.
     With t1 the coefficients of the words a from the first one on, and t2
     those of the words b of one degree q, flattening the two leading axes
     puts the product at row g(a) d^q + g(b) - offsets[q]: the rank of a + b
     counted from offsets[q].  One GEMM.
     """
-    (na, i, j), (nb, _, k) = t1.shape, t2.shape
-    flat = t1.reshape(na * i, j) @ t2.transpose(1, 0, 2).reshape(j, nb * k)
+    (na, i, j), (_, nb, k) = t1.shape, t2.shape
+    flat = t1.reshape(na * i, j) @ t2.reshape(j, nb * k)
     return flat.reshape(na, i, nb, k).transpose(0, 2, 1, 3)
 
 
@@ -227,7 +316,7 @@ def product(m1: MultiAnalyticOp, m2: MultiAnalyticOp) -> MultiAnalyticOp:
         return MultiAnalyticOp(m1.basis, m2.dom, m1.cod, out)
     out = np.zeros((0, i, k), dtype=np.complex128)  # kept when either side stores nothing
     for q in reversed(range(len(g2) if n1 else 0)):
-        term = pair_products(f1[:off[min(n1, top + 1 - q)]], g2[q])  # every a with |a| <= N - q
+        term = pair_products(f1[:off[min(n1, top + 1 - q)]], g2[q].swapaxes(0, 1))  # |a| <= N - q
         if q == len(g2) - 1:
             out = np.zeros((off[min(n1 + q, top + 1)], i, k), dtype=np.complex128)
         acc = out[off[q]:off[q] + term.shape[0] * term.shape[1]].reshape(term.shape)
@@ -337,20 +426,23 @@ def realize(m: MultiAnalyticOp) -> Realization:
     return Realization(m.basis, m.dom.dim, m.cod.dim, blocks)
 
 
-def coeff_diff(lhs: MultiAnalyticOp, *factors: MultiAnalyticOp) -> float:
+def coeff_diff(lhs, *factors) -> float:
     """max_w ||lhs_(w) - (F1 F2 ...)_(w)|| over every word either side stores,
     for the composition of the factors, which is never formed.
 
-    With one factor this compares two stored operators.  At most two factors
-    A, B may store more than degree 0; the constants around them are applied
-    to one block at a time, and with one such factor the constants after it
-    take B's place.  The output words are walked in blocks: each degree below
-    the top whole, and the top degree in d runs of words that share a first
-    letter; a whole degree below the top is no longer than such a run.  As
-    g(a + b) = g(a) d^|b| + g(b), each split degree q fills a block exactly
-    with one `pair_products` GEMM: A's degree n - q words with the block's
-    first letters against all of B's degree q words, and for q = n A's
-    vacuum against B's degree-n rows in the block's range.  lhs's rows are
+    Each operand is a `MultiAnalyticOp` or a `TransferOp`, and is read only
+    through its `rows`, so an operand held as a colligation is written one
+    block at a time and never in full.  With one factor this compares two
+    operators.  At most two factors A, B may store more than degree 0; the
+    constants around them are applied to one block at a time, and with one
+    such factor the constants after it take B's place.  The output words are
+    walked in blocks: each degree below the top whole, and the top degree in
+    d runs of words that share a first letter; a whole degree below the top
+    is no longer than such a run.  As g(a + b) = g(a) d^|b| + g(b), each
+    split degree q fills a block exactly with one `pair_products` GEMM: A's
+    degree n - q words with the block's first letters against all of B's
+    degree q words, read in the GEMM's layout, and for q = n A's vacuum
+    against B's degree-n rows in the block's range.  lhs's rows are
     subtracted in place, and `max_operator_norm_of` reads the blocks one at a
     time, keeping only the matrices that could attain the maximum.  All
     operands must share the truncation, and the dimensions must chain.
@@ -363,51 +455,53 @@ def coeff_diff(lhs: MultiAnalyticOp, *factors: MultiAnalyticOp) -> float:
         if f.dom.dim != g.cod.dim:
             raise DimMismatch(f"a factor's dom has dimension {f.dom.dim}, the next one's cod "
                               f"{g.cod.dim}")
-    if not all(len(f.flat) for f in factors):  # a factor that stores nothing: the product is 0
-        return max_operator_norm(lhs.flat)
-    deep = [p for p, f in enumerate(factors) if len(f.graded) > 1]
+    d, off = basis.d, basis.offsets
+    if not all(f.degrees for f in factors):  # a factor that stores nothing: the product is 0
+        return max_operator_norm(lhs.rows(0, off[lhs.degrees]))
+    deep = [p for p, f in enumerate(factors) if f.degrees > 1]
     if len(deep) > 2:
         raise DimMismatch("at most two factors may store more than degree 0")
     a, b = (deep + [None])[:2] if deep else (0, None)
 
     def consts(fs):  # the matrix of a run of constant factors; None for no factor
-        return reduce(np.matmul, [f.flat[0] for f in fs]) if fs else None
+        return reduce(np.matmul, [f.rows(0, 1)[0] for f in fs]) if fs else None
 
-    left, ga = consts(factors[:a]), factors[a].graded
+    fa, left = factors[a], consts(factors[:a])
     if b is None:  # the trailing constants stand in for B, the identity if there are none
-        mid, right, tail = None, None, consts(factors[a + 1:])
-        gb = ((np.eye(factors[a].dom.dim) if tail is None else tail)[None],)
+        tail = consts(factors[a + 1:])
+        fb, mid, right = const_op(basis, np.eye(fa.dom.dim) if tail is None else tail), None, None
     else:
-        mid, gb, right = consts(factors[a + 1:b]), factors[b].graded, consts(factors[b + 1:])
-    d, off = basis.d, basis.offsets
-    n_prod = min(len(ga) + len(gb) - 1, basis.N + 1)  # the degrees the product stores
-    top = max(n_prod, len(lhs.graded)) - 1
+        fb, mid, right = factors[b], consts(factors[a + 1:b]), consts(factors[b + 1:])
+    n_prod = min(fa.degrees + fb.degrees - 1, basis.N + 1)  # the degrees the product stores
+    top = max(n_prod, lhs.degrees) - 1
 
     def blocks():
         for n in range(top + 1):
             w = d**(n - 1) if n else 1  # the degree-n words per first letter
             # the first letters c0 + 1 .. c1 of each block
             for c0, c1 in [(c, c + 1) for c in range(d)] if 0 < n == top else [(0, d if n else 1)]:
-                rows = slice(off[n] + c0 * w, off[n] + c1 * w)
+                r0, r1 = off[n] + c0 * w, off[n] + c1 * w
                 if n >= n_prod:
-                    yield lhs.flat[rows]
+                    yield lhs.rows(r0, r1)
                     continue
-                acc = np.zeros(((c1 - c0) * w, lhs.cod.dim, gb[0].shape[2]), dtype=np.complex128)
-                for q in reversed(range(max(0, n + 1 - len(ga)), min(n, len(gb) - 1) + 1)):
+                acc = np.zeros((r1 - r0, lhs.cod.dim, fb.dom.dim), dtype=np.complex128)
+                for q in reversed(range(max(0, n + 1 - fa.degrees), min(n, fb.degrees - 1) + 1)):
                     m = n - q  # A's degree: its words with those first letters, or the vacuum
-                    t1 = ga[m][c0 * d**(m - 1):c1 * d**(m - 1)] if m else ga[0]
-                    if left is not None:
-                        t1 = pair_products(left[None], t1)[0]
+                    s0, s1 = (off[m] + c0 * d**(m - 1), off[m] + c1 * d**(m - 1)) if m else (0, 1)
+                    t1 = (fa.rows(s0, s1) if left is None
+                          else pair_products(left[None], fa.rows(s0, s1, wide=True))[0])
                     if mid is not None:
-                        t1 = pair_products(t1, mid[None])[:, 0]
-                    term = pair_products(t1, gb[q] if m else gb[n][c0 * w:c1 * w])
+                        t1 = pair_products(t1, mid[:, None])[:, 0]
+                    t2 = fb.rows(off[q], off[q + 1], wide=True) if m else fb.rows(r0, r1, wide=True)
+                    term = pair_products(t1, t2)
+                    del t1, t2  # freed before the sum
                     view = acc.reshape(term.shape)
                     view += term
                     del term, view  # freed before the next GEMM
                 if right is not None:
-                    acc = pair_products(acc, right[None])[:, 0]
-                if n < len(lhs.graded):
-                    acc -= lhs.flat[rows]
+                    acc = pair_products(acc, right[:, None])[:, 0]
+                if n < lhs.degrees:
+                    acc -= lhs.rows(r0, r1)
                 yield acc
                 del acc  # freed before the next block
 

@@ -39,6 +39,7 @@ from liftchar.lifting import (
 )
 from liftchar.ncfock import (
     MultiAnalyticOp,
+    TransferOp,
     _reversal,
     block_diag_op,
     coeff_diff,
@@ -66,6 +67,11 @@ S3 = 1 / np.sqrt(3)
 
 def rc(*mats):
     return RowContraction(tuple(np.asarray(m, dtype=complex) for m in mats))
+
+
+def written(form):
+    """Every coefficient row of a symbol in colligation form, as one array."""
+    return form.rows(0, len(form.basis))
 
 
 def composed(fn, dfct):
@@ -195,7 +201,7 @@ class TestLiftingCharFn:
         q_ch = lift.dC.space.basis.conj().T
         q_sa = lift.dstarA.space.basis
         fn_comp, base_comp = composed(fn, lift.dE), composed(base, defect(a))
-        idx_c, idx_a = lift.column_split()
+        idx_c, idx_a = np.split(lift.shuffle, [lift.d * lift.C.dim])  # H_C^d and H_A^d columns
         for w in set(fn_comp.coeffs) | set(base_comp.coeffs):
             lhs = fn_comp.coeff(w)[:, idx_a]
             rhs = q_ch @ g_amb @ q_sa @ base_comp.coeff(w)
@@ -296,14 +302,23 @@ class TestWordStack:
     @pytest.mark.parametrize("i", range(5))
     def test_reversed_assembly_fails_the_identities(self, monkeypatch, i):
         # the engine's cross-check covers the word stack, not the assembly from it:
-        # an assembly that reverses each degree's words must fail the identity lines
+        # an assembly that reverses each degree's words must fail the identity lines.
+        # The symbols are written only by their colligation form's writer, so
+        # the fault is planted there: every run of rows it writes, in either
+        # layout, is read from the symbol with each degree's words reversed
         engine = charfact.transfer_coeffs
 
+        class ReversedRows(TransferOp):
+            def rows(self, start, stop, *, wide=False):
+                off, d = self.basis.offsets, self.basis.d
+                coeffs = super().rows(0, len(self.basis))
+                out = coeffs[np.concatenate([off[p] + _reversal(d, p)
+                                             for p in range(self.basis.N + 1)])][start:stop]
+                return np.ascontiguousarray(out.swapaxes(0, 1)) if wide else out
+
         def reversed_rows(D, C, B, a, n, **kw):
-            coeffs, resid = engine(D, C, B, a, n, **kw)
-            off = fock_basis(B.shape[0], n).offsets
-            return coeffs[np.concatenate([off[p] + _reversal(B.shape[0], p)
-                                          for p in range(n + 1)])], resid
+            form, resid = engine(D, C, B, a, n, **kw)
+            return ReversedRows(form.basis, form.D, form.cx, form.B), resid
 
         monkeypatch.setattr(charfact, "transfer_coeffs", reversed_rows)
         it = random_iterated_lifting(np.random.default_rng([12, i]), 2, (1, 2, 1))
@@ -317,8 +332,8 @@ def _kernel_residual_by_projector(lift, n_deg):
     words of the engine's own output, the symbol composed with D_E."""
     q_e = lift.dE.space.basis
     p_ker = np.eye(q_e.shape[0]) - q_e @ q_e.conj().T
-    comp, _ = charfact.transfer_coeffs(*charfact._lifting_colligation(lift), lift.A, n_deg)
-    return max_operator_norm(comp @ p_ker)
+    form, _ = charfact.transfer_coeffs(*charfact._lifting_colligation(lift), lift.A, n_deg)
+    return max_operator_norm(written(form) @ p_ker)
 
 
 def _worked_example_liftings():
@@ -379,7 +394,8 @@ def _recorded_engine_calls(monkeypatch):
 
     def recording(D, C, B, a, n_deg, **kw):
         out = engine(D, C, B, a, n_deg, **kw)
-        calls.append((kw.get("left"), kw.get("right"), out[0].copy(), engine(D, C, B, a, n_deg)[0]))
+        calls.append((kw.get("left"), kw.get("right"), written(out[0]),
+                      written(engine(D, C, B, a, n_deg)[0])))
         return out
 
     monkeypatch.setattr(charfact, "transfer_coeffs", recording)
@@ -477,7 +493,7 @@ class TestFoldedBases:
 
         def recording(D, C, B, a, n_deg, **kw):
             out = engine(D, C, B, a, n_deg, **kw)
-            seen.append((out[0].copy(),
+            seen.append((written(out[0]),
                          _per_row_reference(D, C, B, a, n_deg, kw.get("left"), kw.get("right"))))
             return out
 
@@ -493,14 +509,16 @@ class TestFoldedBases:
             assert np.array_equal(got, want)
 
     def test_symbol_is_held_once(self):
-        # with the defects and the word stack in place, building M_EE' holds
-        # no full-size temporary beside the array that stores it
+        # with the defects and the word stack in place, building M_EE' and
+        # writing it whole holds no full-size temporary beside the array that
+        # stores it
         lift = random_iterated_lifting(np.random.default_rng(7), 3, (2, 2, 2)).second
         lift.dE.pinv, lift.dC, lift.dA, lift.dstarA, lift.gamma_ambient, lift.shuffle
         word_stack(lift.A, 6)
         tracemalloc.start()
         try:
             fn = lifting_char_fn(lift, 6)
+            fn.op
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -530,12 +548,15 @@ def _row_left_basis_transposed(monkeypatch):
 
 
 def _lifting_symbols_scaled(monkeypatch):
-    # only the lifting symbols are certified contractive: each becomes theta (1 + 1e-6)
+    # only the lifting symbols are certified contractive: each becomes theta (1 + 1e-6),
+    # planted in its colligation form (every coefficient is D or C X_w B_k)
     engine = charfact.transfer_coeffs
 
     def scaled(*args, **kw):
-        out, resid = engine(*args, **kw)
-        return (out * (1 + 1e-6) if kw.get("certify") == "contractive" else out), resid
+        form, resid = engine(*args, **kw)
+        if kw.get("certify") == "contractive":
+            form = dataclasses.replace(form, D=form.D * (1 + 1e-6), B=form.B * (1 + 1e-6))
+        return form, resid
 
     monkeypatch.setattr(charfact, "transfer_coeffs", scaled)
 
@@ -667,15 +688,25 @@ class TestResolventIdentity:
 
     def test_wrong_degree_two_coefficient_is_caught(self, monkeypatch):
         # M_A with its degree-2 coefficients scaled by 1 + 1e-6: the right
-        # side I + M_A A* is then off at degree 2, by 1.6e-7 to 2.5e-7 here
+        # side I + M_A A* is then off at degree 2, by 1.6e-7 to 2.5e-7 here.
+        # M_A is written only by its colligation form's writer, so the fault
+        # is planted there
         row_fn = charfact.row_char_fn
+
+        class DegreeTwoScaled(TransferOp):
+            def rows(self, start, stop, *, wide=False):
+                out = super().rows(start, stop, wide=wide)
+                off = self.basis.offsets
+                lo = max(off[2], start) - start
+                hi = max(min(off[3], stop) - start, lo)
+                view = out[:, lo:hi] if wide else out[lo:hi]
+                view *= 1 + 1e-6
+                return out
 
         def scaled(a, n_deg):
             fn = row_fn(a, n_deg)
-            flat, off = np.array(fn.op.flat), fn.op.basis.offsets
-            flat[off[2]:off[3]] *= 1 + 1e-6
-            op = MultiAnalyticOp(fn.op.basis, fn.op.dom, fn.op.cod, flat)
-            return dataclasses.replace(fn, op=op)
+            f = fn.form
+            return dataclasses.replace(fn, form=DegreeTwoScaled(f.basis, f.D, f.cx, f.B))
 
         monkeypatch.setattr(charfact, "row_char_fn", scaled)
         rng = np.random.default_rng(4)
@@ -823,6 +854,53 @@ class TestMinimalPart:
             it = random_iterated_lifting(rng, 2, (1, 2, 1))
             rep = verify_minimal_product(it.first, it.second, 5, 1e-8)
             assert rep.passed
+
+
+class TestColligationForm:
+    @pytest.mark.parametrize("source", ["example2", "generated", "generated_d3"])
+    def test_minimal_product_in_colligation_form_matches_the_written_symbols(self, source):
+        # example2's E' has a non-injective D_E, whose kernel columns the
+        # symbol's form must leave out
+        it = {"example2": example2_iterated,
+              "generated": lambda: random_iterated_lifting(np.random.default_rng(12), 2, (1, 2, 1)),
+              "generated_d3": lambda: random_iterated_lifting(np.random.default_rng(7), 3, (2, 1, 2)),
+              }[source]()
+        if source == "example2":
+            assert it.second.dE.rank < it.second.dE.space.ambient_dim
+        n = 4
+        mp = minimal_part(it.first, it.second)
+        m_ce, m_eep, m_ct = (lifting_char_fn(x, n) for x in (it.first, it.second, mp.tilde_lifting))
+        sig_inv = mp.sigma.op.matrix.conj().T[:, :mp.tilde_lifting.dE.rank]
+        got = coeff_diff(m_ct.form, m_ce.form, m_eep.form.then(sig_inv))
+        want = coeff_diff(m_ct.op, m_ce.op, m_eep.op, const_op(m_ct.op.basis, sig_inv))
+        formed = product(product(m_ce.op, m_eep.op), const_op(m_ct.op.basis, sig_inv))
+        scale = max(max_operator_norm(m_ct.op.flat), max_operator_norm(formed.flat))
+        assert abs(got - want) <= 1e-14 * (1 + scale)
+        # a planted fault reads the same through either form
+        fault = dataclasses.replace(m_ct.form, D=m_ct.form.D + 1e-6)
+        faulty = MultiAnalyticOp(m_ct.op.basis, m_ct.op.dom, m_ct.op.cod, written(fault))
+        got = coeff_diff(fault, m_ce.form, m_eep.form.then(sig_inv))
+        want = coeff_diff(faulty, m_ce.op, m_eep.op, const_op(m_ct.op.basis, sig_inv))
+        assert got > 1e-7 and abs(got - want) <= 1e-14 * (1 + scale)
+
+    def test_minimal_group_holds_less_than_its_largest_symbol(self):
+        # d=3, dims (2,2,2), N=6: the minimal group reads M_CE, M_EE' and the
+        # minimal part's symbol through their writers and materializes none.
+        # Its traced peak was 2.28 MB (numpy 2.4.6), below the 3.78 MB of
+        # M_EE' alone and the 6.93 MB of the three; with the three symbols
+        # stored whole and compared as such it was 8.84 MB
+        it = random_iterated_lifting(np.random.default_rng([7, 0]), 3, (2, 2, 2))
+        tracemalloc.start()
+        try:
+            checks = run_battery(it.first, it, 6, 1e-8, "minimal")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(c.passed for c in checks)
+        mp = minimal_part(it.first, it.second)
+        sizes = [lifting_char_fn(x, 6).op.flat.nbytes
+                 for x in (it.first, it.second, mp.tilde_lifting)]
+        assert peak < max(sizes) < sum(sizes), f"traced peak {peak / 1e6:.2f} MB, symbols {sizes}"
 
 
 class TestSynthesize:

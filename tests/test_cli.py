@@ -32,7 +32,6 @@ from liftchar.cli import (
 from liftchar.errors import ParseError, ValidationError
 from liftchar.gen import random_iterated_lifting, random_row_contraction
 from liftchar.lifting import extract_gamma
-from liftchar.ncfock import MultiAnalyticOp
 
 
 def write_scenario(tmp_path, name="scen.json", keep=(), **overrides):
@@ -644,9 +643,11 @@ class TestCharfnChecksCanFail:
         fn = lifting_char_fn(scen.second, scen.degree)
         checks = {c.name: c for c in _charfn_checks("M", fn)}
         assert checks["charfn-norm[M]"].passed
-        op = fn.op
-        inflated = MultiAnalyticOp(op.basis, op.dom, op.cod, (1 + 1e-8) * op.flat)
-        checks = {c.name: c for c in _charfn_checks("M", dataclasses.replace(fn, op=inflated))}
+        # the symbol times 1 + 1e-8, planted in its colligation form (every
+        # coefficient is D or C X_w B_k)
+        form = fn.form
+        inflated = dataclasses.replace(form, D=(1 + 1e-8) * form.D, B=(1 + 1e-8) * form.B)
+        checks = {c.name: c for c in _charfn_checks("M", dataclasses.replace(fn, form=inflated))}
         assert checks["charfn-norm[M]"].residual > NORM_SLACK
         assert not checks["charfn-norm[M]"].passed
 
@@ -739,16 +740,15 @@ def test_sigmas_memory_stays_small():
 
 def test_identity_groups_memory_stays_small():
     # factorization, then minimal, on one d=3, dims (2,2,2) instance at N=6.  The
-    # traced peaks were 8.62 MB for factorization with each characteristic
-    # function stored once, and 8.78 MB for minimal with `coeff_diff` judging
-    # the product against its factors one block of words at a time (numpy
-    # 2.4.6); the bounds allow 5% more.  The largest operator here, the symbol
-    # of E' over C, holds 3.8 MB, so a full-size temporary more at the moment
-    # of the peak fails.  So does a second stored copy of the symbols (10.94 MB
-    # for factorization), and so does forming the minimal product in full
-    # before comparing (11.50 MB).
+    # traced peaks were 5.88 MB for factorization, with its left side written
+    # from the colligation form of the symbol of E' over C, and 2.22 MB for
+    # minimal, which reads its three symbols through their writers and
+    # materializes none (numpy 2.4.6); the bounds allow 5% more.  The symbol
+    # of E' over C holds 3.8 MB written whole, and each of the minimal
+    # group's symbols at least 1.26 MB, so materializing any of them fails,
+    # as does a full-size temporary more at the moment of either peak.
     it = random_iterated_lifting(np.random.default_rng([7, 0]), 3, (2, 2, 2))
-    for group, bound in (("factorization", 1.05 * 8.62e6), ("minimal", 1.05 * 8.78e6)):
+    for group, bound in (("factorization", 1.05 * 5.88e6), ("minimal", 1.05 * 2.22e6)):
         tracemalloc.start()
         try:
             checks = run_battery(it.first, it, 6, 1e-8, group)

@@ -10,6 +10,7 @@ from liftchar.errors import DimMismatch, TruncationTooLarge
 from liftchar.ncfock import (
     FockBasis,
     MultiAnalyticOp,
+    TransferOp,
     add,
     block_diag_op,
     coeff_diff,
@@ -436,6 +437,116 @@ class TestStreamedCoeffDiff:
             tracemalloc.stop()
         assert residual < 1e-8
         assert peak < m_ct.flat.nbytes, f"traced peak {peak / 1e6:.2f} MB"
+
+
+def random_colligation(rng, d, n, k_dom, k_cod, state=2):
+    """A random transfer function in colligation form, and its coefficients
+    word by word: C X_{w_1} ... X_{w_(n-1)} B_{w_n}, D at the empty word."""
+    basis = fock_basis(d, n)
+    cplx = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    D, C, X, B = cplx(k_cod, k_dom), cplx(k_cod, state), cplx(d, state, state) / 2, cplx(d, state, k_dom)
+
+    def cx(w):
+        out = C
+        for letter in w:
+            out = out @ X[letter - 1]
+        return out
+
+    form = TransferOp(basis, D, np.stack([cx(w) for w in all_words(d, n - 1)], axis=1)
+                      if n else np.zeros((k_cod, 0, state)), B)
+    words = {w: (cx(w[:-1]) @ B[w[-1] - 1] if w else D) for w in all_words(d, n)}
+    return form, words
+
+
+def written_op(t):
+    """A colligation-form operator written whole, as stored coefficients."""
+    return MultiAnalyticOp(t.basis, t.dom, t.cod, t.rows(0, len(t.basis)))
+
+
+def asked_ranges(basis):
+    """Every run of rows coeff_diff asks an operand for: the vacuum, each whole
+    degree, and each degree's runs of one first letter (single letters at degree 1)."""
+    d, off = basis.d, basis.offsets
+    out = [(0, 1)]
+    for n in range(1, basis.N + 1):
+        out.append((off[n], off[n + 1]))
+        out += [(off[n] + c * d**(n - 1), off[n] + (c + 1) * d**(n - 1)) for c in range(d)]
+    return out
+
+
+class TestTransferOp:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("n", [0, 1, 4])
+    @pytest.mark.parametrize("k_dom, k_cod, state", [(3, 2, 2), (0, 2, 2), (2, 0, 2), (2, 3, 0)])
+    def test_rows_are_the_written_rows_in_either_layout(self, d, n, k_dom, k_cod, state):
+        rng = np.random.default_rng([40, d, n, k_dom, k_cod, state])
+        form, words = random_colligation(rng, d, n, k_dom, k_cod, state)
+        # a run and the whole write may take different matmul kernels, so they
+        # agree to rounding, not bit for bit
+        full = form.rows(0, len(form.basis))
+        want = np.stack([words[w] for w in all_words(d, n)])
+        tol = 1e-14 * (1 + np.abs(want).max(initial=0.0))
+        assert full.shape == want.shape
+        assert np.abs(full - want).max(initial=0.0) <= tol
+        for r0, r1 in asked_ranges(form.basis):
+            for got in (form.rows(r0, r1), form.rows(r0, r1, wide=True).swapaxes(0, 1)):
+                assert got.shape == full[r0:r1].shape
+                assert np.abs(got - full[r0:r1]).max(initial=0.0) <= tol
+
+    def test_then_folds_a_constant_into_every_coefficient(self):
+        rng = np.random.default_rng(41)
+        form, words = random_colligation(rng, 2, 3, 3, 2)
+        right = rng.standard_normal((3, 4))
+        got = form.then(right).rows(0, len(form.basis))
+        want = np.stack([words[w] @ right for w in all_words(2, 3)])
+        assert np.abs(got - want).max() <= 1e-14 * (1 + np.abs(want).max())
+
+    def test_refuses_blocks_that_do_not_fit(self):
+        rng = np.random.default_rng(42)
+        form, _ = random_colligation(rng, 2, 3, 3, 2)
+        with pytest.raises(DimMismatch, match="do not fit"):
+            TransferOp(fock_basis(2, 4), form.D, form.cx, form.B)
+        with pytest.raises(DimMismatch, match="do not fit"):
+            TransferOp(form.basis, form.D, form.cx, form.B[:1])
+
+
+def colligation_cases(d, n):
+    """(lhs, factors) for coeff_diff with operands in colligation form: two
+    of them, one between constants, a constant between two, one alone, the
+    left side alone in that form, and zero dimensions."""
+    rng = np.random.default_rng([43, d, n])
+    coll = lambda k_dom, k_cod: random_colligation(rng, d, n, k_dom, k_cod)[0]
+    const = lambda k_dom, k_cod: random_maop(rng, d, n, k_dom, k_cod, density=1.0, top=0)
+    stored = lambda k_dom, k_cod: random_maop(rng, d, n, k_dom, k_cod)
+    return {
+        "two": (coll(3, 2), [coll(2, 2), coll(3, 2)]),
+        "constants_around_one": (coll(1, 2), [const(2, 2), coll(3, 2), const(1, 3)]),
+        "constant_between": (stored(2, 1), [coll(2, 1), const(3, 2), coll(2, 3)]),
+        "one": (coll(2, 3), [coll(2, 3)]),
+        "stored_factors": (coll(2, 2), [stored(3, 2), stored(2, 3)]),
+        "mixed": (stored(3, 2), [stored(2, 2), coll(3, 2)]),
+        "zero_inner": (coll(2, 2), [coll(0, 2), coll(2, 0)]),
+        "zero_outer": (coll(0, 2), [coll(3, 2), const(0, 3)]),
+    }
+
+
+class TestColligationCoeffDiff:
+    """coeff_diff reads an operand in colligation form through its writer."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("n", [0, 1, 4])
+    @pytest.mark.parametrize("case", sorted(colligation_cases(2, 1)))
+    def test_matches_the_written_operators(self, d, n, case):
+        lhs, factors = colligation_cases(d, n)[case]
+        as_op = lambda m: written_op(m) if isinstance(m, TransferOp) else m
+        ops = [as_op(f) for f in factors]
+        formed = ops[0]
+        for f in ops[1:]:
+            formed = product(formed, f)
+        got = coeff_diff(lhs, *factors)
+        scale = max(max_operator_norm(as_op(lhs).flat), max_operator_norm(formed.flat))
+        for want in (coeff_diff(as_op(lhs), *ops), coeff_diff_oracle(as_op(lhs), formed)):
+            assert abs(got - want) <= 1e-14 * (1 + scale)
 
 
 def test_realized_norm_contraction():
